@@ -49,6 +49,18 @@ def _emit_rows(rows, header, fmt: str, out_path: str | None) -> None:
         _write(json.dumps(objs, indent=2) + "\n", out_path)
 
 
+def _above_oracle_limit(args) -> bool:
+    """True, after saying why on stderr, if --max-n exceeds --oracle-limit."""
+    if args.max_n <= args.oracle_limit:
+        return False
+    print(
+        f"--max-n {args.max_n} exceeds the oracle limit {args.oracle_limit}; "
+        "raise --oracle-limit to override",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_table(args) -> int:
     variant = _VARIANTS[args.variant]
     n_max = args.max_n
@@ -58,12 +70,7 @@ def cmd_table(args) -> int:
         return EXIT_USAGE
     use_series = args.method in ("series", "both")
     use_oracle = args.method in ("oracle", "both")
-    if use_oracle and n_max > args.oracle_limit:
-        print(
-            f"oracle method refuses n_max={n_max} above the oracle limit "
-            f"{args.oracle_limit}; raise --oracle-limit to override",
-            file=sys.stderr,
-        )
+    if use_oracle and _above_oracle_limit(args):
         return EXIT_USAGE
     gf = qfactory.sigma_mex_gf(variant, order) if use_series else None
     rows = []
@@ -92,11 +99,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if _above_oracle_limit(args):
+        return EXIT_USAGE
     try:
         reports = verify.run_all(
             order=args.order,
             oracle_n_max=args.max_n,
             only=args.only,
+            oracle_limit=args.oracle_limit,
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -110,11 +120,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enum(args) -> int:
     n = args.max_n
-    if n > args.oracle_limit:
-        print(
-            f"n={n} exceeds the oracle limit {args.oracle_limit}",
-            file=sys.stderr,
-        )
+    if _above_oracle_limit(args):
         return EXIT_USAGE
     if args.by_class:
         rows = [
@@ -167,12 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_variant=False):
+    def common(p, need_variant=False, need_format=True):
         if need_variant:
             p.add_argument(
                 "--variant", choices=sorted(_VARIANTS), default="overlined"
             )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if need_format:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument(
             "--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="oracle cross-check range for the gf-vs-oracle checks",
     )
     p_verify.add_argument("--only", default=None, help="run a single named check")
-    common(p_verify)
+    common(p_verify, need_format=False)  # always JSON lines
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enum", help="list all overpartitions of n")

@@ -6,13 +6,16 @@ Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
 The same rule bounds every sum with a leading q^(m choose 2) or
 q^(m+1 choose 2) factor.
+
+Builders with a `ring` keyword build over Z by default (ring=series) or
+mod 2 (ring=series.GF2) from one body.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 from . import series
@@ -69,44 +72,68 @@ def finite_poch(sign: int, length: int) -> PochSpec:
     return PochSpec(sign=sign, step=1, length=length)
 
 
-@lru_cache(maxsize=None)
-def pochhammer(spec: PochSpec, N: int) -> Series:
+def _cached(builder):
+    """lru_cache keyed on the positional arguments and the ring, so that
+    f(N) and f(N, ring=series) share one entry."""
+    cached = lru_cache(maxsize=None)(builder)
+
+    @wraps(builder)
+    def call(*args, ring=series):
+        return cached(*args, ring=ring)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+@_cached
+def pochhammer(spec: PochSpec, N: int, *, ring=series):
     if N < 0:
         raise ValueError("truncation order must be non-negative")
-    acc = series.one(N)
+    acc = ring.one(N)
     e = spec.start
     count = 0
     while e <= N and (spec.length is None or count < spec.length):
-        acc = series.mul_binomial(acc, spec.sign, e)
+        acc = ring.mul_binomial(acc, spec.sign, e)
         e += spec.step
         count += 1
     return acc
 
 
-@lru_cache(maxsize=None)
-def overpartition_gf(N: int) -> Series:
+@_cached
+def overpartition_gf(N: int, *, ring=series):
     """(-q;q)_inf / (q;q)_inf: coefficient of q^n is the overpartition
     number.  Built factor by factor, which beats a dense invert-and-
     multiply by a large margin at N in the thousands."""
-    acc = series.one(N)
+    acc = ring.one(N)
     for k in range(1, N + 1):
-        acc = series.mul_binomial(acc, +1, k)
-        acc = series.div_binomial(acc, -1, k)
+        acc = ring.mul_binomial(acc, +1, k)
+        acc = ring.div_binomial(acc, -1, k)
     return acc
 
 
-@lru_cache(maxsize=None)
-def ramanujan_sigma(N: int) -> Series:
-    """The Lost Notebook series sum_{m>=0} q^(m+1 choose 2) / (-q;q)_m."""
-    acc = series.zero(N)
-    inv = series.one(N)  # 1 / (-q;q)_m, updated incrementally
+def _negq_sum(N: int, ring, weight, lead, one_minus_qm: bool = False):
+    """sum_{m>=0} weight(m) q^lead(m) g_m(q) / (-q;q)_m to order N, where
+    g_m = 1 - q^m if one_minus_qm else 1.  lead must increase with m; terms
+    of weight zero are skipped."""
+    acc = ring.zero(N)
+    inv = ring.one(N)  # 1 / (-q;q)_m, updated incrementally
     m = 0
-    while comb(m + 1, 2) <= N:
+    while lead(m) <= N:
         if m > 0:
-            inv = series.div_binomial(inv, +1, m)
-        acc = series.add(acc, series.shift(inv, comb(m + 1, 2)))
+            inv = ring.div_binomial(inv, +1, m)
+        w = weight(m)
+        if w:
+            term = ring.mul_binomial(inv, -1, m) if one_minus_qm else inv
+            acc = ring.add(acc, ring.shift(ring.scale(term, w), lead(m)))
         m += 1
     return acc
+
+
+@_cached
+def ramanujan_sigma(N: int, *, ring=series):
+    """The Lost Notebook series sum_{m>=0} q^(m+1 choose 2) / (-q;q)_m."""
+    return _negq_sum(N, ring, lambda m: 1, lambda m: comb(m + 1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -138,64 +165,40 @@ def phi11(N: int) -> Series:
     return acc
 
 
-@lru_cache(maxsize=None)
-def phi11_simplified(N: int) -> Series:
+@_cached
+def phi11_simplified(N: int, *, ring=series):
     """The collapsed form sum_n 2^n q^(n+1 choose 2) / (-q;q)_n; must agree
     with phi11 coefficient by coefficient."""
-    acc = series.zero(N)
-    inv = series.one(N)
-    n = 0
-    while comb(n + 1, 2) <= N:
-        if n > 0:
-            inv = series.div_binomial(inv, +1, n)
-        acc = series.add(acc, series.shift(series.scale(inv, 2**n), comb(n + 1, 2)))
-        n += 1
-    return acc
+    return _negq_sum(N, ring, lambda n: 2**n, lambda n: comb(n + 1, 2))
 
 
-@lru_cache(maxsize=None)
-def overlined_mex_weighted_sum(N: int) -> Series:
+@_cached
+def overlined_mex_weighted_sum(N: int, *, ring=series):
     """sum_{m>=1} m q^(m choose 2) / (-q;q)_m: the pre-telescoping form
     whose product with the overpartition series gives the overlined
     sigma-mex generating function."""
-    acc = series.zero(N)
-    inv = series.one(N)
-    m = 1
-    while comb(m, 2) <= N:
-        inv = series.div_binomial(inv, +1, m)
-        acc = series.add(acc, series.shift(series.scale(inv, m), comb(m, 2)))
-        m += 1
-    return acc
+    return _negq_sum(N, ring, lambda m: m, lambda m: comb(m, 2))
 
 
-@lru_cache(maxsize=None)
-def all_mex_raw_sum(N: int) -> Series:
+@_cached
+def all_mex_raw_sum(N: int, *, ring=series):
     """sum_{m>=1} m 2^(m-1) q^(m choose 2) (1 - q^m) / (-q;q)_m: the raw
     derivative of the all-parts double series, before simplification."""
-    acc = series.zero(N)
-    inv = series.one(N)
-    m = 1
-    while comb(m, 2) <= N:
-        inv = series.div_binomial(inv, +1, m)
-        term = series.mul_binomial(inv, -1, m)  # (1 - q^m) factor
-        weight = m * 2 ** (m - 1)
-        acc = series.add(acc, series.shift(series.scale(term, weight), comb(m, 2)))
-        m += 1
-    return acc
+    return _negq_sum(N, ring, lambda m: m * 2**m // 2, lambda m: comb(m, 2), True)
 
 
-@lru_cache(maxsize=None)
-def sigma_mex_gf(variant: MexVariant, N: int) -> Series:
+@_cached
+def sigma_mex_gf(variant: MexVariant, N: int, *, ring=series):
     """Generating function of the chosen sigma-mex statistic; the q^0
     coefficient is 1 under the value-1-at-zero convention in all three
     variants."""
     if variant is MexVariant.OVERLINED:
-        return series.mul(overpartition_gf(N), ramanujan_sigma(N))
+        return ring.mul(overpartition_gf(N, ring=ring), ramanujan_sigma(N, ring=ring))
     if variant is MexVariant.ALL:
-        return series.mul(overpartition_gf(N), phi11(N))
+        return ring.mul(overpartition_gf(N, ring=ring), phi11_simplified(N, ring=ring))
     # Non-overlined: distinct parts in three colors, (-q;q)_inf^3.
-    p = pochhammer(NEGQ_Q_INF, N)
-    return series.mul(series.mul(p, p), p)
+    p = pochhammer(NEGQ_Q_INF, N, ring=ring)
+    return ring.mul(ring.mul(p, p), p)
 
 
 def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:

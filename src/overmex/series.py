@@ -1,4 +1,4 @@
-"""Truncated formal power series with exact integer coefficients.
+"""Truncated formal power series over two rings, Z and GF(2).
 
 Every generating function in this package lives in Z[[q]] truncated at a
 fixed order N: a Series keeps the coefficients of q^0 .. q^N and nothing
@@ -6,8 +6,12 @@ else.  Binary operations silently truncate to the smaller of the two
 operands' orders; callers build every factor at one global N, so the
 common case never loses information.
 
-Series values are immutable and safe to share between workers; all
-operations are pure functions returning new values.
+This module is the Z ring the q-series builders are written against
+(one, zero, add, scale, shift, mul, mul_binomial, div_binomial); GF2 is
+the same interface mod 2, on Python-int bitmasks.
+
+Values are immutable and safe to share between workers; all operations
+are pure functions returning new values.
 """
 
 from __future__ import annotations
@@ -32,30 +36,6 @@ class Series:
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __add__(self, other: "Series") -> "Series":
-        return add(self, other)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return sub(self, other)
-
-    def __mul__(self, other: "Series") -> "Series":
-        return mul(self, other)
-
-    def invert(self) -> "Series":
-        return invert(self)
-
-    def evaluate_real(self, q0: float) -> float:
-        return evaluate_real(self, q0)
-
-    def reduce_mod(self, m: int) -> "Series":
-        return reduce_mod(self, m)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -85,23 +65,9 @@ def one(trunc_order: int) -> Series:
     return from_coeffs([1], trunc_order)
 
 
-def monomial(exponent: int, trunc_order: int, coefficient: int = 1) -> Series:
-    """The single term coefficient * q^exponent (zero if it overflows N)."""
-    if exponent > trunc_order:
-        return zero(trunc_order)
-    c = [0] * (trunc_order + 1)
-    c[exponent] = coefficient
-    return Series(tuple(c))
-
-
 def add(a: Series, b: Series) -> Series:
     n = min(a.trunc_order, b.trunc_order)
     return Series(tuple(x + y for x, y in zip(a.coeffs[: n + 1], b.coeffs[: n + 1])))
-
-
-def sub(a: Series, b: Series) -> Series:
-    n = min(a.trunc_order, b.trunc_order)
-    return Series(tuple(x - y for x, y in zip(a.coeffs[: n + 1], b.coeffs[: n + 1])))
 
 
 def mul(a: Series, b: Series) -> Series:
@@ -114,7 +80,7 @@ def mul(a: Series, b: Series) -> Series:
     n = min(a.trunc_order, b.trunc_order)
     ac = a.coeffs[: n + 1]
     bc = b.coeffs[: n + 1]
-    if _nnz(bc) < _nnz(ac):
+    if bc.count(0) > ac.count(0):
         ac, bc = bc, ac
     out = [0] * (n + 1)
     for i, ai in enumerate(ac):
@@ -123,10 +89,6 @@ def mul(a: Series, b: Series) -> Series:
                 if bj:
                     out[i + j] += ai * bj
     return Series(tuple(out))
-
-
-def _nnz(coeffs) -> int:
-    return sum(1 for c in coeffs if c)
 
 
 def invert(a: Series) -> Series:
@@ -158,13 +120,6 @@ def evaluate_real(a: Series, q0: float) -> float:
     for c in reversed(a.coeffs):
         acc = acc * q0 + c
     return acc
-
-
-def reduce_mod(a: Series, m: int) -> Series:
-    """Coefficientwise residues in [0, m)."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    return Series(tuple(c % m for c in a.coeffs))
 
 
 def mul_binomial(a: Series, coefficient: int, exponent: int) -> Series:
@@ -214,3 +169,70 @@ def truncate(a: Series, trunc_order: int) -> Series:
     if trunc_order > a.trunc_order:
         raise ValueError("cannot extend a truncated series")
     return Series(a.coeffs[: trunc_order + 1])
+
+
+class GF2Series:
+    """A series mod 2 truncated at trunc_order: bit n of `bits` is the
+    coefficient of q^n."""
+
+    __slots__ = ("bits", "trunc_order")
+
+    def __init__(self, bits: int, trunc_order: int):
+        self.bits = bits & ((1 << (trunc_order + 1)) - 1)
+        self.trunc_order = trunc_order
+
+    def __getitem__(self, n: int) -> int:
+        return (self.bits >> n) & 1
+
+
+class _GF2Ring:
+    """The ring interface of this module, mod 2 and on GF2Series values.
+    The binomial kernels take coefficient +-1, the only one the builders
+    use; mod 2, (1 - q^k) and (1 + q^k) coincide."""
+
+    def zero(self, trunc_order: int) -> GF2Series:
+        return GF2Series(0, trunc_order)
+
+    def one(self, trunc_order: int) -> GF2Series:
+        return GF2Series(1, trunc_order)
+
+    def add(self, a: GF2Series, b: GF2Series) -> GF2Series:
+        return GF2Series(a.bits ^ b.bits, min(a.trunc_order, b.trunc_order))
+
+    def scale(self, a: GF2Series, c: int) -> GF2Series:
+        return a if c % 2 else GF2Series(0, a.trunc_order)
+
+    def shift(self, a: GF2Series, k: int) -> GF2Series:
+        return GF2Series(a.bits << k, a.trunc_order)
+
+    def mul(self, a: GF2Series, b: GF2Series) -> GF2Series:
+        """Carry-less product; walks only the set bits of the sparser operand."""
+        n = min(a.trunc_order, b.trunc_order)
+        x, y = a.bits, b.bits
+        if y.bit_count() < x.bit_count():
+            x, y = y, x
+        out = 0
+        while x:
+            low = x & -x
+            out ^= y << (low.bit_length() - 1)
+            x ^= low
+        return GF2Series(out, n)
+
+    def mul_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
+        return GF2Series(a.bits ^ (a.bits << exponent), a.trunc_order)
+
+    def div_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
+        """a / (1 + q^k) via 1/(1 + x) = prod_i (1 + x^(2^i))."""
+        if exponent < 1:
+            raise ValueError("binomial exponent must be positive")
+        n = a.trunc_order
+        mask = (1 << (n + 1)) - 1
+        out = a.bits
+        s = exponent
+        while s <= n:
+            out = (out ^ (out << s)) & mask
+            s *= 2
+        return GF2Series(out, n)
+
+
+GF2 = _GF2Ring()

@@ -2,19 +2,17 @@
 parity sweeps, density measurements, and asymptotic ratio tables.
 
 Each check returns a VerifyReport; failures carry a concrete witness, and
-nothing here raises on a mathematical mismatch.  Large parity sweeps run
-on mod-2 reduced series held as Python-int bitmasks (bit n = coefficient
-of q^n mod 2), which keeps n_max = 10^4 cheap; twenty full-integer spot
-checks guard the reduction itself.
+nothing here raises on a mathematical mismatch.  Parity sweeps read the
+qfactory series built over GF(2) (series.GF2), which keeps n_max = 10^4
+cheap; each GF(2) series a sweep reads is first compared, coefficient by
+coefficient to order 200, with its integer series reduced mod 2.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
-from math import comb
 from typing import Sequence
 
 from . import combinat, qfactory, series
@@ -59,96 +57,6 @@ class AsymRow:
     exact: int
     predicted: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "exact": str(self.exact),
-            "predicted": self.predicted,
-            "ratio": self.ratio,
-        }
-
-
-# --------------------------------------------------------------------------
-# GF(2) series as int bitmasks: bit n is the coefficient of q^n mod 2.
-# Note (1 - q^k) and (1 + q^k) coincide mod 2.
-
-
-def _gf2_mask(N: int) -> int:
-    return (1 << (N + 1)) - 1
-
-
-def _gf2_mul(a: int, b: int, N: int) -> int:
-    mask = _gf2_mask(N)
-    out = 0
-    x, i = a, 0
-    while x:
-        if x & 1:
-            out ^= b << i
-        x >>= 1
-        i += 1
-    return out & mask
-
-
-def _gf2_mul_binomial(a: int, k: int, N: int) -> int:
-    """a * (1 + q^k) mod 2."""
-    return (a ^ (a << k)) & _gf2_mask(N)
-
-
-def _gf2_div_binomial(a: int, k: int, N: int) -> int:
-    """a / (1 + q^k) mod 2, via 1/(1+x) = prod (1 + x^(2^i))."""
-    mask = _gf2_mask(N)
-    out = a
-    s = k
-    while s <= N:
-        out = (out ^ (out << s)) & mask
-        s *= 2
-    return out
-
-
-def _gf2_pochhammer(N: int, step: int = 1, first: int | None = None) -> int:
-    """Any (+-q^first; q^step)_inf product mod 2 (signs are invisible)."""
-    out = 1
-    e = step if first is None else first
-    while e <= N:
-        out = _gf2_mul_binomial(out, e, N)
-        e += step
-    return out
-
-
-def _gf2_overpartition(N: int) -> int:
-    num = _gf2_pochhammer(N)
-    den_inv = 1
-    for k in range(1, N + 1):
-        den_inv = _gf2_div_binomial(den_inv, k, N)
-    return _gf2_mul(num, den_inv, N)
-
-
-def _gf2_weighted_poch_sum(weights, N: int) -> int:
-    """sum_m weights(m) q^(m+1 choose 2) / (-q;q)_m mod 2; even weights
-    vanish, which is exactly how the 2^n terms of the 1phi1 sum drop out."""
-    acc = 0
-    inv = 1
-    m = 0
-    while comb(m + 1, 2) <= N:
-        if m > 0:
-            inv = _gf2_div_binomial(inv, m, N)
-        if weights(m) % 2:
-            acc ^= inv << comb(m + 1, 2)
-        m += 1
-    return acc & _gf2_mask(N)
-
-
-def _gf2_sigma_mex(variant: MexVariant, N: int) -> int:
-    pbar = _gf2_overpartition(N)
-    if variant is MexVariant.OVERLINED:
-        sigma = _gf2_weighted_poch_sum(lambda m: 1, N)
-        return _gf2_mul(pbar, sigma, N)
-    if variant is MexVariant.ALL:
-        phi = _gf2_weighted_poch_sum(lambda m: 2**m, N)
-        return _gf2_mul(pbar, phi, N)
-    p = _gf2_pochhammer(N)
-    return _gf2_mul(_gf2_mul(p, p, N), p, N)
 
 
 # --------------------------------------------------------------------------
@@ -268,46 +176,49 @@ def check_identity_suite(N: int) -> VerifyReport:
     return _merge("identity_suite", rng, parts)
 
 
-def _spot_check_mod2(bits: int, full: Series, n_count: int, seed: int) -> bool:
-    rng = random.Random(seed)
-    N = full.trunc_order
-    for _ in range(n_count):
-        n = rng.randrange(N + 1)
-        if (bits >> n) & 1 != full[n] % 2:
-            return False
-    return True
+MOD2_CHECK_ORDER = 200  # GF(2) series are compared with Z mod 2 up to here
 
 
-def check_parity_all_even(n_max: int, spot_order: int = 200) -> VerifyReport:
+def _mod2_failure(name: str, rng_desc: str, n_max: int, builds) -> VerifyReport | None:
+    """A FAIL report at the first n <= MOD2_CHECK_ORDER where a GF(2)
+    series differs from its integer series reduced mod 2, else None.  Each
+    build is (where, builder, args), the order N left off args."""
+    m = min(MOD2_CHECK_ORDER, n_max)
+    for where, builder, args in builds:
+        bits = builder(*args, n_max, ring=series.GF2)
+        full = builder(*args, m)
+        for n in range(m + 1):
+            if bits[n] != full[n] % 2:
+                return VerifyReport(
+                    name, FAIL, rng_desc, first_failure=(n, full[n] % 2, bits[n]),
+                    metrics={"where": f"mod2:{where}"},
+                )
+    return None
+
+
+def check_parity_all_even(n_max: int) -> VerifyReport:
     """All-parts sigma-mex and the overpartition numbers are even for every
-    1 <= n <= n_max; computed mod 2, spot-checked against full integers."""
+    1 <= n <= n_max; computed mod 2."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     name = "parity_all_even"
     rng_desc = f"1 <= n <= {n_max}"
-    pbar_bits = _gf2_overpartition(n_max)
-    all_bits = _gf2_sigma_mex(MexVariant.ALL, n_max)
+    failure = _mod2_failure(name, rng_desc, n_max, [
+        ("overpartition_number", qfactory.overpartition_gf, ()),
+        ("sigma_mex_all", qfactory.sigma_mex_gf, (MexVariant.ALL,)),
+    ])
+    if failure is not None:
+        return failure
+    pbar_bits = qfactory.overpartition_gf(n_max, ring=series.GF2)
+    all_bits = qfactory.sigma_mex_gf(MexVariant.ALL, n_max, ring=series.GF2)
+    reads = (("overpartition_number", pbar_bits), ("sigma_mex_all", all_bits))
     for n in range(1, n_max + 1):
-        if (pbar_bits >> n) & 1:
-            return VerifyReport(
-                name, FAIL, rng_desc, first_failure=(n, 0, 1),
-                metrics={"where": "overpartition_number"},
-            )
-        if (all_bits >> n) & 1:
-            return VerifyReport(
-                name, FAIL, rng_desc, first_failure=(n, 0, 1),
-                metrics={"where": "sigma_mex_all"},
-            )
-    m = min(spot_order, n_max)
-    ok = _spot_check_mod2(
-        pbar_bits, qfactory.overpartition_gf(m).reduce_mod(2), 20, seed=11
-    ) and _spot_check_mod2(
-        all_bits, qfactory.sigma_mex_gf(MexVariant.ALL, m).reduce_mod(2), 20, seed=12
-    )
-    if not ok:
-        return VerifyReport(
-            name, FAIL, rng_desc, metrics={"where": "mod2_spot_check"}
-        )
+        for where, bits in reads:
+            if bits[n]:
+                return VerifyReport(
+                    name, FAIL, rng_desc, first_failure=(n, 0, 1),
+                    metrics={"where": where},
+                )
     return VerifyReport(name, PASS, rng_desc)
 
 
@@ -342,8 +253,14 @@ def check_parity_density(
     the observed even-density over [1, n_max] and its dyadic trend."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100 for a meaningful density")
-    odd_bits = _gf2_sigma_mex(MexVariant.OVERLINED, n_max)
-    return _density_report("parity_density", odd_bits, n_max, floor, trend_slack)
+    name = "parity_density"
+    failure = _mod2_failure(name, f"1 <= n <= {n_max}", n_max, [
+        ("sigma_mex_overlined", qfactory.sigma_mex_gf, (MexVariant.OVERLINED,)),
+    ])
+    if failure is not None:
+        return failure
+    odd = qfactory.sigma_mex_gf(MexVariant.OVERLINED, n_max, ring=series.GF2)
+    return _density_report(name, odd.bits, n_max, floor, trend_slack)
 
 
 def check_triangular_parity(n_max: int) -> VerifyReport:
@@ -352,15 +269,15 @@ def check_triangular_parity(n_max: int) -> VerifyReport:
         raise ValueError("n_max must be >= 1")
     name = "triangular_parity"
     rng_desc = f"1 <= n <= {n_max}"
-    bits = _gf2_sigma_mex(MexVariant.NON_OVERLINED, n_max)
-    triangular = set()
-    j = 1
-    while j * (j + 1) // 2 <= n_max:
-        triangular.add(j * (j + 1) // 2)
-        j += 1
+    failure = _mod2_failure(name, rng_desc, n_max, [
+        ("sigma_mex_nonoverlined", qfactory.sigma_mex_gf, (MexVariant.NON_OVERLINED,)),
+    ])
+    if failure is not None:
+        return failure
+    bits = qfactory.sigma_mex_gf(MexVariant.NON_OVERLINED, n_max, ring=series.GF2)
     for n in range(1, n_max + 1):
-        is_odd = (bits >> n) & 1
-        should = n in triangular
+        is_odd = bits[n]
+        should = math.isqrt(8 * n + 1) ** 2 == 8 * n + 1  # n = j(j+1)/2
         if bool(is_odd) != should:
             return VerifyReport(
                 name, FAIL, rng_desc, first_failure=(n, int(should), is_odd)
@@ -430,7 +347,7 @@ def check_sigma_taylor(
     for t in t_values:
         if not 0.0 < t <= 0.2:
             raise ValueError(f"t must lie in (0, 0.2], got {t}")
-        value = sigma.evaluate_real(math.exp(-t))
+        value = series.evaluate_real(sigma, math.exp(-t))
         poly = sum(c * t**k for k, c in enumerate(_SIGMA_TAYLOR))
         bound = 2.0 * _SIGMA_NEXT_COEFF * t**5
         err = abs(value - poly)
@@ -443,7 +360,7 @@ def check_sigma_taylor(
 
 
 def _ingham_scaled(gf: Series, t: float) -> float:
-    a = gf.evaluate_real(math.exp(-t))
+    a = series.evaluate_real(gf, math.exp(-t))
     return a * math.sqrt(math.pi) / math.sqrt(t) * math.exp(-math.pi**2 / (4 * t))
 
 
@@ -454,8 +371,8 @@ def check_ingham_scaling(
 ) -> VerifyReport:
     """The overlined sigma-mex series at q = e^-t, rescaled by the
     Tauberian growth sqrt(t)/sqrt(pi) * e^(pi^2/(4t)), approaches 1
-    monotonically as t decreases; also spot-checks the weakly increasing
-    coefficient precondition."""
+    monotonically as t decreases; also checks the weakly increasing
+    coefficient precondition over the whole order."""
     if N < 800:
         raise ValueError("order must be >= 800 for a trustworthy tail")
     name = "ingham_scaling"
@@ -467,7 +384,7 @@ def check_ingham_scaling(
             )
     if gf is None:
         gf = qfactory.sigma_mex_gf(MexVariant.OVERLINED, N)
-    for n in range(min(N, 2000)):
+    for n in range(N):
         if gf[n + 1] < gf[n]:
             return VerifyReport(
                 name, FAIL, rng_desc, first_failure=(n, gf[n], gf[n + 1]),
@@ -493,6 +410,7 @@ def run_all(
     parity_n_max: int = 10000,
     triangular_n_max: int = 5000,
     only: str | None = None,
+    oracle_limit: int = combinat.DEFAULT_ORACLE_LIMIT,
 ) -> list:
     """Run every check (or the one named by `only`) in a fixed order."""
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
@@ -505,13 +423,12 @@ def run_all(
         return overlined_gf
 
     registry = {
-        "gf_vs_oracle:nonoverlined": lambda: check_gf_vs_oracle(
-            MexVariant.NON_OVERLINED, oracle_n_max
-        ),
-        "gf_vs_oracle:overlined": lambda: check_gf_vs_oracle(
-            MexVariant.OVERLINED, oracle_n_max
-        ),
-        "gf_vs_oracle:all": lambda: check_gf_vs_oracle(MexVariant.ALL, oracle_n_max),
+        f"gf_vs_oracle:{v.value}": lambda v=v: check_gf_vs_oracle(
+            v, oracle_n_max, limit=oracle_limit
+        )
+        for v in MexVariant
+    }
+    registry |= {
         "euler": lambda: check_euler_identity(order),
         "identities": lambda: check_identity_suite(order),
         "parity_all_even": lambda: check_parity_all_even(parity_n_max),

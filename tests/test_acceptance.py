@@ -140,8 +140,8 @@ def test_criterion_9_property_suite():
             se.Series(tuple(rng.randint(-6, 6) for _ in range(n + 1)))
             for _ in range(3)
         )
-        assert (a * b).coeffs == (b * a).coeffs
-        assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
+        assert se.mul(a, b).coeffs == se.mul(b, a).coeffs
+        assert se.mul(se.mul(a, b), c).coeffs == se.mul(a, se.mul(b, c)).coeffs
         unit = se.Series((rng.choice([1, -1]),) + a.coeffs[1:])
         assert se.invert(se.invert(unit)).coeffs == unit.coeffs
-        assert (unit * se.invert(unit)).coeffs == se.one(n).coeffs
+        assert se.mul(unit, se.invert(unit)).coeffs == se.one(n).coeffs

@@ -88,6 +88,22 @@ class TestVerify:
         assert code == 2
         assert "unknown check" in err
 
+    def test_max_n_above_oracle_limit_refused(self, capsys):
+        code, out, err = run(
+            ["verify", "--only", "gf_vs_oracle:all", "--max-n", "6",
+             "--oracle-limit", "5"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "oracle limit" in err
+
+    def test_format_not_accepted(self, capsys):
+        # verify always writes JSON lines; --format belongs to table and enum.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--only", "euler", "--format", "csv"])
+        assert exc.value.code == 2
+
     def test_parity_checks(self, capsys):
         for name in ("parity_all_even", "parity_density", "triangular_parity"):
             code, out, _ = run(["verify", "--only", name], capsys)

@@ -15,6 +15,43 @@ SIGMA_ALL = [1, 4, 6, 18, 28, 50, 94, 150, 238, 372, 594]
 SIGMA_NON = [1, 3, 6, 13, 24, 42, 73, 120, 192, 302, 465]
 
 
+# Every builder written once over the ring interface: (builder, args), with
+# the truncation order left off args.
+RING_GENERIC = [
+    (qf.pochhammer, (spec,))
+    for spec in (
+        qf.Q_Q_INF, qf.NEGQ_Q_INF, qf.Q2_Q2_INF, qf.Q_Q2_INF,
+        qf.finite_poch(+1, 3), qf.finite_poch(-1, 5),
+    )
+] + [
+    (qf.overpartition_gf, ()),
+    (qf.ramanujan_sigma, ()),
+    (qf.phi11_simplified, ()),
+    (qf.overlined_mex_weighted_sum, ()),
+    (qf.all_mex_raw_sum, ()),
+] + [(qf.sigma_mex_gf, (v,)) for v in MexVariant]
+
+
+class TestRings:
+    @pytest.mark.parametrize("N", [0, 1, 2, 50, 300])
+    def test_z_mod_2_equals_gf2(self, N):
+        for builder, args in RING_GENERIC:
+            z = builder(*args, N)
+            g = builder(*args, N, ring=se.GF2)
+            assert g.trunc_order == N
+            assert [g[n] for n in range(N + 1)] == [c % 2 for c in z.coeffs], (
+                builder.__name__, args,
+            )
+
+    def test_one_cache_entry_per_ring(self):
+        before = qf.overpartition_gf.cache_info().currsize
+        a = qf.overpartition_gf(37)
+        assert qf.overpartition_gf(37, ring=se) is a
+        assert qf.overpartition_gf.cache_info().currsize == before + 1
+        qf.overpartition_gf(37, ring=se.GF2)
+        assert qf.overpartition_gf.cache_info().currsize == before + 2
+
+
 class TestPochhammer:
     def test_finite_negq(self):
         # (-q;q)_2 = (1+q)(1+q^2)
@@ -61,7 +98,7 @@ class TestRamanujanSigma:
     def test_taylor_at_small_t(self):
         # sigma(e^-t) = 2 - 2t + 5t^2 - (55/3)t^3 + (1073/12)t^4 - ...
         t = 0.05
-        value = qf.ramanujan_sigma(400).evaluate_real(math.exp(-t))
+        value = se.evaluate_real(qf.ramanujan_sigma(400), math.exp(-t))
         poly = 2 - 2 * t + 5 * t**2 - 55 / 3 * t**3 + 1073 / 12 * t**4
         assert abs(value - poly) <= 2 * (32671 / 60) * t**5
 

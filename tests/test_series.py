@@ -46,33 +46,33 @@ class TestConstruction:
 
 class TestAddSub:
     def test_add(self):
-        assert (S([1, 1], 3) + S([1, -1], 3)).coeffs == (2, 0, 0, 0)
+        assert se.add(S([1, 1], 3), S([1, -1], 3)).coeffs == (2, 0, 0, 0)
 
     def test_sub_self_is_zero(self):
         rng = random.Random(1)
         for _ in range(20):
             x = random_series(rng, rng.randint(0, 12))
-            assert (x - x).is_zero()
+            assert not any(se.add(x, se.scale(x, -1)).coeffs)
 
     def test_truncates_to_min_order(self):
-        assert (S([1], 5) + S([1], 2)).trunc_order == 2
+        assert se.add(S([1], 5), S([1], 2)).trunc_order == 2
 
 
 class TestMul:
     def test_difference_of_squares(self):
-        assert (S([1, 1], 4) * S([1, -1], 4)).coeffs == (1, 0, -1, 0, 0)
+        assert se.mul(S([1, 1], 4), S([1, -1], 4)).coeffs == (1, 0, -1, 0, 0)
 
     def test_geometric_inverse(self):
         geo = S([1] * 7, 6)
-        assert (S([1, -1], 6) * geo).coeffs == (1, 0, 0, 0, 0, 0, 0)
+        assert se.mul(S([1, -1], 6), geo).coeffs == (1, 0, 0, 0, 0, 0, 0)
 
     def test_commutative_associative(self):
         rng = random.Random(2)
         for _ in range(30):
             n = rng.randint(0, 10)
             a, b, c = (random_series(rng, n) for _ in range(3))
-            assert (a * b).coeffs == (b * a).coeffs
-            assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
+            assert se.mul(a, b).coeffs == se.mul(b, a).coeffs
+            assert se.mul(se.mul(a, b), c).coeffs == se.mul(a, se.mul(b, c)).coeffs
 
     def test_larger_truncation_agrees_on_prefix(self):
         # Exactness: recomputing at a bigger N never changes old coefficients.
@@ -80,8 +80,8 @@ class TestMul:
         for _ in range(20):
             vals_a = [rng.randint(-4, 4) for _ in range(6)]
             vals_b = [rng.randint(-4, 4) for _ in range(6)]
-            small = se.from_coeffs(vals_a, 8) * se.from_coeffs(vals_b, 8)
-            big = se.from_coeffs(vals_a, 20) * se.from_coeffs(vals_b, 20)
+            small = se.mul(se.from_coeffs(vals_a, 8), se.from_coeffs(vals_b, 8))
+            big = se.mul(se.from_coeffs(vals_a, 20), se.from_coeffs(vals_b, 20))
             assert big.coeffs[:9] == small.coeffs
 
 
@@ -95,7 +95,7 @@ class TestInvert:
         for _ in range(30):
             a = random_series(rng, rng.randint(0, 12), unit=True)
             assert se.invert(se.invert(a)).coeffs == a.coeffs
-            assert (a * se.invert(a)).coeffs == se.one(a.trunc_order).coeffs
+            assert se.mul(a, se.invert(a)).coeffs == se.one(a.trunc_order).coeffs
 
     def test_partition_numbers(self):
         # 1/(q;q)_inf counts partitions; oracle below is direct enumeration.
@@ -141,18 +141,6 @@ class TestEvaluateReal:
         assert diff <= tail * (1 + 1e-9)
 
 
-class TestReduceMod:
-    def test_residues(self):
-        assert se.reduce_mod(S([5, -1, 7], 2), 3).coeffs == (2, 2, 1)
-
-    def test_constant_one(self):
-        assert se.reduce_mod(se.one(4), 7).coeffs == (1, 0, 0, 0, 0)
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            se.reduce_mod(se.one(3), 1)
-
-
 class TestHelpers:
     def test_binomial_mul_matches_dense(self):
         rng = random.Random(5)
@@ -161,8 +149,8 @@ class TestHelpers:
             a = random_series(rng, n)
             k = rng.randint(1, n)
             c = rng.choice([1, -1])
-            binom = se.monomial(k, n, c) + se.one(n)
-            assert se.mul_binomial(a, c, k).coeffs == (a * binom).coeffs
+            binom = se.from_coeffs([1] + [0] * (k - 1) + [c], n)
+            assert se.mul_binomial(a, c, k).coeffs == se.mul(a, binom).coeffs
 
     def test_binomial_div_roundtrip(self):
         rng = random.Random(6)

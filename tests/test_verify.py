@@ -6,7 +6,23 @@ import pytest
 from overmex import qfactory as qf
 from overmex import series as se
 from overmex import verify as vf
+from overmex.combinat import OracleLimitError
 from overmex.qfactory import MexVariant
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the qfactory caches before and after a test that changes a
+    series kernel, so no series built with the wrong kernel survives it."""
+
+    def clear():
+        for f in vars(qf).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+
+    clear()
+    yield
+    clear()
 
 
 class TestReport:
@@ -44,7 +60,7 @@ class TestEuler:
 
     def test_perturbed_fails_with_witness(self):
         a = qf.pochhammer(qf.NEGQ_Q_INF, 50)
-        bad = se.add(a, se.monomial(7, 50))
+        bad = se.add(a, se.from_coeffs([0] * 7 + [1], 50))
         r = vf._compare_series("euler:perturbed", a, bad, "n <= 50")
         assert not r.passed
         assert r.first_failure[0] == 7
@@ -56,14 +72,14 @@ class TestParity:
 
     def test_gf2_matches_full_series(self):
         N = 120
-        bits = vf._gf2_sigma_mex(MexVariant.OVERLINED, N)
+        bits = qf.sigma_mex_gf(MexVariant.OVERLINED, N, ring=se.GF2)
         full = qf.sigma_mex_gf(MexVariant.OVERLINED, N)
         for n in range(N + 1):
-            assert (bits >> n) & 1 == full[n] % 2
+            assert bits[n] == full[n] % 2
 
     def test_gf2_pbar_is_one(self):
         # Every overpartition number at n >= 1 is even.
-        assert vf._gf2_overpartition(2000) == 1
+        assert qf.overpartition_gf(2000, ring=se.GF2).bits == 1
 
     def test_density_passes(self):
         r = vf.check_parity_density(1000)
@@ -82,9 +98,22 @@ class TestParity:
         assert vf.check_triangular_parity(500).passed
 
     def test_triangular_small_values(self):
-        bits = vf._gf2_sigma_mex(MexVariant.NON_OVERLINED, 10)
-        assert (bits >> 1) & 1 == 1  # n=1 = 1*2/2 triangular, odd
-        assert (bits >> 2) & 1 == 0  # n=2 not triangular, even
+        bits = qf.sigma_mex_gf(MexVariant.NON_OVERLINED, 10, ring=se.GF2)
+        assert bits[1] == 1  # n=1 = 1*2/2 triangular, odd
+        assert bits[2] == 0  # n=2 not triangular, even
+
+    @pytest.mark.parametrize("kernel", ["div_binomial", "mul_binomial"])
+    def test_wrong_gf2_kernel_fails(self, kernel, monkeypatch, cold_caches):
+        # A GF(2) kernel that drops its binomial factor must turn every
+        # parity check whose series uses it into FAIL at the mod-2 check.
+        # The non-overlined series, (-q;q)_inf^3, divides by nothing.
+        monkeypatch.setattr(se.GF2, kernel, lambda a, coefficient, exponent: a)
+        reports = [vf.check_parity_all_even(300), vf.check_parity_density(300)]
+        if kernel == "mul_binomial":
+            reports.append(vf.check_triangular_parity(300))
+        for r in reports:
+            assert r.status == vf.FAIL, r.to_dict()
+            assert r.metrics["where"].startswith("mod2:"), r.to_dict()
 
 
 class TestGf2Arithmetic:
@@ -92,23 +121,23 @@ class TestGf2Arithmetic:
         a = qf.pochhammer(qf.NEGQ_Q_INF, 40)
         b = qf.overpartition_gf(40)
         prod = se.mul(a, b)
-        bits_a = sum((c % 2) << n for n, c in enumerate(a.coeffs))
-        bits_b = sum((c % 2) << n for n, c in enumerate(b.coeffs))
-        got = vf._gf2_mul(bits_a, bits_b, 40)
+        bits_a = se.GF2Series(sum((c % 2) << n for n, c in enumerate(a.coeffs)), 40)
+        bits_b = se.GF2Series(sum((c % 2) << n for n, c in enumerate(b.coeffs)), 40)
+        got = se.GF2.mul(bits_a, bits_b).bits
         assert got == sum((c % 2) << n for n, c in enumerate(prod.coeffs))
 
     def test_div_binomial_roundtrip(self):
-        x = 0b1011011101
+        x = se.GF2Series(0b1011011101, 30)
         for k in (1, 2, 5):
-            y = vf._gf2_div_binomial(x, k, 30)
-            assert vf._gf2_mul_binomial(y, k, 30) == x
+            y = se.GF2.div_binomial(x, 1, k)
+            assert se.GF2.mul_binomial(y, 1, k).bits == x.bits
 
     def test_binomial_identity_mod_two(self):
         # (q^2;q^2)_inf and (q;q)_inf^2 agree coefficientwise mod 2.
         N = 500
-        even = vf._gf2_pochhammer(N, step=2)
-        full = vf._gf2_pochhammer(N)
-        assert even == vf._gf2_mul(full, full, N)
+        even = qf.pochhammer(qf.Q2_Q2_INF, N, ring=se.GF2)
+        full = qf.pochhammer(qf.Q_Q_INF, N, ring=se.GF2)
+        assert even.bits == se.GF2.mul(full, full).bits
 
 
 class TestAsymptotics:
@@ -142,7 +171,7 @@ class TestSigmaTaylor:
         # Leading expansion term is 2; at t=0.02 the truncation tail at
         # N=400 is already below e^-8 per unit coefficient.
         sigma = qf.ramanujan_sigma(400)
-        assert sigma.evaluate_real(math.exp(-0.02)) == pytest.approx(2.0, abs=0.05)
+        assert se.evaluate_real(sigma, math.exp(-0.02)) == pytest.approx(2.0, abs=0.05)
 
     def test_t_out_of_range(self):
         with pytest.raises(ValueError):
@@ -164,6 +193,15 @@ class TestInghamScaling:
         r = vf.check_ingham_scaling(N=900, gf=flat)
         assert not r.passed
 
+    def test_dip_after_2000_fails(self):
+        # Increasing everywhere except one step down from n = 2099 to 2100.
+        coeffs = list(range(1, 2502))
+        coeffs[2100] = coeffs[2099] - 1
+        r = vf.check_ingham_scaling(N=2500, gf=se.from_coeffs(coeffs, 2500))
+        assert not r.passed
+        assert r.metrics["where"] == "weakly_increasing"
+        assert r.first_failure == (2099, 2100, 2099)
+
 
 class TestRunAll:
     def test_single_check_selection(self):
@@ -175,6 +213,10 @@ class TestRunAll:
     def test_unknown_check(self):
         with pytest.raises(KeyError):
             vf.run_all(only="nope")
+
+    def test_oracle_limit_passed_through(self):
+        with pytest.raises(OracleLimitError):
+            vf.run_all(oracle_n_max=6, only="gf_vs_oracle:all", oracle_limit=5)
 
     def test_reports_deterministic(self):
         a = vf.check_parity_density(400)

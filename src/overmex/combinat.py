@@ -6,7 +6,8 @@ scheme suggested by the 2^m class structure: generate ordinary partitions
 in descending lexicographic order, then walk all overline masks of each
 partition's distinct parts (mask bit i, least significant first, flags the
 i-th largest distinct part).  The order is deterministic and matches the
-worked tables used as fixtures.
+worked tables used as fixtures.  mex_counts takes the per-m mex histogram
+of n in one pass; sigma_mex_oracle sums it.
 """
 
 from __future__ import annotations
@@ -55,13 +56,6 @@ class Overpartition:
     @property
     def weight(self) -> int:
         return sum(part * count for part, count, _ in self.groups)
-
-    def underlying_partition(self) -> tuple:
-        """The ordinary partition obtained by erasing overlines."""
-        out = []
-        for part, count, _ in self.groups:
-            out.extend([part] * count)
-        return tuple(out)
 
     def part_values(self, variant: MexVariant) -> set:
         if variant is MexVariant.OVERLINED:
@@ -143,31 +137,24 @@ def overpartition_count(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     )
 
 
+def mex_counts(
+    n: int, variant: MexVariant, limit: int = DEFAULT_ORACLE_LIMIT
+) -> dict:
+    """Histogram {m: number of overpartitions of n whose variant-mex is m},
+    from one enumeration pass; n=0 gives {1: 1}, the empty overpartition."""
+    counts = {}
+    for pi in enumerate_overpartitions(n, limit):
+        m = mex_statistic(pi, variant)
+        counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
 def sigma_mex_oracle(
     n: int, variant: MexVariant, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> int:
-    """Sum of the variant-mex over all overpartitions of n; 1 at n=0 by
-    convention (which coincides with the mex of the empty overpartition)."""
-    _check_limit(n, limit)
-    if n == 0:
-        return 1
-    return sum(
-        mex_statistic(pi, variant) for pi in enumerate_overpartitions(n, limit)
-    )
-
-
-def count_mex_oracle(
-    n: int, m: int, variant: MexVariant, limit: int = DEFAULT_ORACLE_LIMIT
-) -> int:
-    """Number of overpartitions of n whose variant-mex equals m."""
-    _check_limit(n, limit)
-    if m < 1:
-        raise ValueError("mex value m must be >= 1")
-    return sum(
-        1
-        for pi in enumerate_overpartitions(n, limit)
-        if mex_statistic(pi, variant) == m
-    )
+    """Sum of the variant-mex over all overpartitions of n; 1 at n=0, the
+    mex of the empty overpartition."""
+    return sum(m * c for m, c in mex_counts(n, variant, limit).items())
 
 
 def overpartitions_from_multiset(elements: Iterable[int]) -> list:

@@ -1,6 +1,7 @@
 """Builders for the named q-series: Pochhammer products, the overpartition
 generating function, Ramanujan's sigma series, the specialized 1phi1 sum,
-and the three sigma-mex generating functions with their per-m count series.
+and the three sigma-mex generating functions with their per-m count
+series, each the cached P-bar with a few binomial factors swapped.
 
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
@@ -35,25 +36,21 @@ class PochSpec:
     """One q-Pochhammer product.
 
     Factors are (1 + sign * q^e) for e = first, first+step, ... ; sign=-1
-    gives the classical (q^first; q^step) product, sign=+1 the (-q^first;
-    q^step) one.  length is the number of factors, or None for the
-    infinite product (truncated at the working order).  first defaults to
-    step, which covers (q;q), (-q;q) and (q^2;q^2); (q;q^2) needs an
-    explicit first=1.
+    gives the classical (q^first; q^step)_inf product, sign=+1 the
+    (-q^first; q^step)_inf one, truncated at the working order.  first
+    defaults to step, which covers (q;q), (-q;q) and (q^2;q^2); (q;q^2)
+    needs an explicit first=1.
     """
 
     sign: int
     step: int = 1
     first: int | None = None
-    length: int | None = None
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.step not in (1, 2):
             raise ValueError("step must be 1 or 2")
-        if self.length is not None and self.length < 0:
-            raise ValueError("length must be non-negative")
 
     @property
     def start(self) -> int:
@@ -65,11 +62,6 @@ Q_Q_INF = PochSpec(sign=-1, step=1)            # (q;q)_inf
 NEGQ_Q_INF = PochSpec(sign=+1, step=1)         # (-q;q)_inf
 Q2_Q2_INF = PochSpec(sign=-1, step=2)          # (q^2;q^2)_inf
 Q_Q2_INF = PochSpec(sign=-1, step=2, first=1)  # (q;q^2)_inf
-
-
-def finite_poch(sign: int, length: int) -> PochSpec:
-    """(q;q)_m (sign=-1) or (-q;q)_m (sign=+1)."""
-    return PochSpec(sign=sign, step=1, length=length)
 
 
 def _cached(builder):
@@ -91,12 +83,8 @@ def pochhammer(spec: PochSpec, N: int, *, ring=series):
     if N < 0:
         raise ValueError("truncation order must be non-negative")
     acc = ring.one(N)
-    e = spec.start
-    count = 0
-    while e <= N and (spec.length is None or count < spec.length):
+    for e in range(spec.start, N + 1, spec.step):
         acc = ring.mul_binomial(acc, spec.sign, e)
-        e += spec.step
-        count += 1
     return acc
 
 
@@ -203,29 +191,27 @@ def sigma_mex_gf(variant: MexVariant, N: int, *, ring=series):
 
 def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:
     """Series whose q^n coefficient counts overpartitions of n whose
-    variant-mex equals m."""
+    variant-mex equals m, with P-bar = (-q;q)_inf / (q;q)_inf:
+
+        overlined:      q^(m choose 2) P-bar / (-q;q)_m
+        non-overlined:  q^(m choose 2) P-bar (1 - q^m)
+        all parts:      2^(m-1) q^(m choose 2) P-bar (1 - q^m) / (-q;q)_m
+
+    Per line: forcing part j < m present multiplies its P-bar factor
+    (1+q^j)/(1-q^j) by q^j/(1+q^j), q^j or 2q^j/(1+q^j); forcing m absent
+    multiplies that of m by 1/(1+q^m), 1-q^m or (1-q^m)/(1+q^m).
+    """
     if m < 1:
         raise ValueError("mex value m must be >= 1")
-    lead = comb(m, 2)
-    if variant is MexVariant.OVERLINED:
-        # Forced overlined parts 1..m-1, free overlined parts above m.
-        inv = series.invert(pochhammer(finite_poch(+1, m), N))
-        return series.shift(series.mul(overpartition_gf(N), inv), lead)
+    acc = overpartition_gf(N)
+    if variant is not MexVariant.NON_OVERLINED:
+        for j in range(1, m + 1):
+            acc = series.div_binomial(acc, +1, j)
+    if variant is not MexVariant.OVERLINED:
+        acc = series.mul_binomial(acc, -1, m)
     if variant is MexVariant.ALL:
-        # Parts 1..m-1 present (first copy overlinable), part m absent.
-        inv = series.invert(pochhammer(finite_poch(+1, m), N))
-        body = series.mul_binomial(inv, -1, m)
-        return series.shift(
-            series.scale(series.mul(overpartition_gf(N), body), 2 ** (m - 1)), lead
-        )
-    # Non-overlined: build the full overpartition product with the
-    # non-overlined parts forced to contain 1..m-1 and exclude m; the
-    # overlined parts stay unconstrained.
-    acc = pochhammer(NEGQ_Q_INF, N)
-    for j in range(1, N + 1):
-        if j != m:
-            acc = series.div_binomial(acc, -1, j)
-    return series.shift(acc, lead)
+        acc = series.scale(acc, 2 ** (m - 1))
+    return series.shift(acc, comb(m, 2))
 
 
 def feasible_mex_values(variant: MexVariant, n: int) -> range:

@@ -150,7 +150,9 @@ def shift(a: Series, k: int) -> Series:
     n = a.trunc_order
     if k == 0:
         return a
-    return Series((0,) * min(k, n + 1) + a.coeffs[: n + 1 - k])
+    if k > n:
+        return zero(n)
+    return Series((0,) * k + a.coeffs[: n + 1 - k])
 
 
 def scale(a: Series, c: int) -> Series:

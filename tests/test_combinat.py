@@ -109,16 +109,17 @@ class TestSigmaOracle:
             assert cb.sigma_mex_oracle(0, v) == 1
 
     def test_count_oracle_table(self):
-        assert cb.count_mex_oracle(3, 1, MexVariant.OVERLINED) == 4 + 1  # five rows
-        assert cb.count_mex_oracle(3, 2, MexVariant.ALL) == 2
+        assert cb.mex_counts(3, MexVariant.OVERLINED).get(1, 0) == 4 + 1  # five rows
+        assert cb.mex_counts(3, MexVariant.ALL).get(2, 0) == 2
         for v in MexVariant:
-            assert cb.count_mex_oracle(3, 5, v) == 0
+            assert cb.mex_counts(3, v).get(5, 0) == 0
+            assert cb.mex_counts(0, v) == {1: 1}
 
     def test_counts_partition_pbar(self):
         for n in range(10):
             for v in MexVariant:
                 total = sum(
-                    cb.count_mex_oracle(n, m, v) for m in range(1, n + 2)
+                    cb.mex_counts(n, v).get(m, 0) for m in range(1, n + 2)
                 )
                 assert total == cb.overpartition_count(n)
 

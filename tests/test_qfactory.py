@@ -19,10 +19,7 @@ SIGMA_NON = [1, 3, 6, 13, 24, 42, 73, 120, 192, 302, 465]
 # the truncation order left off args.
 RING_GENERIC = [
     (qf.pochhammer, (spec,))
-    for spec in (
-        qf.Q_Q_INF, qf.NEGQ_Q_INF, qf.Q2_Q2_INF, qf.Q_Q2_INF,
-        qf.finite_poch(+1, 3), qf.finite_poch(-1, 5),
-    )
+    for spec in (qf.Q_Q_INF, qf.NEGQ_Q_INF, qf.Q2_Q2_INF, qf.Q_Q2_INF)
 ] + [
     (qf.overpartition_gf, ()),
     (qf.ramanujan_sigma, ()),
@@ -53,13 +50,10 @@ class TestRings:
 
 
 class TestPochhammer:
-    def test_finite_negq(self):
-        # (-q;q)_2 = (1+q)(1+q^2)
-        p = qf.pochhammer(qf.finite_poch(+1, 2), 4)
-        assert p.coeffs == (1, 1, 1, 1, 0)
-
     def test_empty_product(self):
-        assert qf.pochhammer(qf.finite_poch(-1, 0), 5).coeffs == se.one(5).coeffs
+        # Every factor of (q^7;q^2)_inf lies beyond order 5.
+        spec = qf.PochSpec(sign=-1, step=2, first=7)
+        assert qf.pochhammer(spec, 5).coeffs == se.one(5).coeffs
 
     def test_euler_identity_small(self):
         N = 200
@@ -154,7 +148,7 @@ class TestMexCountGf:
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_counts_sum_to_overpartition_numbers(self, variant):
-        N = 20
+        N = 300
         total = se.zero(N)
         for m in qf.feasible_mex_values(variant, N):
             total = se.add(total, qf.mex_count_gf(variant, m, N))
@@ -174,7 +168,38 @@ class TestMexCountGf:
         for m in qf.feasible_mex_values(variant, N):
             gf = qf.mex_count_gf(variant, m, N)
             for n in range(1, N + 1):
-                assert gf[n] == cb.count_mex_oracle(n, m, variant), (variant, m, n)
+                assert gf[n] == cb.mex_counts(n, variant).get(m, 0), (variant, m, n)
+
+    def test_mex_beyond_order_is_zero(self):
+        # q^(4 choose 2) = q^6 lies past order 3.
+        assert qf.mex_count_gf(MexVariant.OVERLINED, 4, 3).coeffs == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    def test_closed_form_matches_factorwise(self, variant):
+        # Every feasible m at N=300, far past the m <= 7 the oracle reaches.
+        N = 300
+        for m in qf.feasible_mex_values(variant, N):
+            assert qf.mex_count_gf(variant, m, N) == _count_gf_by_factors(variant, m, N), m
+
+
+def _count_gf_by_factors(variant, m, N):
+    """The count series built from its factors with a dense invert and mul
+    (overlined, all parts), or as (-q;q)_inf / prod_{j != m} (1 - q^j)
+    (non-overlined): the reference for the closed form."""
+    lead = comb(m, 2)
+    if variant is MexVariant.NON_OVERLINED:
+        acc = qf.pochhammer(qf.NEGQ_Q_INF, N)
+        for j in range(1, N + 1):
+            if j != m:
+                acc = se.div_binomial(acc, -1, j)
+        return se.shift(acc, lead)
+    negq_m = se.one(N)  # (-q;q)_m
+    for j in range(1, min(m, N) + 1):
+        negq_m = se.mul_binomial(negq_m, +1, j)
+    body = se.invert(negq_m)
+    if variant is MexVariant.ALL:
+        body = se.scale(se.mul_binomial(body, -1, m), 2 ** (m - 1))
+    return se.shift(se.mul(qf.overpartition_gf(N), body), lead)
 
 
 class TestIdentityChains:

@@ -164,6 +164,10 @@ class TestHelpers:
     def test_shift_drops_overflow(self):
         assert se.shift(S([1, 2, 3], 2), 2).coeffs == (0, 0, 1)
 
+    def test_shift_past_order_is_zero(self):
+        for k in (6, 8, 12, 13):
+            assert se.shift(se.one(5), k) == se.zero(5), k
+
     def test_pad_and_truncate(self):
         a = S([1, 2], 1)
         assert se.pad(a, 3).coeffs == (1, 2, 0, 0)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from overmex import combinat as cb
 from overmex import qfactory as qf
 from overmex import series as se
 from overmex import verify as vf
@@ -44,11 +45,61 @@ class TestReport:
         assert r.first_failure == (2, 3, 4)
 
 
+def _bump(series, k):
+    """series + q^k, at the series' own order."""
+    return se.add(series, se.shift(se.one(series.trunc_order), k))
+
+
 class TestGfVsOracle:
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_passes(self, variant):
         r = vf.check_gf_vs_oracle(variant, 10)
         assert r.passed
+
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    def test_wrong_count_fails(self, variant, monkeypatch):
+        count_gf = qf.mex_count_gf
+
+        def off_at_7(v, m, N):
+            s = count_gf(v, m, N)
+            return _bump(s, 7) if m == 2 else s
+
+        monkeypatch.setattr(qf, "mex_count_gf", off_at_7)
+        r = vf.check_gf_vs_oracle(variant, 10)
+        assert r.status == vf.FAIL
+        assert r.metrics == {"where": "count", "m": 2}
+        assert r.first_failure[0] == 7
+
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    def test_wrong_sigma_fails(self, variant, monkeypatch):
+        sigma_gf = qf.sigma_mex_gf
+        monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 5))
+        r = vf.check_gf_vs_oracle(variant, 10)
+        assert r.status == vf.FAIL
+        assert r.metrics == {"where": "sigma"}
+        assert r.first_failure[0] == 5
+
+    def test_counts_checked_past_sigma_range(self, monkeypatch):
+        count_gf = qf.mex_count_gf
+        monkeypatch.setattr(
+            qf, "mex_count_gf", lambda v, m, N: _bump(count_gf(v, m, N), 7)
+        )
+        r = vf.check_gf_vs_oracle(MexVariant.ALL, n_max=4, count_n_max=8)
+        assert r.status == vf.FAIL
+        assert r.metrics["where"] == "count"
+        assert r.first_failure[0] == 7
+
+    def test_enumerates_each_n_once(self, monkeypatch):
+        calls = []
+        enumerate_overpartitions = cb.enumerate_overpartitions
+
+        def counted(n, *args):
+            calls.append(n)
+            return enumerate_overpartitions(n, *args)
+
+        monkeypatch.setattr(cb, "enumerate_overpartitions", counted)
+        assert vf.check_gf_vs_oracle(MexVariant.OVERLINED, 6).passed
+        assert calls == list(range(7))
 
 
 class TestEuler:
@@ -64,6 +115,16 @@ class TestEuler:
         r = vf._compare_series("euler:perturbed", a, bad, "n <= 50")
         assert not r.passed
         assert r.first_failure[0] == 7
+
+
+class TestIdentitySuite:
+    def test_perturbed_raw_sum_fails_at_its_index(self, monkeypatch):
+        raw = qf.all_mex_raw_sum
+        monkeypatch.setattr(qf, "all_mex_raw_sum", lambda N: _bump(raw(N), 40))
+        r = vf.check_identity_suite(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "identity:all_raw_vs_simplified"
+        assert r.first_failure[0] == 40
 
 
 class TestParity:

@@ -1,5 +1,6 @@
-"""Builders for the named q-series: Pochhammer products, the overpartition
-generating function, Ramanujan's sigma series, the specialized 1phi1 sum,
+"""Builders for the named q-series: Pochhammer products, the sparse
+theta(-q) and pentagonal series, the overpartition generating function
+P-bar = 1/theta(-q), Ramanujan's sigma series, the specialized 1phi1 sum,
 and the three sigma-mex generating functions with their per-m count
 series, each the cached P-bar with a few binomial factors swapped.
 
@@ -89,15 +90,45 @@ def pochhammer(spec: PochSpec, N: int, *, ring=series):
 
 
 @_cached
+def theta_neg(N: int, *, ring=series):
+    """theta(-q) = sum_{k in Z} (-1)^k q^(k^2) = 1 + 2 sum_{k>=1} (-1)^k q^(k^2),
+    about sqrt(N) terms."""
+    terms = {0: 1}
+    k = 1
+    while k * k <= N:
+        terms[k * k] = 2 * (-1) ** k
+        k += 1
+    return ring.from_terms(terms, N)
+
+
+@_cached
+def pentagonal(step: int, N: int, *, ring=series):
+    """(q^s;q^s)_inf for s = step, by Euler's pentagonal theorem:
+    sum_{k in Z} (-1)^k q^(s k(3k-1)/2), about sqrt(N) terms."""
+    if step < 1:
+        raise ValueError("step must be positive")
+    terms = {0: 1}
+    k = 1
+    while step * k * (3 * k - 1) // 2 <= N:
+        terms[step * k * (3 * k - 1) // 2] = (-1) ** k
+        terms[step * k * (3 * k + 1) // 2] = (-1) ** k
+        k += 1
+    return ring.from_terms(terms, N)
+
+
+@_cached
+def distinct_parts_gf(N: int, *, ring=series):
+    """(-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf, both by the pentagonal
+    theorem: partitions into distinct parts."""
+    return ring.div(pentagonal(2, N, ring=ring), pentagonal(1, N, ring=ring))
+
+
+@_cached
 def overpartition_gf(N: int, *, ring=series):
     """(-q;q)_inf / (q;q)_inf: coefficient of q^n is the overpartition
-    number.  Built factor by factor, which beats a dense invert-and-
-    multiply by a large margin at N in the thousands."""
-    acc = ring.one(N)
-    for k in range(1, N + 1):
-        acc = ring.mul_binomial(acc, +1, k)
-        acc = ring.div_binomial(acc, -1, k)
-    return acc
+    number.  Built by Gauss's identity as 1 / theta(-q), one division by
+    a series of about sqrt(N) terms."""
+    return ring.div(ring.one(N), theta_neg(N, ring=ring))
 
 
 def _negq_sum(N: int, ring, weight, lead, one_minus_qm: bool = False):
@@ -179,13 +210,14 @@ def all_mex_raw_sum(N: int, *, ring=series):
 def sigma_mex_gf(variant: MexVariant, N: int, *, ring=series):
     """Generating function of the chosen sigma-mex statistic; the q^0
     coefficient is 1 under the value-1-at-zero convention in all three
-    variants."""
+    variants.  Overlined and all parts are P-bar times sigma and times the
+    collapsed 1phi1, computed as divisions by theta(-q) = 1 / P-bar."""
     if variant is MexVariant.OVERLINED:
-        return ring.mul(overpartition_gf(N, ring=ring), ramanujan_sigma(N, ring=ring))
+        return ring.div(ramanujan_sigma(N, ring=ring), theta_neg(N, ring=ring))
     if variant is MexVariant.ALL:
-        return ring.mul(overpartition_gf(N, ring=ring), phi11_simplified(N, ring=ring))
+        return ring.div(phi11_simplified(N, ring=ring), theta_neg(N, ring=ring))
     # Non-overlined: distinct parts in three colors, (-q;q)_inf^3.
-    p = pochhammer(NEGQ_Q_INF, N, ring=ring)
+    p = distinct_parts_gf(N, ring=ring)
     return ring.mul(ring.mul(p, p), p)
 
 

@@ -7,8 +7,11 @@ operands' orders; callers build every factor at one global N, so the
 common case never loses information.
 
 This module is the Z ring the q-series builders are written against
-(one, zero, add, scale, shift, mul, mul_binomial, div_binomial); GF2 is
-the same interface mod 2, on Python-int bitmasks.
+(one, zero, from_terms, add, scale, shift, mul, div, mul_binomial,
+div_binomial); GF2 is the same interface mod 2, on Python-int bitmasks.
+Z `mul` is one Kronecker substitution (a single big-integer product);
+`div` walks only the divisor's nonzero terms, so dividing by a sparse
+theta-like series is O(N * nnz).
 
 Values are immutable and safe to share between workers; all operations
 are pure functions returning new values.
@@ -16,8 +19,13 @@ are pure functions returning new values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
+
+FLOAT_BITS = 1000
+"""Integers of at most this many bits convert to float with room to spare:
+the double range ends at 2^1024."""
 
 
 @dataclass(frozen=True)
@@ -70,56 +78,108 @@ def add(a: Series, b: Series) -> Series:
     return Series(tuple(x + y for x, y in zip(a.coeffs[: n + 1], b.coeffs[: n + 1])))
 
 
-def mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to the smaller order, exact arithmetic.
+def from_terms(terms: dict, trunc_order: int) -> Series:
+    """The series sum c q^e over the (e, c) items of terms; exponents past
+    the truncation order are dropped."""
+    coeffs = [0] * (trunc_order + 1)
+    for e, c in terms.items():
+        if e <= trunc_order:
+            coeffs[e] += c
+    return Series(tuple(coeffs))
 
-    The outer loop runs over the operand with fewer nonzero coefficients,
-    which makes products against sparse series (theta-like sums, single
-    monomials) effectively linear.
-    """
+
+def mul(a: Series, b: Series) -> Series:
+    """Cauchy product truncated to the smaller order, exact arithmetic, by
+    Kronecker substitution: each operand is packed into one integer with a
+    byte slot per coefficient, wide enough for any product coefficient and
+    its sign, the two integers are multiplied once (CPython's Karatsuba)
+    and the low slots of the product are unpacked."""
     n = min(a.trunc_order, b.trunc_order)
     ac = a.coeffs[: n + 1]
     bc = b.coeffs[: n + 1]
-    if bc.count(0) > ac.count(0):
-        ac, bc = bc, ac
-    out = [0] * (n + 1)
-    for i, ai in enumerate(ac):
-        if ai:
-            for j, bj in enumerate(bc[: n + 1 - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return Series(tuple(out))
+    # |c_k| <= (n+1) max|a| max|b| < 2^bits; one spare bit holds the sign.
+    bits = (
+        max(map(abs, ac)).bit_length()
+        + max(map(abs, bc)).bit_length()
+        + (n + 1).bit_length()
+    )
+    width = bits // 8 + 1
+    half = 1 << (8 * width - 1)
+    # Biasing every slot by half makes each digit of the low n+1 slots
+    # non-negative, so they read off without borrows.
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
+    size = width * (n + 1)
+    low = (_pack(ac, width) * _pack(bc, width) + bias) & ((1 << (8 * size)) - 1)
+    raw = low.to_bytes(size, "little")
+    return Series(tuple(
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, len(raw), width)
+    ))
+
+
+def _pack(coeffs: tuple, width: int) -> int:
+    """sum c_i 2^(8 width i): positive and negative parts packed apart."""
+    pos = b"".join(max(c, 0).to_bytes(width, "little") for c in coeffs)
+    packed = int.from_bytes(pos, "little")
+    if min(coeffs) < 0:
+        neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in coeffs)
+        packed -= int.from_bytes(neg, "little")
+    return packed
+
+
+def div(a: Series, d: Series) -> Series:
+    """a / d truncated to the smaller order; d's constant term must be +1
+    or -1.  The recurrence walks only d's nonzero terms: O(N * nnz(d))."""
+    d0 = d.coeffs[0]
+    if d0 not in (1, -1):
+        raise ValueError(
+            f"cannot divide by series with constant term {d0}; only units +-1 supported"
+        )
+    n = min(a.trunc_order, d.trunc_order)
+    nz = [(k, dk) for k, dk in enumerate(d.coeffs[1 : n + 1], 1) if dk]
+    b = list(a.coeffs[: n + 1])
+    for i in range(n + 1):
+        s = b[i]
+        for k, dk in nz:
+            if k > i:
+                break
+            s -= dk * b[i - k]
+        b[i] = d0 * s
+    return Series(tuple(b))
 
 
 def invert(a: Series) -> Series:
     """Multiplicative inverse to order N; constant term must be +1 or -1."""
-    a0 = a.coeffs[0]
-    if a0 not in (1, -1):
-        raise ValueError(
-            f"cannot invert series with constant term {a0}; only units +-1 supported"
-        )
-    n = a.trunc_order
-    nz = [(k, ak) for k, ak in enumerate(a.coeffs) if k > 0 and ak]
-    b = [0] * (n + 1)
-    b[0] = a0
-    for i in range(1, n + 1):
-        s = 0
-        for k, ak in nz:
-            if k > i:
-                break
-            s += ak * b[i - k]
-        b[i] = -a0 * s
-    return Series(tuple(b))
+    return div(one(a.trunc_order), a)
 
 
 def evaluate_real(a: Series, q0: float) -> float:
-    """Sum coeffs[n] * q0^n in double precision, Horner from the top down."""
+    """Sum coeffs[n] * q0^n in double precision, Horner from the top down.
+
+    The running sum is kept as acc * 2^scale with acc below 2^FLOAT_BITS,
+    so coefficients past the float range are summed too; while the
+    coefficients and the running sum stay below 2^FLOAT_BITS, scale stays
+    0 and this is plain Horner.  A sum past the float range is inf.
+    """
     if not 0.0 < q0 < 1.0:
         raise ValueError(f"q0 must lie in (0, 1), got {q0}")
-    acc = 0.0
+    acc, scale = 0.0, 0
     for c in reversed(a.coeffs):
-        acc = acc * q0 + c
-    return acc
+        k = abs(c).bit_length() - FLOAT_BITS
+        if k > scale:
+            acc, scale = math.ldexp(acc, scale - k), k
+        acc = acc * q0 + float(c >> scale)
+        d = min(scale, FLOAT_BITS - math.frexp(acc)[1])
+        if d:
+            acc, scale = math.ldexp(acc, d), scale - d
+    return ldexp(acc, scale)
+
+
+def ldexp(x: float, k: int) -> float:
+    """x * 2^k, and +-inf past the float range where math.ldexp raises."""
+    if x and math.frexp(x)[1] + k > 1024:
+        return math.copysign(math.inf, x)
+    return math.ldexp(x, k)
 
 
 def mul_binomial(a: Series, coefficient: int, exponent: int) -> Series:
@@ -198,6 +258,13 @@ class _GF2Ring:
     def one(self, trunc_order: int) -> GF2Series:
         return GF2Series(1, trunc_order)
 
+    def from_terms(self, terms: dict, trunc_order: int) -> GF2Series:
+        bits = 0
+        for e, c in terms.items():
+            if c % 2:
+                bits ^= 1 << e
+        return GF2Series(bits, trunc_order)
+
     def add(self, a: GF2Series, b: GF2Series) -> GF2Series:
         return GF2Series(a.bits ^ b.bits, min(a.trunc_order, b.trunc_order))
 
@@ -219,6 +286,22 @@ class _GF2Ring:
             out ^= y << (low.bit_length() - 1)
             x ^= low
         return GF2Series(out, n)
+
+    def div(self, a: GF2Series, d: GF2Series) -> GF2Series:
+        """a / d truncated to the smaller order; d's constant term must be 1.
+        Mod 2, d(q)^(2^i) = d(q^(2^i)), and that is 1 mod q^(N+1) once
+        2^i > N, so 1/d = prod_{2^i <= N} d(q^(2^i)): log2(N) products."""
+        if not d.bits & 1:
+            raise ValueError("cannot divide by a series with even constant term")
+        n = min(a.trunc_order, d.trunc_order)
+        out = GF2Series(a.bits, n)
+        power = GF2Series(d.bits, n)  # d(q^(2^i)) = d^(2^i)
+        s = 1
+        while s <= n:
+            out = self.mul(out, power)
+            power = self.mul(power, power)
+            s *= 2
+        return out
 
     def mul_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
         return GF2Series(a.bits ^ (a.bits << exponent), a.trunc_order)

@@ -5,7 +5,9 @@ Each check returns a VerifyReport; failures carry a concrete witness, and
 nothing here raises on a mathematical mismatch.  Parity sweeps read the
 qfactory series built over GF(2) (series.GF2), which keeps n_max = 10^4
 cheap; each GF(2) series a sweep reads is first compared, coefficient by
-coefficient to order 200, with its integer series reduced mod 2.
+coefficient to order 1000, with its integer series reduced mod 2.  The
+float checks scale integers past the float range by a power of two, so
+they report at any order.
 """
 
 from __future__ import annotations
@@ -152,7 +154,10 @@ def check_identity_suite(N: int) -> VerifyReport:
     the pre-telescoping overlined sum against sigma.  The last two are the
     sigma-mex identities with the common factor P-bar cancelled: P-bar has
     constant term 1, so P-bar*A and P-bar*B agree to order N exactly when
-    A and B do, first differing at the same n."""
+    A and B do, first differing at the same n.  Last, each sparse fast
+    path against its defining product: P-bar = 1/theta(-q) against
+    (-q;q)_inf / (q;q)_inf, and (-q;q)_inf from the pentagonal theorem
+    against its factors (the euler check builds the same products)."""
     rng = f"order <= {N}"
     parts = [
         _compare_series(
@@ -167,11 +172,25 @@ def check_identity_suite(N: int) -> VerifyReport:
             "identity:overlined_telescoped",
             qfactory.overlined_mex_weighted_sum(N), qfactory.ramanujan_sigma(N), rng,
         ),
+        _compare_series(
+            "identity:pbar_theta",
+            qfactory.overpartition_gf(N),
+            series.div(
+                qfactory.pochhammer(qfactory.NEGQ_Q_INF, N),
+                qfactory.pochhammer(qfactory.Q_Q_INF, N),
+            ),
+            rng,
+        ),
+        _compare_series(
+            "identity:negq_pentagonal",
+            qfactory.distinct_parts_gf(N), qfactory.pochhammer(qfactory.NEGQ_Q_INF, N),
+            rng,
+        ),
     ]
     return _merge("identity_suite", rng, parts)
 
 
-MOD2_CHECK_ORDER = 200  # GF(2) series are compared with Z mod 2 up to here
+MOD2_CHECK_ORDER = 1000  # GF(2) series are compared with Z mod 2 up to here
 
 
 def _mod2_failure(name: str, rng_desc: str, n_max: int, builds) -> VerifyReport | None:
@@ -280,8 +299,9 @@ def check_triangular_parity(n_max: int) -> VerifyReport:
     return VerifyReport(name, PASS, rng_desc)
 
 
-def _predicted_growth(n: int) -> float:
-    return math.exp(math.pi * math.sqrt(n)) / (4 * n)
+def _predicted_growth(n: int, scale: int = 0) -> float:
+    """e^(pi sqrt(n)) / (4n), divided by 2^scale."""
+    return math.exp(math.pi * math.sqrt(n) - scale * math.log(2)) / (4 * n)
 
 
 def asym_ratio_table(
@@ -296,11 +316,15 @@ def asym_ratio_table(
     Returns (rows, report).  The report passes iff |ratio - 1| is
     non-increasing (up to the multiplicative step slack) across the given
     points that are >= regime_min, and the deviation at the largest point
-    is below final_dev; smaller points are recorded but not judged.
+    is below final_dev; smaller points are recorded but not judged.  Each
+    row's predicted value is inf past the float range; its ratio is taken
+    with both sides scaled into range by powers of two.
     """
     if not points:
         raise ValueError("points must be non-empty")
     pts = sorted(points)
+    if pts[0] < 1:
+        raise ValueError("points must be >= 1")
     name = "asym_ratio"
     rng_desc = f"points {pts}"
     if gf is None:
@@ -308,8 +332,17 @@ def asym_ratio_table(
     rows = []
     for n in pts:
         exact = gf[n]
-        predicted = _predicted_growth(n)
-        rows.append(AsymRow(n, exact, predicted, exact / predicted))
+        # Both scales are 0 while the two sides fit a float.
+        exact_scale = max(0, abs(exact).bit_length() - series.FLOAT_BITS)
+        growth_bits = math.ceil(math.pi * math.sqrt(n) / math.log(2))
+        growth_scale = max(0, growth_bits - series.FLOAT_BITS)
+        predicted = _predicted_growth(n, growth_scale)
+        ratio = series.ldexp(
+            float(exact >> exact_scale) / predicted, exact_scale - growth_scale
+        )
+        rows.append(
+            AsymRow(n, exact, series.ldexp(predicted, growth_scale), ratio)
+        )
     devs = [(r.n, abs(r.ratio - 1.0)) for r in rows if r.n >= regime_min]
     metrics = {f"dev_at_{n}": d for n, d in devs}
     ok = bool(devs) and devs[-1][1] < final_dev
@@ -389,7 +422,9 @@ def check_ingham_scaling(
     scaled = [_ingham_scaled(gf, t) for t in grid]
     metrics = {f"scaled_at_t={t}": s for t, s in zip(grid, scaled)}
     devs = [abs(s - 1.0) for s in scaled]
-    ok = all(d1 <= d0 for d0, d1 in zip(devs, devs[1:]))
+    ok = all(map(math.isfinite, scaled)) and all(
+        d1 <= d0 for d0, d1 in zip(devs, devs[1:])
+    )
     return VerifyReport(name, PASS if ok else FAIL, rng_desc, metrics=metrics)
 
 

@@ -21,6 +21,10 @@ RING_GENERIC = [
     (qf.pochhammer, (spec,))
     for spec in (qf.Q_Q_INF, qf.NEGQ_Q_INF, qf.Q2_Q2_INF, qf.Q_Q2_INF)
 ] + [
+    (qf.theta_neg, ()),
+    (qf.pentagonal, (1,)),
+    (qf.pentagonal, (2,)),
+    (qf.distinct_parts_gf, ()),
     (qf.overpartition_gf, ()),
     (qf.ramanujan_sigma, ()),
     (qf.phi11_simplified, ()),
@@ -39,6 +43,21 @@ class TestRings:
             assert [g[n] for n in range(N + 1)] == [c % 2 for c in z.coeffs], (
                 builder.__name__, args,
             )
+
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 50, 300])
+    def test_sparse_series_match_factorwise(self, ring, N):
+        def values(s):
+            return [s[n] for n in range(N + 1)]
+
+        q_q = qf.pochhammer(qf.Q_Q_INF, N, ring=ring)
+        negq_q = qf.pochhammer(qf.NEGQ_Q_INF, N, ring=ring)
+        assert values(qf.pentagonal(1, N, ring=ring)) == values(q_q)
+        assert values(qf.pentagonal(2, N, ring=ring)) == values(
+            qf.pochhammer(qf.Q2_Q2_INF, N, ring=ring)
+        )
+        assert values(qf.theta_neg(N, ring=ring)) == values(ring.div(q_q, negq_q))
+        assert values(qf.distinct_parts_gf(N, ring=ring)) == values(negq_q)
 
     def test_one_cache_entry_per_ring(self):
         before = qf.overpartition_gf.cache_info().currsize
@@ -70,6 +89,8 @@ class TestPochhammer:
             qf.PochSpec(sign=2)
         with pytest.raises(ValueError):
             qf.PochSpec(sign=1, step=3)
+        with pytest.raises(ValueError):
+            qf.pentagonal(0, 5)
 
 
 class TestOverpartitionGf:

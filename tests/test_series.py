@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overmex import series as se
 
@@ -14,6 +17,35 @@ def random_series(rng, N, lo=-5, hi=5, unit=False):
     coeffs = [rng.randint(lo, hi) for _ in range(N + 1)]
     if unit:
         coeffs[0] = rng.choice([1, -1])
+    return se.Series(tuple(coeffs))
+
+
+def schoolbook_mul(a, b):
+    """The O(N^2) Cauchy product: the reference for the Kronecker mul."""
+    n = min(a.trunc_order, b.trunc_order)
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return se.Series(tuple(out))
+
+
+def to_gf2(a):
+    return se.GF2Series(sum((c % 2) << n for n, c in enumerate(a.coeffs)), a.trunc_order)
+
+
+# Signed coefficients from tiny to past 2^1000; orders up to 40.
+coefficient = st.one_of(
+    st.integers(-3, 3), st.integers(-(2**1100), 2**1100), st.just(0)
+)
+
+
+@st.composite
+def series(draw, max_order=40, unit=False):
+    n = draw(st.integers(0, max_order))
+    coeffs = draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1))
+    if unit:
+        coeffs[0] = draw(st.sampled_from([1, -1]))
     return se.Series(tuple(coeffs))
 
 
@@ -85,6 +117,64 @@ class TestMul:
             assert big.coeffs[:9] == small.coeffs
 
 
+class TestKroneckerMul:
+    @settings(max_examples=150, deadline=None)
+    @given(series(), series())
+    def test_matches_schoolbook(self, a, b):
+        # Signed and mixed-order operands, order 0, coefficients past 2^1000.
+        assert se.mul(a, b) == schoolbook_mul(a, b)
+
+    def test_all_zero_and_order_zero(self):
+        assert se.mul(se.zero(7), se.zero(7)) == se.zero(7)
+        assert se.mul(se.zero(3), S([1, -2, 3], 5)) == se.zero(3)
+        assert se.mul(S([-5], 0), S([7], 0)).coeffs == (-35,)
+
+    def test_slot_width_edges(self):
+        # Equal-sign maximal coefficients reach the slot bound: at order 2,
+        # c_2 = 3 * a0 * b0 needs every bit the width leaves for it.
+        for k in list(range(1, 40)) + [1000, 1001, 1002, 1003]:
+            for big in (2**k - 1, 2**k):
+                for sign in (1, -1):
+                    a = S([sign * big] * 3, 2)
+                    b = S([big] * 3, 2)
+                    assert se.mul(a, b) == schoolbook_mul(a, b), (k, big, sign)
+
+
+class TestDiv:
+    @settings(max_examples=100, deadline=None)
+    @given(series(), series(unit=True))
+    def test_div_undoes_mul(self, a, d):
+        n = min(a.trunc_order, d.trunc_order)
+        assert se.div(se.mul(a, d), d) == se.truncate(a, n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(series(unit=True))
+    def test_div_one_is_invert(self, d):
+        assert se.div(se.one(d.trunc_order), d) == se.invert(d)
+
+    @pytest.mark.parametrize("N", [0, 1, 63, 64, 65, 300])
+    def test_gf2_matches_z_mod_2(self, N):
+        rng = random.Random(N)
+        for density in (0.02, 0.5, 1.0):  # sparse to dense divisors
+            a = random_series(rng, N)
+            d = se.Series((1,) + tuple(
+                rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(N)
+            ))
+            got = se.GF2.div(to_gf2(a), to_gf2(d))
+            assert got.trunc_order == N
+            assert got.bits == to_gf2(se.div(a, d)).bits, density
+
+    def test_truncates_to_smaller_order(self):
+        assert se.div(se.one(9), S([1, -1], 4)).coeffs == (1,) * 5
+        assert se.GF2.div(se.GF2.one(3), se.GF2Series(0b11, 8)).trunc_order == 3
+
+    def test_non_unit_rejected(self):
+        with pytest.raises(ValueError, match="constant term"):
+            se.div(se.one(3), S([3, 1], 3))
+        with pytest.raises(ValueError, match="constant term"):
+            se.GF2.div(se.GF2.one(3), se.GF2Series(0b10, 3))
+
+
 class TestInvert:
     def test_geometric(self):
         inv = se.invert(S([1, -1], 6))
@@ -129,6 +219,31 @@ class TestEvaluateReal:
         for q0 in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 se.evaluate_real(se.one(3), q0)
+
+    def test_plain_horner_while_coefficients_fit(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            a = random_series(rng, 300, lo=-(2**900), hi=2**900)
+            acc = 0.0
+            for c in reversed(a.coeffs):
+                acc = acc * 0.7 + c
+            assert se.evaluate_real(a, 0.7) == acc
+
+    def test_coefficients_past_float_range(self):
+        # 1 + 2^3000 q^3000 at q = 1/2 is exactly 2.
+        a = se.from_coeffs([1] + [0] * 2999 + [2**3000], 3000)
+        assert se.evaluate_real(a, 0.5) == 2.0
+        # 10^400 q^1000 at q = 1/4 is about 1e-202.
+        b = se.from_coeffs([0] * 1000 + [10**400], 1000)
+        expected = float(Fraction(10**400, 4**1000))
+        assert se.evaluate_real(b, 0.25) == pytest.approx(expected, rel=1e-12)
+        # A tail whose terms vanish in float leaves the head's plain sum.
+        c = se.from_coeffs([1, 1] + [0] * 1998 + [10**400] * 1001, 3000)
+        assert se.evaluate_real(c, 0.25) == 1.25
+
+    def test_sum_past_float_range_is_inf(self):
+        assert se.evaluate_real(se.from_coeffs([10**400] * 5, 4), 0.5) == math.inf
+        assert se.evaluate_real(se.from_coeffs([-(10**400)], 4), 0.5) == -math.inf
 
     def test_truncation_stability(self):
         # Doubling N moves the value by less than the discarded tail bound.

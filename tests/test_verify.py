@@ -126,6 +126,29 @@ class TestIdentitySuite:
         assert r.metrics["failed_subcheck"] == "identity:all_raw_vs_simplified"
         assert r.first_failure[0] == 40
 
+    def test_perturbed_theta_fails_at_its_index(self, monkeypatch, cold_caches):
+        theta = qf.theta_neg
+        monkeypatch.setattr(
+            qf, "theta_neg", lambda N, ring=se: _bump(theta(N, ring=ring), 37)
+        )
+        r = vf.check_identity_suite(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "identity:pbar_theta"
+        assert r.first_failure[0] == 37
+
+    def test_perturbed_pentagonal_fails(self, monkeypatch, cold_caches):
+        pentagonal = qf.pentagonal
+
+        def off_at_30(step, N, ring=se):
+            s = pentagonal(step, N, ring=ring)
+            return _bump(s, 30) if step == 1 else s
+
+        monkeypatch.setattr(qf, "pentagonal", off_at_30)
+        r = vf.check_identity_suite(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "identity:negq_pentagonal"
+        assert r.first_failure[0] == 30
+
 
 class TestParity:
     def test_all_even(self):
@@ -163,18 +186,43 @@ class TestParity:
         assert bits[1] == 1  # n=1 = 1*2/2 triangular, odd
         assert bits[2] == 0  # n=2 not triangular, even
 
-    @pytest.mark.parametrize("kernel", ["div_binomial", "mul_binomial"])
-    def test_wrong_gf2_kernel_fails(self, kernel, monkeypatch, cold_caches):
-        # A GF(2) kernel that drops its binomial factor must turn every
-        # parity check whose series uses it into FAIL at the mod-2 check.
-        # The non-overlined series, (-q;q)_inf^3, divides by nothing.
-        monkeypatch.setattr(se.GF2, kernel, lambda a, coefficient, exponent: a)
-        reports = [vf.check_parity_all_even(300), vf.check_parity_density(300)]
-        if kernel == "mul_binomial":
-            reports.append(vf.check_triangular_parity(300))
+    @pytest.mark.parametrize("kernel,failing,where", [
+        # theta(-q) = 1 mod 2, so a wrong div shows only where it divides
+        # by the pentagonal series: (-q;q)_inf^3.
+        ("div", "triangular_parity", "mod2:sigma_mex_nonoverlined"),
+        ("div_binomial", "parity_density", "mod2:sigma_mex_overlined"),
+        ("mul", "triangular_parity", "mod2:sigma_mex_nonoverlined"),
+    ], ids=["div", "div_binomial", "mul"])
+    def test_wrong_gf2_kernel_fails(self, kernel, failing, where, monkeypatch, cold_caches):
+        # A GF(2) kernel that drops its second operand turns the parity
+        # check whose series uses it into FAIL at the mod-2 check.
+        monkeypatch.setattr(se.GF2, kernel, lambda a, *rest: a)
+        reports = [
+            vf.check_parity_all_even(300),
+            vf.check_parity_density(300),
+            vf.check_triangular_parity(300),
+        ]
         for r in reports:
-            assert r.status == vf.FAIL, r.to_dict()
-            assert r.metrics["where"].startswith("mod2:"), r.to_dict()
+            if r.check_name == failing:
+                assert r.status == vf.FAIL, r.to_dict()
+                assert r.metrics["where"] == where, r.to_dict()
+            else:
+                assert r.passed, r.to_dict()
+
+    def test_wrong_integer_pbar_fails(self, monkeypatch):
+        # Z P-bar off by one at n = 700, past the old mod-2 check order:
+        # the GF(2) side is 1 by construction, so only Z can show it.
+        pbar = qf.overpartition_gf
+
+        def off_at_700(N, ring=se):
+            s = pbar(N, ring=ring)
+            return _bump(s, 700) if ring is se and N >= 700 else s
+
+        monkeypatch.setattr(qf, "overpartition_gf", off_at_700)
+        r = vf.check_parity_all_even(1000)
+        assert r.status == vf.FAIL
+        assert r.metrics == {"where": "mod2:overpartition_number"}
+        assert r.first_failure == (700, 1, 0)
 
 
 class TestGf2Arithmetic:
@@ -222,6 +270,33 @@ class TestAsymptotics:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             vf.asym_ratio_table(())
+        with pytest.raises(ValueError):
+            vf.asym_ratio_table((0, 100))
+
+    def test_past_float_range(self):
+        # Exact values equal to the prediction, which passes 2^1000 near
+        # n = 50400 and leaves the float range near n = 52800.
+        def growth(n):
+            bits = math.pi * math.sqrt(n) / math.log(2) - math.log2(4 * n)
+            mantissa, shift = int(2 ** (bits % 1) * 2**52), int(bits) - 52
+            return mantissa << shift if shift >= 0 else mantissa >> -shift
+
+        pts = (100, 52000, 60000)
+        gf = se.from_terms({n: growth(n) for n in pts}, 60000)
+        rows, report = vf.asym_ratio_table(pts, gf=gf)
+        assert isinstance(report, vf.VerifyReport)
+        assert [r.ratio for r in rows] == pytest.approx([1, 1, 1], rel=1e-8)
+        assert math.isfinite(rows[1].predicted)
+        assert rows[2].predicted == math.inf
+        assert vf._predicted_growth(60000, 100) == pytest.approx(
+            math.exp(math.pi * math.sqrt(60000) - 100 * math.log(2)) / 240000
+        )
+
+    def test_huge_coefficients_report(self):
+        gf = se.from_coeffs([10**400] * 2501, 2500)
+        rows, report = vf.asym_ratio_table(vf.DEFAULT_ASYM_POINTS, gf=gf)
+        assert report.status == vf.FAIL
+        assert rows[-1].ratio > 1e300
 
 
 class TestSigmaTaylor:
@@ -253,6 +328,14 @@ class TestInghamScaling:
         flat = se.one(900)
         r = vf.check_ingham_scaling(N=900, gf=flat)
         assert not r.passed
+
+    def test_huge_coefficients_report(self):
+        # 10^400 q^n summed at q = e^-t is past the float range: a FAIL
+        # report, not an OverflowError.
+        r = vf.check_ingham_scaling(N=900, gf=se.from_coeffs([10**400] * 901, 900))
+        assert r.status == vf.FAIL
+        assert r.metrics["scaled_at_t=0.3"] == math.inf
+        json.loads(r.to_json())
 
     def test_dip_after_2000_fails(self):
         # Increasing everywhere except one step down from n = 2099 to 2100.

@@ -1,25 +1,30 @@
-"""Exhaustive overpartition enumeration and mex statistics.
+"""The brute-force oracle: mex statistics of overpartitions by direct
+counting, against which everything the series engine produces is judged.
 
-This is the brute-force oracle: everything the series engine produces is
-judged against direct counting here.  Enumeration follows the two-level
-scheme suggested by the 2^m class structure: generate ordinary partitions
-in descending lexicographic order, then walk all overline masks of each
-partition's distinct parts (mask bit i, least significant first, flags the
-i-th largest distinct part).  The order is deterministic and matches the
-worked tables used as fixtures.  mex_counts takes the per-m mex histogram
-of n in one pass; sigma_mex_oracle sums it.
+Every ordinary partition with d distinct parts carries exactly 2^d
+overpartitions, one per overline mask (its overline-erasure class), so
+the oracle walks the ordinary partitions of n in descending lexicographic
+order.  mex_counts counts each class's masks per mex value in closed
+form, O(p(n)) work; sigma_mex_oracle sums that histogram.
+enumerate_overpartitions is the literal defining form: it builds every
+overpartition, walking the masks of each partition in ascending order
+(mask bit i, least significant first, flags the i-th largest distinct
+part).  The order is deterministic and matches the worked tables used as
+fixtures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator
 
 from .qfactory import MexVariant
 
-#: Enumeration above this n is refused unless the caller raises the limit;
-#: the overpartition count grows like e^(pi sqrt(n)) and n=45 already means
-#: a few million objects.
+#: Requests above this n are refused unless the caller raises the limit.
+#: Class counting (table, verify, enum --by-class) walks the p(n) ordinary
+#: partitions, 89,134 at n=45; enumeration (enum) builds all p-bar(n)
+#: overpartitions, 3,759,240 at n=45.  Both grow like e^(c sqrt(n)).
 DEFAULT_ORACLE_LIMIT = 45
 
 
@@ -80,33 +85,33 @@ class Overpartition:
         return "+".join(pieces)
 
 
-def _partitions_desc_lex(n: int, cap: int | None = None) -> Iterator[tuple]:
-    """Ordinary partitions of n in descending lexicographic order."""
-    if cap is None:
-        cap = n
+def _partition_groups(n: int, cap: int) -> Iterator[tuple]:
+    """Ordinary partitions of n with parts <= cap in descending
+    lexicographic order, each as ((part, multiplicity), ...) with parts
+    strictly decreasing."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_desc_lex(n - first, first):
-            yield (first,) + rest
+    for part in range(min(n, cap), 0, -1):
+        for count in range(n // part, 0, -1):
+            for rest in _partition_groups(n - part * count, part - 1):
+                yield ((part, count),) + rest
 
 
-def _overline_masks(partition: Sequence[int]) -> Iterator[Overpartition]:
+def _classes(n: int, limit: int) -> Iterator[tuple]:
+    """The overline-erasure classes of n: every ordinary partition of n as
+    its (part, multiplicity) groups, descending-lex."""
+    _check_limit(n, limit)
+    return _partition_groups(n, n)
+
+
+def _overline_masks(groups: tuple) -> Iterator[Overpartition]:
     """All overpartitions over one underlying partition, mask-ascending."""
-    distinct = []  # (part, count), descending
-    for p in partition:
-        if distinct and distinct[-1][0] == p:
-            distinct[-1][1] += 1
-        else:
-            distinct.append([p, 1])
-    m = len(distinct)
-    for mask in range(2**m):
-        groups = tuple(
+    for mask in range(1 << len(groups)):
+        yield Overpartition(tuple(
             (part, count, bool(mask >> i & 1))
-            for i, (part, count) in enumerate(distinct)
-        )
-        yield Overpartition(groups)
+            for i, (part, count) in enumerate(groups)
+        ))
 
 
 def enumerate_overpartitions(
@@ -115,9 +120,8 @@ def enumerate_overpartitions(
     """Every overpartition of n exactly once, deterministic order:
     descending-lex on the underlying partition, then ascending overline
     mask."""
-    _check_limit(n, limit)
-    for partition in _partitions_desc_lex(n):
-        yield from _overline_masks(partition)
+    for groups in _classes(n, limit):
+        yield from _overline_masks(groups)
 
 
 def mex_statistic(pi: Overpartition, variant: MexVariant) -> int:
@@ -129,23 +133,49 @@ def mex_statistic(pi: Overpartition, variant: MexVariant) -> int:
     return m
 
 
+def _class_mex_counts(groups: tuple, variant: MexVariant) -> Iterator[tuple]:
+    """(m, masks) for each mex value m in one class: how many of its 2^d
+    overline masks give the variant-mex m.
+
+    Mex m needs 1..m-1 present and m absent.  A value outside the
+    partition is absent.  A part is always present for ALL; for OVERLINED
+    it is present exactly when overlined; for NON_OVERLINED it is always
+    present at multiplicity >= 2 and present exactly when not overlined at
+    multiplicity 1.  Walking m = 1, 2, ... up the smallest parts, a part
+    whose overline decides its presence gives mex m on the 2^(d-fixed-1)
+    masks that fix 1..m-1 present and m absent, then counts as fixed
+    present; the first m not in the partition takes the 2^(d-fixed) masks
+    left."""
+    d = len(groups)
+    fixed = 0  # mask bits fixed so that 1..m-1 are present
+    m = 1
+    for part, count in reversed(groups):
+        if part != m:
+            break
+        if variant is MexVariant.OVERLINED or (
+            variant is MexVariant.NON_OVERLINED and count == 1
+        ):
+            yield m, 1 << (d - fixed - 1)
+            fixed += 1
+        m += 1
+    yield m, 1 << (d - fixed)
+
+
 def overpartition_count(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """p-bar(n) by direct counting: sum of 2^(distinct parts)."""
-    _check_limit(n, limit)
-    return sum(
-        2 ** len(set(p)) for p in _partitions_desc_lex(n)
-    )
+    return sum(1 << len(groups) for groups in _classes(n, limit))
 
 
 def mex_counts(
     n: int, variant: MexVariant, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> dict:
     """Histogram {m: number of overpartitions of n whose variant-mex is m},
-    from one enumeration pass; n=0 gives {1: 1}, the empty overpartition."""
+    counted class by class without building an overpartition; n=0 gives
+    {1: 1}, the empty overpartition."""
     counts = {}
-    for pi in enumerate_overpartitions(n, limit):
-        m = mex_statistic(pi, variant)
-        counts[m] = counts.get(m, 0) + 1
+    for groups in _classes(n, limit):
+        for m, masks in _class_mex_counts(groups, variant):
+            counts[m] = counts.get(m, 0) + masks
     return counts
 
 
@@ -165,7 +195,8 @@ def overpartitions_from_multiset(elements: Iterable[int]) -> list:
         raise ValueError("multiset must be non-empty")
     if any(p < 1 for p in parts):
         raise ValueError("parts must be positive")
-    return list(_overline_masks(parts))
+    groups = tuple((p, sum(1 for _ in run)) for p, run in groupby(parts))
+    return list(_overline_masks(groups))
 
 
 def class_decomposition(
@@ -175,13 +206,9 @@ def class_decomposition(
     (underlying_partition, class_size, mex_all_value) per class, in
     enumeration order.  Every class has even size for n >= 1, which is the
     structural reason the all-parts sigma-mex is even."""
-    _check_limit(n, limit)
     rows = []
-    for partition in _partitions_desc_lex(n):
-        distinct = set(partition)
-        size = 2 ** len(distinct)
-        m = 1
-        while m in distinct:
-            m += 1
-        rows.append((partition, size, m))
+    for groups in _classes(n, limit):
+        ((mex, size),) = _class_mex_counts(groups, MexVariant.ALL)
+        partition = tuple(p for p, count in groups for _ in range(count))
+        rows.append((partition, size, mex))
     return rows

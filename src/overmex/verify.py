@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -90,15 +91,20 @@ def _merge(name: str, range_desc: str, parts: Sequence[VerifyReport]) -> VerifyR
 # Checks
 
 
+LITERAL_CHECK_N = 12  # class counting is compared with enumeration up to here
+
+
 def check_gf_vs_oracle(
     variant: MexVariant,
     n_max: int,
     count_n_max: int | None = None,
     limit: int = combinat.DEFAULT_ORACLE_LIMIT,
 ) -> VerifyReport:
-    """Generating-function coefficients against exhaustive enumeration:
-    sigma values for n <= n_max and per-m counts for n <= count_n_max, both
-    read from one mex histogram per n; the smallest failing n is reported."""
+    """Generating-function coefficients against the oracle: sigma values
+    for n <= n_max and per-m counts for n <= count_n_max, both read from
+    one class-counted mex histogram per n; the smallest failing n is
+    reported.  For n <= LITERAL_CHECK_N that histogram is first compared
+    with the literal one, from every enumerated overpartition."""
     if count_n_max is None:
         count_n_max = n_max
     name = f"gf_vs_oracle:{variant.value}"
@@ -110,6 +116,18 @@ def check_gf_vs_oracle(
     }
     for n in range(max(n_max, count_n_max) + 1):
         counts = combinat.mex_counts(n, variant, limit)
+        if n <= LITERAL_CHECK_N:
+            literal = Counter(
+                combinat.mex_statistic(pi, variant)
+                for pi in combinat.enumerate_overpartitions(n, limit)
+            )
+            for m in sorted(literal.keys() | counts.keys()):
+                if literal[m] != counts.get(m, 0):
+                    return VerifyReport(
+                        name, FAIL, rng,
+                        first_failure=(n, literal[m], counts.get(m, 0)),
+                        metrics={"where": "literal", "m": m},
+                    )
         expected = sum(m * c for m, c in counts.items())
         if n <= n_max and gf[n] != expected:
             return VerifyReport(
@@ -329,6 +347,10 @@ def asym_ratio_table(
     rng_desc = f"points {pts}"
     if gf is None:
         gf = qfactory.sigma_mex_gf(MexVariant.OVERLINED, pts[-1])
+    if gf.trunc_order < pts[-1]:
+        raise ValueError(
+            f"gf has order {gf.trunc_order}, below the largest point {pts[-1]}"
+        )
     rows = []
     for n in pts:
         exact = gf[n]
@@ -412,6 +434,8 @@ def check_ingham_scaling(
             )
     if gf is None:
         gf = qfactory.sigma_mex_gf(MexVariant.OVERLINED, N)
+    if gf.trunc_order < N:
+        raise ValueError(f"gf has order {gf.trunc_order}, below N={N}")
     for n in range(N):
         if gf[n + 1] < gf[n]:
             return VerifyReport(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from overmex import combinat as cb
@@ -122,6 +124,30 @@ class TestSigmaOracle:
                     cb.mex_counts(n, v).get(m, 0) for m in range(1, n + 2)
                 )
                 assert total == cb.overpartition_count(n)
+
+
+def literal_histograms(n):
+    """{variant: Counter of mex values} over every enumerated overpartition
+    of n: the defining form that class counting must reproduce."""
+    hists = {v: Counter() for v in MexVariant}
+    for pi in cb.enumerate_overpartitions(n):
+        for v, hist in hists.items():
+            hist[cb.mex_statistic(pi, v)] += 1
+    return hists
+
+
+class TestClassCounting:
+    @pytest.mark.parametrize("n", range(26))
+    def test_matches_literal_histogram(self, n):
+        for v, hist in literal_histograms(n).items():
+            assert cb.mex_counts(n, v) == dict(hist), v
+
+    def test_limit_refused(self):
+        for v in MexVariant:
+            with pytest.raises(OracleLimitError):
+                cb.mex_counts(46, v)
+            with pytest.raises(ValueError):
+                cb.mex_counts(-1, v)
 
 
 class TestMultiset:

@@ -89,7 +89,9 @@ class TestGfVsOracle:
         assert r.metrics["where"] == "count"
         assert r.first_failure[0] == 7
 
-    def test_enumerates_each_n_once(self, monkeypatch):
+    @pytest.fixture
+    def enumerated_n(self, monkeypatch):
+        """The n of every enumerate_overpartitions call, in order."""
         calls = []
         enumerate_overpartitions = cb.enumerate_overpartitions
 
@@ -98,8 +100,31 @@ class TestGfVsOracle:
             return enumerate_overpartitions(n, *args)
 
         monkeypatch.setattr(cb, "enumerate_overpartitions", counted)
+        return calls
+
+    def test_enumerates_each_n_once(self, enumerated_n):
         assert vf.check_gf_vs_oracle(MexVariant.OVERLINED, 6).passed
-        assert calls == list(range(7))
+        assert enumerated_n == list(range(7))
+
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    def test_wrong_class_count_fails(self, variant, monkeypatch):
+        mex_counts = cb.mex_counts
+
+        def off_at_9(n, v, *args):
+            counts = mex_counts(n, v, *args)
+            if n == 9:
+                counts[1] += 1
+            return counts
+
+        monkeypatch.setattr(cb, "mex_counts", off_at_9)
+        r = vf.check_gf_vs_oracle(variant, 10)
+        assert r.status == vf.FAIL
+        assert r.metrics["where"] == "literal"
+        assert r.first_failure[0] == 9
+
+    def test_enumerates_only_literal_range(self, enumerated_n):
+        assert vf.check_gf_vs_oracle(MexVariant.OVERLINED, 20).passed
+        assert enumerated_n == list(range(13))  # n <= LITERAL_CHECK_N
 
 
 class TestEuler:
@@ -292,6 +317,10 @@ class TestAsymptotics:
             math.exp(math.pi * math.sqrt(60000) - 100 * math.log(2)) / 240000
         )
 
+    def test_short_gf_rejected(self):
+        with pytest.raises(ValueError, match="gf has order 50, below"):
+            vf.asym_ratio_table((100,), gf=se.one(50))
+
     def test_huge_coefficients_report(self):
         gf = se.from_coeffs([10**400] * 2501, 2500)
         rows, report = vf.asym_ratio_table(vf.DEFAULT_ASYM_POINTS, gf=gf)
@@ -323,6 +352,11 @@ class TestInghamScaling:
         gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 900)
         with pytest.raises(ValueError):
             vf.check_ingham_scaling(N=900, t_grid=(0.01,), gf=gf)
+
+    def test_short_gf_rejected(self):
+        gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 900)
+        with pytest.raises(ValueError, match="gf has order 900, below N=1000"):
+            vf.check_ingham_scaling(N=1000, gf=gf)
 
     def test_constant_series_control(self):
         flat = se.one(900)

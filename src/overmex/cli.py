@@ -13,12 +13,17 @@ import json
 import sys
 
 from . import combinat, qfactory, verify
-from .combinat import DEFAULT_ORACLE_LIMIT, OracleLimitError
+from .combinat import DEFAULT_ORACLE_LIMIT
 from .qfactory import MexVariant
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+#: The largest series order a command accepts: one series at order 10^5
+#: holds about 12 MB of integers (about 4.5 sqrt(n) bits at q^n).  Larger
+#: orders are usage errors, refused before any series is built.
+MAX_ORDER = 100_000
 
 _VARIANTS = {
     "nonoverlined": MexVariant.NON_OVERLINED,
@@ -61,12 +66,22 @@ def _above_oracle_limit(args) -> bool:
     return True
 
 
+def _above_max_order(order: int, flag: str) -> bool:
+    """True, after saying why on stderr, if order exceeds MAX_ORDER."""
+    if order <= MAX_ORDER:
+        return False
+    print(f"{flag} {order} exceeds the largest order {MAX_ORDER}", file=sys.stderr)
+    return True
+
+
 def cmd_table(args) -> int:
     variant = _VARIANTS[args.variant]
     n_max = args.max_n
     order = args.order if args.order is not None else n_max
     if order < n_max:
         print("--order must be at least --max-n", file=sys.stderr)
+        return EXIT_USAGE
+    if _above_max_order(order, "--max-n" if args.order is None else "--order"):
         return EXIT_USAGE
     use_series = args.method in ("series", "both")
     use_oracle = args.method in ("oracle", "both")
@@ -99,7 +114,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if _above_oracle_limit(args):
+    if _above_oracle_limit(args) or _above_max_order(args.order, "--order"):
         return EXIT_USAGE
     try:
         reports = verify.run_all(
@@ -228,9 +243,6 @@ def main(argv=None) -> int:
         parser.error("--max-n must be non-negative")
     try:
         return args.func(args)
-    except OracleLimitError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -161,11 +161,6 @@ def _class_mex_counts(groups: tuple, variant: MexVariant) -> Iterator[tuple]:
     yield m, 1 << (d - fixed)
 
 
-def overpartition_count(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
-    """p-bar(n) by direct counting: sum of 2^(distinct parts)."""
-    return sum(1 << len(groups) for groups in _classes(n, limit))
-
-
 def mex_counts(
     n: int, variant: MexVariant, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> dict:

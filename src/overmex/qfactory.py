@@ -1,8 +1,11 @@
-"""Builders for the named q-series: Pochhammer products, the sparse
-theta(-q) and pentagonal series, the overpartition generating function
-P-bar = 1/theta(-q), Ramanujan's sigma series, the specialized 1phi1 sum,
-and the three sigma-mex generating functions with their per-m count
-series, each the cached P-bar with a few binomial factors swapped.
+"""Builders for the named q-series: the sparse theta(-q) and pentagonal
+series, the overpartition generating function P-bar = 1/theta(-q),
+Ramanujan's sigma series, the collapsed 1phi1 sum, and the three
+sigma-mex generating functions with their per-m count series, each the
+cached P-bar with a few binomial factors swapped.  The defining forms the
+checks compare these with, the Pochhammer products and the 1phi1 defining
+sum, are folds of binomial factors (1 +- q^e), each multiplied or divided
+in explicitly.
 
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
@@ -16,7 +19,6 @@ mod 2 (ring=series.GF2) from one body.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import comb
 
@@ -30,39 +32,6 @@ class MexVariant(enum.Enum):
     NON_OVERLINED = "nonoverlined"
     OVERLINED = "overlined"
     ALL = "all"
-
-
-@dataclass(frozen=True)
-class PochSpec:
-    """One q-Pochhammer product.
-
-    Factors are (1 + sign * q^e) for e = first, first+step, ... ; sign=-1
-    gives the classical (q^first; q^step)_inf product, sign=+1 the
-    (-q^first; q^step)_inf one, truncated at the working order.  first
-    defaults to step, which covers (q;q), (-q;q) and (q^2;q^2); (q;q^2)
-    needs an explicit first=1.
-    """
-
-    sign: int
-    step: int = 1
-    first: int | None = None
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.step not in (1, 2):
-            raise ValueError("step must be 1 or 2")
-
-    @property
-    def start(self) -> int:
-        return self.step if self.first is None else self.first
-
-
-# The products the theorems actually use.
-Q_Q_INF = PochSpec(sign=-1, step=1)            # (q;q)_inf
-NEGQ_Q_INF = PochSpec(sign=+1, step=1)         # (-q;q)_inf
-Q2_Q2_INF = PochSpec(sign=-1, step=2)          # (q^2;q^2)_inf
-Q_Q2_INF = PochSpec(sign=-1, step=2, first=1)  # (q;q^2)_inf
 
 
 def _cached(builder):
@@ -80,12 +49,19 @@ def _cached(builder):
 
 
 @_cached
-def pochhammer(spec: PochSpec, N: int, *, ring=series):
+def pochhammer(sign: int, step: int, N: int, *, ring=series):
+    """prod_{k>=1} (1 + sign q^(step k)) to order N, one binomial factor
+    at a time: sign=-1 gives (q^s;q^s)_inf and sign=+1 (-q^s;q^s)_inf,
+    for s = step."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if step < 1:
+        raise ValueError("step must be positive")
     if N < 0:
         raise ValueError("truncation order must be non-negative")
     acc = ring.one(N)
-    for e in range(spec.start, N + 1, spec.step):
-        acc = ring.mul_binomial(acc, spec.sign, e)
+    for e in range(step, N + 1, step):
+        acc = ring.mul_binomial(acc, sign, e)
     return acc
 
 
@@ -162,24 +138,21 @@ def phi11(N: int) -> Series:
 
         sum_n [(q;q)_n / ((-q;q)_n (q;q)_n)] * (-1)^n q^(n choose 2) * (-2q)^n
 
-    with no symbolic cancellation: the numerator factors (1-q^j) are
-    multiplied onto the inverted denominator explicitly.
+    with no symbolic cancellation: one running term at order N takes each
+    denominator factor (1+q^n)(1-q^n) by division and each numerator
+    factor (1-q^n) by an explicit multiplication.
     """
     acc = series.zero(N)
-    den_inv = series.one(N)  # 1 / ((-q;q)_n (q;q)_n)
+    term = series.one(N)  # (q;q)_n / ((-q;q)_n (q;q)_n)
     n = 0
     while comb(n, 2) + n <= N:
         if n > 0:
-            den_inv = series.div_binomial(den_inv, +1, n)
-            den_inv = series.div_binomial(den_inv, -1, n)
+            term = series.div_binomial(term, +1, n)
+            term = series.div_binomial(term, -1, n)
+            term = series.mul_binomial(term, -1, n)
         lead = comb(n, 2) + n  # q^(n choose 2) * q^n from (-2q)^n
-        term = series.truncate(den_inv, N - lead)
-        for j in range(1, n + 1):  # numerator (q;q)_n
-            if j <= term.trunc_order:
-                term = series.mul_binomial(term, -1, j)
         weight = (-1) ** n * (-2) ** n  # = 2^n
-        term = series.pad(series.scale(term, weight), N)
-        acc = series.add(acc, series.shift(term, lead))
+        acc = series.add(acc, series.shift(series.scale(term, weight), lead))
         n += 1
     return acc
 

@@ -148,11 +148,6 @@ def div(a: Series, d: Series) -> Series:
     return Series(tuple(b))
 
 
-def invert(a: Series) -> Series:
-    """Multiplicative inverse to order N; constant term must be +1 or -1."""
-    return div(one(a.trunc_order), a)
-
-
 def evaluate_real(a: Series, q0: float) -> float:
     """Sum coeffs[n] * q0^n in double precision, Horner from the top down.
 
@@ -217,20 +212,6 @@ def shift(a: Series, k: int) -> Series:
 
 def scale(a: Series, c: int) -> Series:
     return Series(tuple(c * x for x in a.coeffs))
-
-
-def pad(a: Series, trunc_order: int) -> Series:
-    """Zero-extend up to the given order (no-op if already there)."""
-    if trunc_order < a.trunc_order:
-        raise ValueError("pad cannot shrink a series; use truncate")
-    return Series(a.coeffs + (0,) * (trunc_order - a.trunc_order))
-
-
-def truncate(a: Series, trunc_order: int) -> Series:
-    """Drop coefficients above the given order (which must not exceed N)."""
-    if trunc_order > a.trunc_order:
-        raise ValueError("cannot extend a truncated series")
-    return Series(a.coeffs[: trunc_order + 1])
 
 
 class GF2Series:

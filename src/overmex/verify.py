@@ -12,7 +12,6 @@ they report at any order.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,9 +48,6 @@ class VerifyReport:
         if self.metrics:
             d["metrics"] = self.metrics
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass
@@ -151,12 +147,11 @@ def check_euler_identity(N: int) -> VerifyReport:
     if N < 1:
         raise ValueError("order must be >= 1")
     rng = f"order <= {N}"
-    a = qfactory.pochhammer(qfactory.NEGQ_Q_INF, N)
-    b = series.invert(qfactory.pochhammer(qfactory.Q_Q2_INF, N))
-    c = series.mul(
-        qfactory.pochhammer(qfactory.Q2_Q2_INF, N),
-        series.invert(qfactory.pochhammer(qfactory.Q_Q_INF, N)),
-    )
+    a = qfactory.pochhammer(+1, 1, N)
+    b = series.one(N)  # 1/(q;q^2)_inf, one factor 1/(1 - q^k) at a time
+    for k in range(1, N + 1, 2):
+        b = series.div_binomial(b, -1, k)
+    c = series.div(qfactory.pochhammer(-1, 2, N), qfactory.pochhammer(-1, 1, N))
     return _merge(
         "euler_identity", rng,
         [
@@ -193,16 +188,12 @@ def check_identity_suite(N: int) -> VerifyReport:
         _compare_series(
             "identity:pbar_theta",
             qfactory.overpartition_gf(N),
-            series.div(
-                qfactory.pochhammer(qfactory.NEGQ_Q_INF, N),
-                qfactory.pochhammer(qfactory.Q_Q_INF, N),
-            ),
+            series.div(qfactory.pochhammer(+1, 1, N), qfactory.pochhammer(-1, 1, N)),
             rng,
         ),
         _compare_series(
             "identity:negq_pentagonal",
-            qfactory.distinct_parts_gf(N), qfactory.pochhammer(qfactory.NEGQ_Q_INF, N),
-            rng,
+            qfactory.distinct_parts_gf(N), qfactory.pochhammer(+1, 1, N), rng,
         ),
     ]
     return _merge("identity_suite", rng, parts)
@@ -468,14 +459,6 @@ def run_all(
 ) -> list:
     """Run every check (or the one named by `only`) in a fixed order."""
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
-    overlined_gf = None
-
-    def _overlined():
-        nonlocal overlined_gf
-        if overlined_gf is None:
-            overlined_gf = qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n)
-        return overlined_gf
-
     registry = {
         f"gf_vs_oracle:{v.value}": lambda v=v: check_gf_vs_oracle(
             v, oracle_n_max, limit=oracle_limit
@@ -489,12 +472,11 @@ def run_all(
         "parity_density": lambda: check_parity_density(parity_n_max),
         "triangular_parity": lambda: check_triangular_parity(triangular_n_max),
         "asym_ratio": lambda: asym_ratio_table(
-            DEFAULT_ASYM_POINTS, gf=_overlined()
+            DEFAULT_ASYM_POINTS,
+            gf=qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n),
         )[1],
         "sigma_taylor": lambda: check_sigma_taylor(),
-        "ingham_scaling": lambda: check_ingham_scaling(
-            N=asym_n, gf=_overlined()
-        ),
+        "ingham_scaling": lambda: check_ingham_scaling(N=asym_n),
     }
     if only is not None:
         if only not in registry:

@@ -62,6 +62,17 @@ class TestTable:
         assert code == 2
         assert "oracle limit" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--max-n", "5", "--order", "100000000000000000000"],
+        ["--max-n", "100000000000000000000"],
+    ], ids=["order", "max_n"])
+    def test_order_above_cap_refused(self, argv, capsys):
+        code, out, err = run(["table"] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the largest order" in err
+        assert "Traceback" not in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         code, out, _ = run(
@@ -97,6 +108,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "oracle limit" in err
+
+    def test_order_above_cap_refused(self, capsys):
+        code, out, err = run(
+            ["verify", "--order", "100000000000000000000", "--only", "euler"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the largest order" in err
+        assert "Traceback" not in err
 
     def test_format_not_accepted(self, capsys):
         # verify always writes JSON lines; --format belongs to table and enum.

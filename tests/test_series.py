@@ -145,12 +145,7 @@ class TestDiv:
     @given(series(), series(unit=True))
     def test_div_undoes_mul(self, a, d):
         n = min(a.trunc_order, d.trunc_order)
-        assert se.div(se.mul(a, d), d) == se.truncate(a, n)
-
-    @settings(max_examples=50, deadline=None)
-    @given(series(unit=True))
-    def test_div_one_is_invert(self, d):
-        assert se.div(se.one(d.trunc_order), d) == se.invert(d)
+        assert se.div(se.mul(a, d), d) == se.Series(a.coeffs[: n + 1])
 
     @pytest.mark.parametrize("N", [0, 1, 63, 64, 65, 300])
     def test_gf2_matches_z_mod_2(self, N):
@@ -177,15 +172,16 @@ class TestDiv:
 
 class TestInvert:
     def test_geometric(self):
-        inv = se.invert(S([1, -1], 6))
+        inv = se.div(se.one(6), S([1, -1], 6))
         assert inv.coeffs == (1, 1, 1, 1, 1, 1, 1)
 
     def test_roundtrip(self):
         rng = random.Random(4)
         for _ in range(30):
             a = random_series(rng, rng.randint(0, 12), unit=True)
-            assert se.invert(se.invert(a)).coeffs == a.coeffs
-            assert se.mul(a, se.invert(a)).coeffs == se.one(a.trunc_order).coeffs
+            one = se.one(a.trunc_order)
+            assert se.div(one, se.div(one, a)).coeffs == a.coeffs
+            assert se.mul(a, se.div(one, a)).coeffs == one.coeffs
 
     def test_partition_numbers(self):
         # 1/(q;q)_inf counts partitions; oracle below is direct enumeration.
@@ -199,12 +195,12 @@ class TestInvert:
         euler = se.one(10)
         for k in range(1, 11):
             euler = se.mul_binomial(euler, -1, k)
-        inv = se.invert(euler)
+        inv = se.div(se.one(10), euler)
         assert list(inv.coeffs) == [count_partitions(n, n) for n in range(11)]
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="constant term"):
-            se.invert(S([2, 1], 3))
+            se.div(se.one(3), S([2, 1], 3))
 
 
 class TestEvaluateReal:
@@ -282,10 +278,3 @@ class TestHelpers:
     def test_shift_past_order_is_zero(self):
         for k in (6, 8, 12, 13):
             assert se.shift(se.one(5), k) == se.zero(5), k
-
-    def test_pad_and_truncate(self):
-        a = S([1, 2], 1)
-        assert se.pad(a, 3).coeffs == (1, 2, 0, 0)
-        assert se.truncate(se.pad(a, 3), 1).coeffs == a.coeffs
-        with pytest.raises(ValueError):
-            se.truncate(a, 5)

@@ -29,7 +29,7 @@ def cold_caches():
 class TestReport:
     def test_json_schema(self):
         r = vf.VerifyReport("demo", vf.PASS, "n <= 5", metrics={"density": 0.5})
-        d = json.loads(r.to_json())
+        d = json.loads(json.dumps(r.to_dict()))
         assert d == {
             "check_name": "demo",
             "status": "PASS",
@@ -135,11 +135,35 @@ class TestEuler:
         assert vf.check_euler_identity(1).passed
 
     def test_perturbed_fails_with_witness(self):
-        a = qf.pochhammer(qf.NEGQ_Q_INF, 50)
+        a = qf.pochhammer(+1, 1, 50)
         bad = se.add(a, se.from_coeffs([0] * 7 + [1], 50))
         r = vf._compare_series("euler:perturbed", a, bad, "n <= 50")
         assert not r.passed
         assert r.first_failure[0] == 7
+
+    def test_skipped_odd_factor_fails(self, monkeypatch, cold_caches):
+        # 1/(q;q^2)_inf missing its factor 1/(1 - q^7) first differs at q^7.
+        div_binomial = se.div_binomial
+        monkeypatch.setattr(
+            se, "div_binomial", lambda a, c, e: a if e == 7 else div_binomial(a, c, e)
+        )
+        r = vf.check_euler_identity(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "euler:neg_vs_odd_inverse"
+        assert r.first_failure[0] == 7
+
+    def test_perturbed_even_product_fails(self, monkeypatch, cold_caches):
+        pochhammer = qf.pochhammer
+
+        def off_at_30(sign, step, N, ring=se):
+            s = pochhammer(sign, step, N, ring=ring)
+            return _bump(s, 30) if (sign, step) == (-1, 2) else s
+
+        monkeypatch.setattr(qf, "pochhammer", off_at_30)
+        r = vf.check_euler_identity(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "euler:neg_vs_even_over_full"
+        assert r.first_failure[0] == 30
 
 
 class TestIdentitySuite:
@@ -173,6 +197,17 @@ class TestIdentitySuite:
         assert r.status == vf.FAIL
         assert r.metrics["failed_subcheck"] == "identity:negq_pentagonal"
         assert r.first_failure[0] == 30
+
+    def test_skipped_numerator_factor_fails(self, monkeypatch, cold_caches):
+        # The 1phi1 defining sum multiplies in each numerator factor
+        # (1 - q^n) itself, so losing (1 - q^5) must show.
+        mul_binomial = se.mul_binomial
+        monkeypatch.setattr(
+            se, "mul_binomial", lambda a, c, e: a if e == 5 else mul_binomial(a, c, e)
+        )
+        r = vf.check_identity_suite(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "identity:phi11_defining_vs_simplified"
 
 
 class TestParity:
@@ -252,7 +287,7 @@ class TestParity:
 
 class TestGf2Arithmetic:
     def test_mul_matches_integer_mul(self):
-        a = qf.pochhammer(qf.NEGQ_Q_INF, 40)
+        a = qf.pochhammer(+1, 1, 40)
         b = qf.overpartition_gf(40)
         prod = se.mul(a, b)
         bits_a = se.GF2Series(sum((c % 2) << n for n, c in enumerate(a.coeffs)), 40)
@@ -269,8 +304,8 @@ class TestGf2Arithmetic:
     def test_binomial_identity_mod_two(self):
         # (q^2;q^2)_inf and (q;q)_inf^2 agree coefficientwise mod 2.
         N = 500
-        even = qf.pochhammer(qf.Q2_Q2_INF, N, ring=se.GF2)
-        full = qf.pochhammer(qf.Q_Q_INF, N, ring=se.GF2)
+        even = qf.pochhammer(-1, 2, N, ring=se.GF2)
+        full = qf.pochhammer(-1, 1, N, ring=se.GF2)
         assert even.bits == se.GF2.mul(full, full).bits
 
 
@@ -369,7 +404,7 @@ class TestInghamScaling:
         r = vf.check_ingham_scaling(N=900, gf=se.from_coeffs([10**400] * 901, 900))
         assert r.status == vf.FAIL
         assert r.metrics["scaled_at_t=0.3"] == math.inf
-        json.loads(r.to_json())
+        json.loads(json.dumps(r.to_dict()))
 
     def test_dip_after_2000_fails(self):
         # Increasing everywhere except one step down from n = 2099 to 2100.

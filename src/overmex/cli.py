@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import combinat, qfactory, verify
-from .combinat import DEFAULT_ORACLE_LIMIT
 from .qfactory import MexVariant
 
 EXIT_OK = 0
@@ -24,6 +23,13 @@ EXIT_USAGE = 2
 #: holds about 12 MB of integers (about 4.5 sqrt(n) bits at q^n).  Larger
 #: orders are usage errors, refused before any series is built.
 MAX_ORDER = 100_000
+
+#: The default of --oracle-limit: a larger --max-n is a usage error for
+#: every command that runs the oracle.  Class counting (table, verify, enum
+#: --by-class) walks the p(n) ordinary partitions, 89,134 at n=45;
+#: enumeration (enum) builds all p-bar(n) overpartitions, 3,759,240 at
+#: n=45.  Both grow like e^(c sqrt(n)).
+DEFAULT_ORACLE_LIMIT = 45
 
 _VARIANTS = {
     "nonoverlined": MexVariant.NON_OVERLINED,
@@ -77,33 +83,26 @@ def _above_max_order(order: int, flag: str) -> bool:
 def cmd_table(args) -> int:
     variant = _VARIANTS[args.variant]
     n_max = args.max_n
-    order = args.order if args.order is not None else n_max
-    if order < n_max:
-        print("--order must be at least --max-n", file=sys.stderr)
-        return EXIT_USAGE
-    if _above_max_order(order, "--max-n" if args.order is None else "--order"):
+    if _above_max_order(n_max, "--max-n"):
         return EXIT_USAGE
     use_series = args.method in ("series", "both")
     use_oracle = args.method in ("oracle", "both")
     if use_oracle and _above_oracle_limit(args):
         return EXIT_USAGE
-    gf = qfactory.sigma_mex_gf(variant, order) if use_series else None
+    gf = qfactory.sigma_mex_gf(variant, n_max) if use_series else None
     rows = []
     mismatch = False
     for n in range(n_max + 1):
         if args.method == "both":
             s = gf[n]
-            o = combinat.sigma_mex_oracle(n, variant, args.oracle_limit)
+            o = combinat.sigma_mex_oracle(n, variant)
             match = s == o
             mismatch = mismatch or not match
             rows.append((n, str(s), str(o), "match" if match else "MISMATCH"))
         elif args.method == "series":
             rows.append((n, str(gf[n]), "series"))
         else:
-            rows.append(
-                (n, str(combinat.sigma_mex_oracle(n, variant, args.oracle_limit)),
-                 "oracle")
-            )
+            rows.append((n, str(combinat.sigma_mex_oracle(n, variant)), "oracle"))
     header = (
         ("n", "series", "oracle", "match")
         if args.method == "both"
@@ -116,12 +115,12 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     if _above_oracle_limit(args) or _above_max_order(args.order, "--order"):
         return EXIT_USAGE
+    if args.order < 1:
+        print(f"--order {args.order} is below the smallest order 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         reports = verify.run_all(
-            order=args.order,
-            oracle_n_max=args.max_n,
-            only=args.only,
-            oracle_limit=args.oracle_limit,
+            order=args.order, oracle_n_max=args.max_n, only=args.only
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -140,13 +139,11 @@ def cmd_enum(args) -> int:
     if args.by_class:
         rows = [
             ("+".join(map(str, partition)) or "(empty)", size, mex)
-            for partition, size, mex in combinat.class_decomposition(
-                n, args.oracle_limit
-            )
+            for partition, size, mex in combinat.class_decomposition(n)
         ]
         _emit_rows(rows, ("underlying", "class_size", "mex_all"), args.format, args.out)
         return EXIT_OK
-    listing = list(combinat.enumerate_overpartitions(n, args.oracle_limit))
+    listing = list(combinat.enumerate_overpartitions(n))
     mexes = [
         (
             combinat.mex_statistic(pi, MexVariant.NON_OVERLINED),
@@ -206,10 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--method", choices=("series", "oracle", "both"), default="series"
     )
-    p_table.add_argument(
-        "--order", type=int, default=None,
-        help="series truncation order (default: --max-n)",
-    )
     common(p_table, need_variant=True)
     p_table.set_defaults(func=cmd_table)
 
@@ -239,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_n", 0) is not None and getattr(args, "max_n", 0) < 0:
+    if args.max_n < 0:
         parser.error("--max-n must be non-negative")
     try:
         return args.func(args)

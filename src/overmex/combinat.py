@@ -10,7 +10,8 @@ enumerate_overpartitions is the literal defining form: it builds every
 overpartition, walking the masks of each partition in ascending order
 (mask bit i, least significant first, flags the i-th largest distinct
 part).  The order is deterministic and matches the worked tables used as
-fixtures.
+fixtures.  Both walks grow like e^(c sqrt(n)); which n is affordable is
+the caller's choice.
 """
 
 from __future__ import annotations
@@ -20,26 +21,6 @@ from itertools import groupby
 from typing import Iterable, Iterator
 
 from .qfactory import MexVariant
-
-#: Requests above this n are refused unless the caller raises the limit.
-#: Class counting (table, verify, enum --by-class) walks the p(n) ordinary
-#: partitions, 89,134 at n=45; enumeration (enum) builds all p-bar(n)
-#: overpartitions, 3,759,240 at n=45.  Both grow like e^(c sqrt(n)).
-DEFAULT_ORACLE_LIMIT = 45
-
-
-class OracleLimitError(ValueError):
-    """Raised when an enumeration request exceeds the configured limit."""
-
-
-def _check_limit(n: int, limit: int) -> None:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > limit:
-        raise OracleLimitError(
-            f"n={n} exceeds the oracle limit {limit}; pass a larger limit "
-            "explicitly if you really want the full enumeration"
-        )
 
 
 @dataclass(frozen=True)
@@ -98,10 +79,11 @@ def _partition_groups(n: int, cap: int) -> Iterator[tuple]:
                 yield ((part, count),) + rest
 
 
-def _classes(n: int, limit: int) -> Iterator[tuple]:
+def _classes(n: int) -> Iterator[tuple]:
     """The overline-erasure classes of n: every ordinary partition of n as
     its (part, multiplicity) groups, descending-lex."""
-    _check_limit(n, limit)
+    if n < 0:
+        raise ValueError("n must be non-negative")
     return _partition_groups(n, n)
 
 
@@ -114,13 +96,11 @@ def _overline_masks(groups: tuple) -> Iterator[Overpartition]:
         ))
 
 
-def enumerate_overpartitions(
-    n: int, limit: int = DEFAULT_ORACLE_LIMIT
-) -> Iterator[Overpartition]:
+def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
     """Every overpartition of n exactly once, deterministic order:
     descending-lex on the underlying partition, then ascending overline
     mask."""
-    for groups in _classes(n, limit):
+    for groups in _classes(n):
         yield from _overline_masks(groups)
 
 
@@ -161,25 +141,21 @@ def _class_mex_counts(groups: tuple, variant: MexVariant) -> Iterator[tuple]:
     yield m, 1 << (d - fixed)
 
 
-def mex_counts(
-    n: int, variant: MexVariant, limit: int = DEFAULT_ORACLE_LIMIT
-) -> dict:
+def mex_counts(n: int, variant: MexVariant) -> dict:
     """Histogram {m: number of overpartitions of n whose variant-mex is m},
     counted class by class without building an overpartition; n=0 gives
     {1: 1}, the empty overpartition."""
     counts = {}
-    for groups in _classes(n, limit):
+    for groups in _classes(n):
         for m, masks in _class_mex_counts(groups, variant):
             counts[m] = counts.get(m, 0) + masks
     return counts
 
 
-def sigma_mex_oracle(
-    n: int, variant: MexVariant, limit: int = DEFAULT_ORACLE_LIMIT
-) -> int:
+def sigma_mex_oracle(n: int, variant: MexVariant) -> int:
     """Sum of the variant-mex over all overpartitions of n; 1 at n=0, the
     mex of the empty overpartition."""
-    return sum(m * c for m, c in mex_counts(n, variant, limit).items())
+    return sum(m * c for m, c in mex_counts(n, variant).items())
 
 
 def overpartitions_from_multiset(elements: Iterable[int]) -> list:
@@ -194,15 +170,13 @@ def overpartitions_from_multiset(elements: Iterable[int]) -> list:
     return list(_overline_masks(groups))
 
 
-def class_decomposition(
-    n: int, limit: int = DEFAULT_ORACLE_LIMIT
-) -> list:
+def class_decomposition(n: int) -> list:
     """Overpartitions of n grouped by overline erasure: one row
     (underlying_partition, class_size, mex_all_value) per class, in
     enumeration order.  Every class has even size for n >= 1, which is the
     structural reason the all-parts sigma-mex is even."""
     rows = []
-    for groups in _classes(n, limit):
+    for groups in _classes(n):
         ((mex, size),) = _class_mex_counts(groups, MexVariant.ALL)
         partition = tuple(p for p, count in groups for _ in range(count))
         rows.append((partition, size, mex))

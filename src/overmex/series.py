@@ -285,6 +285,8 @@ class _GF2Ring:
         return out
 
     def mul_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
+        if exponent < 1:
+            raise ValueError("binomial exponent must be positive")
         return GF2Series(a.bits ^ (a.bits << exponent), a.trunc_order)
 
     def div_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:

@@ -94,7 +94,6 @@ def check_gf_vs_oracle(
     variant: MexVariant,
     n_max: int,
     count_n_max: int | None = None,
-    limit: int = combinat.DEFAULT_ORACLE_LIMIT,
 ) -> VerifyReport:
     """Generating-function coefficients against the oracle: sigma values
     for n <= n_max and per-m counts for n <= count_n_max, both read from
@@ -111,11 +110,11 @@ def check_gf_vs_oracle(
         for m in qfactory.feasible_mex_values(variant, count_n_max)
     }
     for n in range(max(n_max, count_n_max) + 1):
-        counts = combinat.mex_counts(n, variant, limit)
+        counts = combinat.mex_counts(n, variant)
         if n <= LITERAL_CHECK_N:
             literal = Counter(
                 combinat.mex_statistic(pi, variant)
-                for pi in combinat.enumerate_overpartitions(n, limit)
+                for pi in combinat.enumerate_overpartitions(n)
             )
             for m in sorted(literal.keys() | counts.keys()):
                 if literal[m] != counts.get(m, 0):
@@ -313,21 +312,23 @@ def _predicted_growth(n: int, scale: int = 0) -> float:
     return math.exp(math.pi * math.sqrt(n) - scale * math.log(2)) / (4 * n)
 
 
+ASYM_REGIME_MIN = 100  # asym_ratio judges only points from here on
+
+
 def asym_ratio_table(
     points: Sequence[int],
     final_dev: float = 0.25,
     step_slack: float = 1.02,
-    regime_min: int = 100,
     gf: Series | None = None,
 ) -> tuple:
     """Exact overlined sigma-mex against e^(pi sqrt(n))/(4n).
 
     Returns (rows, report).  The report passes iff |ratio - 1| is
     non-increasing (up to the multiplicative step slack) across the given
-    points that are >= regime_min, and the deviation at the largest point
-    is below final_dev; smaller points are recorded but not judged.  Each
-    row's predicted value is inf past the float range; its ratio is taken
-    with both sides scaled into range by powers of two.
+    points that are >= ASYM_REGIME_MIN, and the deviation at the largest
+    point is below final_dev; smaller points are recorded but not judged.
+    Each row's predicted value is inf past the float range; its ratio is
+    taken with both sides scaled into range by powers of two.
     """
     if not points:
         raise ValueError("points must be non-empty")
@@ -356,7 +357,7 @@ def asym_ratio_table(
         rows.append(
             AsymRow(n, exact, series.ldexp(predicted, growth_scale), ratio)
         )
-    devs = [(r.n, abs(r.ratio - 1.0)) for r in rows if r.n >= regime_min]
+    devs = [(r.n, abs(r.ratio - 1.0)) for r in rows if r.n >= ASYM_REGIME_MIN]
     metrics = {f"dev_at_{n}": d for n, d in devs}
     ok = bool(devs) and devs[-1][1] < final_dev
     for (n0, d0), (n1, d1) in zip(devs, devs[1:]):
@@ -450,27 +451,20 @@ DEFAULT_ASYM_POINTS = (100, 400, 900, 1600, 2500)
 
 
 def run_all(
-    order: int = 2000,
-    oracle_n_max: int = 20,
-    parity_n_max: int = 10000,
-    triangular_n_max: int = 5000,
-    only: str | None = None,
-    oracle_limit: int = combinat.DEFAULT_ORACLE_LIMIT,
+    order: int = 2000, oracle_n_max: int = 20, only: str | None = None
 ) -> list:
     """Run every check (or the one named by `only`) in a fixed order."""
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
     registry = {
-        f"gf_vs_oracle:{v.value}": lambda v=v: check_gf_vs_oracle(
-            v, oracle_n_max, limit=oracle_limit
-        )
+        f"gf_vs_oracle:{v.value}": lambda v=v: check_gf_vs_oracle(v, oracle_n_max)
         for v in MexVariant
     }
     registry |= {
         "euler": lambda: check_euler_identity(order),
         "identities": lambda: check_identity_suite(order),
-        "parity_all_even": lambda: check_parity_all_even(parity_n_max),
-        "parity_density": lambda: check_parity_density(parity_n_max),
-        "triangular_parity": lambda: check_triangular_parity(triangular_n_max),
+        "parity_all_even": lambda: check_parity_all_even(10000),
+        "parity_density": lambda: check_parity_density(10000),
+        "triangular_parity": lambda: check_triangular_parity(5000),
         "asym_ratio": lambda: asym_ratio_table(
             DEFAULT_ASYM_POINTS,
             gf=qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n),

@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overmex import cli
+from overmex import cli, combinat, qfactory, verify
 
 
 def run(argv, capsys):
@@ -63,15 +66,30 @@ class TestTable:
         assert "oracle limit" in err
 
     @pytest.mark.parametrize("argv", [
-        ["--max-n", "5", "--order", "100000000000000000000"],
         ["--max-n", "100000000000000000000"],
-    ], ids=["order", "max_n"])
+    ], ids=["max_n"])
     def test_order_above_cap_refused(self, argv, capsys):
         code, out, err = run(["table"] + argv, capsys)
         assert code == 2
         assert out == ""
         assert "exceeds the largest order" in err
         assert "Traceback" not in err
+
+    def test_oracle_limit_override(self, capsys):
+        argv = ["table", "--method", "oracle", "--max-n", "6", "--oracle-limit"]
+        code, out, _ = run(argv + ["6"], capsys)
+        assert code == 0
+        assert parse_csv(out)[1][6] == ["6", "60", "oracle"]
+        code, out, err = run(argv + ["5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "oracle limit" in err
+
+    def test_order_flag_gone(self, capsys):
+        # The printed coefficients do not depend on a truncation order.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--max-n", "5", "--order", "7"])
+        assert exc.value.code == 2
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
@@ -190,3 +208,85 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "--variant", "weird", "--max-n", "3"])
         assert exc.value.code == 2
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "--method", "oracle", "--max-n", "46"], "oracle limit"),
+        (["table", "--method", "both", "--max-n", "46"], "oracle limit"),
+        (["verify", "--max-n", "46"], "oracle limit"),
+        (["enum", "--max-n", "46"], "oracle limit"),
+        (["enum", "--max-n", "46", "--by-class"], "oracle limit"),
+        (["table", "--max-n", "100001"], "exceeds the largest order"),
+        (["verify", "--order", "100001"], "exceeds the largest order"),
+        (["verify", "--order", "0"], "--order 0 is below the smallest order"),
+        (["verify", "--only", "identities", "--order", "0"],
+         "--order 0 is below the smallest order"),
+        (["verify", "--only", "euler", "--order", "-1"],
+         "--order -1 is below the smallest order"),
+    ], ids=["table_oracle", "table_both", "verify", "enum", "enum_by_class",
+            "table_order", "verify_order", "verify_order_zero",
+            "identities_order_zero", "euler_order_negative"])
+    def test_refused_before_any_work(self, argv, message, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in ((combinat, "_classes"), (qfactory, "sigma_mex_gf"),
+                             (verify, "run_all")):
+            monkeypatch.setattr(module, name, never)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert err.count("\n") == 1
+
+
+_CHECKS = (
+    "gf_vs_oracle:nonoverlined", "gf_vs_oracle:overlined", "gf_vs_oracle:all",
+    "euler", "identities", "parity_all_even", "parity_density",
+    "triangular_parity", "asym_ratio", "sigma_taylor", "ingham_scaling",
+)
+# Each subcommand's options, plus --order for table, which table does not
+# accept.  Every accepted run is small: a --max-n above 8 is refused before
+# work, except that a series-only table builds its series at 46.
+_FLAGS = {
+    "table": ("--variant", "--method", "--format", "--max-n", "--oracle-limit",
+              "--order"),
+    "verify": ("--only", "--order", "--max-n", "--oracle-limit"),
+    "enum": ("--format", "--max-n", "--oracle-limit", "--by-class"),
+}
+_VALUES = {
+    "--variant": ("nonoverlined", "overlined", "all"),
+    "--method": ("series", "oracle", "both"),
+    "--format": ("csv", "json"),
+    "--only": _CHECKS + ("bogus",),
+    "--order": (-1, 0, 1, 50, 300, 100001, 10**20),
+    "--max-n": (-1, 0, 3, 8, 46, 10**20),
+    "--oracle-limit": (-1, 5, 45),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag in _FLAGS[command]:
+        if not draw(st.booleans()):
+            continue
+        argv.append(flag)
+        if flag in _VALUES:
+            argv.append(str(draw(st.sampled_from(_VALUES[flag]))))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(argvs())
+    def test_exit_code_or_usage_error(self, argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+                assert code == 2, argv
+        assert code in (0, 1, 2), argv

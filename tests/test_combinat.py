@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from overmex import combinat as cb
-from overmex.combinat import Overpartition, OracleLimitError
+from overmex.combinat import Overpartition
 from overmex.qfactory import MexVariant
 
 # The two worked tables for n = 3: (display, overlined-mex, all-mex).
@@ -69,12 +69,6 @@ class TestEnumeration:
         a = [pi.display() for pi in cb.enumerate_overpartitions(8)]
         b = [pi.display() for pi in cb.enumerate_overpartitions(8)]
         assert a == b
-
-    def test_limit_guard(self):
-        with pytest.raises(OracleLimitError):
-            next(cb.enumerate_overpartitions(46))
-        # An explicit limit overrides the default.
-        assert next(cb.enumerate_overpartitions(46, limit=46)) is not None
 
 
 class TestMexStatistic:
@@ -144,8 +138,6 @@ class TestClassCounting:
 
     def test_limit_refused(self):
         for v in MexVariant:
-            with pytest.raises(OracleLimitError):
-                cb.mex_counts(46, v)
             with pytest.raises(ValueError):
                 cb.mex_counts(-1, v)
 

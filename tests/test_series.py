@@ -272,6 +272,13 @@ class TestHelpers:
             c = rng.choice([1, -1])
             assert se.div_binomial(se.mul_binomial(a, c, k), c, k).coeffs == a.coeffs
 
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("kernel", ["mul_binomial", "div_binomial"])
+    @pytest.mark.parametrize("exponent", [0, -1])
+    def test_binomial_exponent_below_one_refused(self, ring, kernel, exponent):
+        with pytest.raises(ValueError):
+            getattr(ring, kernel)(ring.one(5), -1, exponent)
+
     def test_shift_drops_overflow(self):
         assert se.shift(S([1, 2, 3], 2), 2).coeffs == (0, 0, 1)
 

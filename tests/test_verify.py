@@ -7,7 +7,6 @@ from overmex import combinat as cb
 from overmex import qfactory as qf
 from overmex import series as se
 from overmex import verify as vf
-from overmex.combinat import OracleLimitError
 from overmex.qfactory import MexVariant
 
 
@@ -418,18 +417,13 @@ class TestInghamScaling:
 
 class TestRunAll:
     def test_single_check_selection(self):
-        reports = vf.run_all(order=100, oracle_n_max=5, parity_n_max=200,
-                             triangular_n_max=100, only="euler")
+        reports = vf.run_all(order=100, oracle_n_max=5, only="euler")
         assert len(reports) == 1
         assert reports[0].check_name == "euler_identity"
 
     def test_unknown_check(self):
         with pytest.raises(KeyError):
             vf.run_all(only="nope")
-
-    def test_oracle_limit_passed_through(self):
-        with pytest.raises(OracleLimitError):
-            vf.run_all(oracle_n_max=6, only="gf_vs_oracle:all", oracle_limit=5)
 
     def test_reports_deterministic(self):
         a = vf.check_parity_density(400)

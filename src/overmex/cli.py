@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification/mismatch failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -119,17 +120,22 @@ def cmd_verify(args) -> int:
         print(f"--order {args.order} is below the smallest order 1", file=sys.stderr)
         return EXIT_USAGE
     try:
-        reports = verify.run_all(
-            order=args.order, oracle_n_max=args.max_n, only=args.only
-        )
+        reports = verify.run_all(args.order, args.max_n, only=args.only)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_USAGE
-    lines = [json.dumps(r.to_dict()) for r in reports]
-    _write("\n".join(lines) + "\n", args.out)
-    for r in reports:
-        print(f"[{r.status}] {r.check_name} ({r.range_checked})", file=sys.stderr)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
+    passed = True
+    # Each report is written, with its progress line, as its check finishes.
+    with (
+        open(args.out, "w") if args.out is not None
+        else contextlib.nullcontext(sys.stdout)
+    ) as out:
+        for r in reports:
+            out.write(json.dumps(r.to_dict()) + "\n")
+            out.flush()
+            print(f"[{r.status}] {r.check_name} ({r.range_checked})", file=sys.stderr)
+            passed = passed and r.passed
+    return EXIT_OK if passed else EXIT_MISMATCH
 
 
 def cmd_enum(args) -> int:

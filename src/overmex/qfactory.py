@@ -219,9 +219,9 @@ def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:
     return series.shift(acc, comb(m, 2))
 
 
-def feasible_mex_values(variant: MexVariant, n: int) -> range:
-    """All m that can occur as a variant-mex of some overpartition of n:
-    the forced parts 1..m-1 already weigh (m choose 2)."""
+def feasible_mex_values(n: int) -> range:
+    """All m that can occur as a mex, of any variant, of some overpartition
+    of n: the forced parts 1..m-1 already weigh (m choose 2)."""
     m = 1
     while comb(m, 2) <= n:
         m += 1

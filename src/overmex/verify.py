@@ -2,9 +2,11 @@
 parity sweeps, density measurements, and asymptotic ratio tables.
 
 Each check returns a VerifyReport; failures carry a concrete witness, and
-nothing here raises on a mathematical mismatch.  Parity sweeps read the
-qfactory series built over GF(2) (series.GF2), which keeps n_max = 10^4
-cheap; each GF(2) series a sweep reads is first compared, coefficient by
+nothing here raises on a mathematical mismatch.  Each check is one fixed
+experiment: its tolerances, grids and orders are module constants, and it
+takes only what its callers vary.  Parity sweeps read the qfactory series
+built over GF(2) (series.GF2), which keeps n_max = 10^4 cheap; each GF(2)
+series a sweep reads is built once and first compared, coefficient by
 coefficient to order 1000, with its integer series reduced mod 2.  The
 float checks scale integers past the float range by a power of two, so
 they report at any order.
@@ -12,10 +14,11 @@ they report at any order.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import combinat, qfactory, series
 from .qfactory import MexVariant
@@ -107,7 +110,7 @@ def check_gf_vs_oracle(
     gf = qfactory.sigma_mex_gf(variant, n_max)
     count_gfs = {
         m: qfactory.mex_count_gf(variant, m, count_n_max)
-        for m in qfactory.feasible_mex_values(variant, count_n_max)
+        for m in qfactory.feasible_mex_values(count_n_max)
     }
     for n in range(max(n_max, count_n_max) + 1):
         counts = combinat.mex_counts(n, variant)
@@ -201,11 +204,13 @@ def check_identity_suite(N: int) -> VerifyReport:
 MOD2_CHECK_ORDER = 1000  # GF(2) series are compared with Z mod 2 up to here
 
 
-def _mod2_failure(name: str, rng_desc: str, n_max: int, builds) -> VerifyReport | None:
-    """A FAIL report at the first n <= MOD2_CHECK_ORDER where a GF(2)
-    series differs from its integer series reduced mod 2, else None.  Each
-    build is (where, builder, args), the order N left off args."""
+def _gf2_reads(name: str, rng_desc: str, n_max: int, builds) -> tuple:
+    """(failure, reads): reads lists (where, GF(2) series to n_max) for
+    each build (where, builder, args), the order N left off args, after
+    comparing it up to MOD2_CHECK_ORDER with its integer series mod 2;
+    failure is a FAIL report at the first n where they differ, else None."""
     m = min(MOD2_CHECK_ORDER, n_max)
+    reads = []
     for where, builder, args in builds:
         bits = builder(*args, n_max, ring=series.GF2)
         full = builder(*args, m)
@@ -214,8 +219,9 @@ def _mod2_failure(name: str, rng_desc: str, n_max: int, builds) -> VerifyReport 
                 return VerifyReport(
                     name, FAIL, rng_desc, first_failure=(n, full[n] % 2, bits[n]),
                     metrics={"where": f"mod2:{where}"},
-                )
-    return None
+                ), reads
+        reads.append((where, bits))
+    return None, reads
 
 
 def check_parity_all_even(n_max: int) -> VerifyReport:
@@ -225,15 +231,12 @@ def check_parity_all_even(n_max: int) -> VerifyReport:
         raise ValueError("n_max must be >= 1")
     name = "parity_all_even"
     rng_desc = f"1 <= n <= {n_max}"
-    failure = _mod2_failure(name, rng_desc, n_max, [
+    failure, reads = _gf2_reads(name, rng_desc, n_max, [
         ("overpartition_number", qfactory.overpartition_gf, ()),
         ("sigma_mex_all", qfactory.sigma_mex_gf, (MexVariant.ALL,)),
     ])
     if failure is not None:
         return failure
-    pbar_bits = qfactory.overpartition_gf(n_max, ring=series.GF2)
-    all_bits = qfactory.sigma_mex_gf(MexVariant.ALL, n_max, ring=series.GF2)
-    reads = (("overpartition_number", pbar_bits), ("sigma_mex_all", all_bits))
     for n in range(1, n_max + 1):
         for where, bits in reads:
             if bits[n]:
@@ -244,9 +247,11 @@ def check_parity_all_even(n_max: int) -> VerifyReport:
     return VerifyReport(name, PASS, rng_desc)
 
 
-def _density_report(
-    name: str, odd_bits: int, n_max: int, floor: float, trend_slack: float
-) -> VerifyReport:
+DENSITY_FLOOR = 0.85  # least even-density over [1, n_max]
+DENSITY_TREND_SLACK = 0.01  # how far it may lie below that over [1, n_max/4]
+
+
+def _density_report(name: str, odd_bits: int, n_max: int) -> VerifyReport:
     """Density of even positions over [1, X] for dyadic prefixes X."""
     rng_desc = f"1 <= n <= {n_max}"
 
@@ -264,25 +269,23 @@ def _density_report(
     quarter = density(max(1, n_max // 4))
     metrics = {f"density_upto_{x}": d for x, d in sorted(prefixes.items())}
     metrics["density"] = final
-    ok = final >= floor and final >= quarter - trend_slack
+    ok = final >= DENSITY_FLOOR and final >= quarter - DENSITY_TREND_SLACK
     return VerifyReport(name, PASS if ok else FAIL, rng_desc, metrics=metrics)
 
 
-def check_parity_density(
-    n_max: int, floor: float = 0.85, trend_slack: float = 0.01
-) -> VerifyReport:
+def check_parity_density(n_max: int) -> VerifyReport:
     """The overlined sigma-mex is almost always even: regression guard on
     the observed even-density over [1, n_max] and its dyadic trend."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100 for a meaningful density")
     name = "parity_density"
-    failure = _mod2_failure(name, f"1 <= n <= {n_max}", n_max, [
+    failure, reads = _gf2_reads(name, f"1 <= n <= {n_max}", n_max, [
         ("sigma_mex_overlined", qfactory.sigma_mex_gf, (MexVariant.OVERLINED,)),
     ])
     if failure is not None:
         return failure
-    odd = qfactory.sigma_mex_gf(MexVariant.OVERLINED, n_max, ring=series.GF2)
-    return _density_report(name, odd.bits, n_max, floor, trend_slack)
+    [(_, odd)] = reads
+    return _density_report(name, odd.bits, n_max)
 
 
 def check_triangular_parity(n_max: int) -> VerifyReport:
@@ -291,12 +294,12 @@ def check_triangular_parity(n_max: int) -> VerifyReport:
         raise ValueError("n_max must be >= 1")
     name = "triangular_parity"
     rng_desc = f"1 <= n <= {n_max}"
-    failure = _mod2_failure(name, rng_desc, n_max, [
+    failure, reads = _gf2_reads(name, rng_desc, n_max, [
         ("sigma_mex_nonoverlined", qfactory.sigma_mex_gf, (MexVariant.NON_OVERLINED,)),
     ])
     if failure is not None:
         return failure
-    bits = qfactory.sigma_mex_gf(MexVariant.NON_OVERLINED, n_max, ring=series.GF2)
+    [(_, bits)] = reads
     for n in range(1, n_max + 1):
         is_odd = bits[n]
         should = math.isqrt(8 * n + 1) ** 2 == 8 * n + 1  # n = j(j+1)/2
@@ -313,22 +316,19 @@ def _predicted_growth(n: int, scale: int = 0) -> float:
 
 
 ASYM_REGIME_MIN = 100  # asym_ratio judges only points from here on
+ASYM_FINAL_DEV = 0.25
+ASYM_STEP_SLACK = 1.02
 
 
-def asym_ratio_table(
-    points: Sequence[int],
-    final_dev: float = 0.25,
-    step_slack: float = 1.02,
-    gf: Series | None = None,
-) -> tuple:
-    """Exact overlined sigma-mex against e^(pi sqrt(n))/(4n).
+def asym_ratio_table(points: Sequence[int], gf: Series) -> tuple:
+    """Exact overlined sigma-mex, read from gf, against e^(pi sqrt(n))/(4n).
 
     Returns (rows, report).  The report passes iff |ratio - 1| is
-    non-increasing (up to the multiplicative step slack) across the given
-    points that are >= ASYM_REGIME_MIN, and the deviation at the largest
-    point is below final_dev; smaller points are recorded but not judged.
-    Each row's predicted value is inf past the float range; its ratio is
-    taken with both sides scaled into range by powers of two.
+    non-increasing (up to ASYM_STEP_SLACK) across the given points that are
+    >= ASYM_REGIME_MIN, and the deviation at the largest point is below
+    ASYM_FINAL_DEV; smaller points are recorded but not judged.  Each row's
+    predicted value is inf past the float range; its ratio is taken with
+    both sides scaled into range by powers of two.
     """
     if not points:
         raise ValueError("points must be non-empty")
@@ -337,8 +337,6 @@ def asym_ratio_table(
         raise ValueError("points must be >= 1")
     name = "asym_ratio"
     rng_desc = f"points {pts}"
-    if gf is None:
-        gf = qfactory.sigma_mex_gf(MexVariant.OVERLINED, pts[-1])
     if gf.trunc_order < pts[-1]:
         raise ValueError(
             f"gf has order {gf.trunc_order}, below the largest point {pts[-1]}"
@@ -359,9 +357,9 @@ def asym_ratio_table(
         )
     devs = [(r.n, abs(r.ratio - 1.0)) for r in rows if r.n >= ASYM_REGIME_MIN]
     metrics = {f"dev_at_{n}": d for n, d in devs}
-    ok = bool(devs) and devs[-1][1] < final_dev
+    ok = bool(devs) and devs[-1][1] < ASYM_FINAL_DEV
     for (n0, d0), (n1, d1) in zip(devs, devs[1:]):
-        if d1 > d0 * step_slack:
+        if d1 > d0 * ASYM_STEP_SLACK:
             ok = False
             metrics["monotonicity_break_at"] = n1
             break
@@ -373,22 +371,20 @@ def asym_ratio_table(
 # magnitude of the next coefficient for the tolerance band.
 _SIGMA_TAYLOR = (2.0, -2.0, 5.0, -55.0 / 3.0, 1073.0 / 12.0)
 _SIGMA_NEXT_COEFF = 32671.0 / 60.0
+# At t >= 0.05 the tail past q^400 is below e^-20 per unit coefficient.
+SIGMA_TAYLOR_T = (0.05, 0.1)
+SIGMA_TAYLOR_ORDER = 400
 
 
-def check_sigma_taylor(
-    t_values: Sequence[float] = (0.05, 0.1), N: int = 400
-) -> VerifyReport:
-    """Truncated sigma(q) evaluated at q = e^-t against the degree-4
-    expansion polynomial, within twice the next term's magnitude."""
-    if N < 400:
-        raise ValueError("series truncation must be >= 400")
+def check_sigma_taylor() -> VerifyReport:
+    """Truncated sigma(q) evaluated at q = e^-t, t in SIGMA_TAYLOR_T,
+    against the degree-4 expansion polynomial, within twice the next
+    term's magnitude."""
     name = "sigma_taylor"
-    rng_desc = f"t in {list(t_values)}"
-    sigma = qfactory.ramanujan_sigma(N)
+    rng_desc = f"t in {list(SIGMA_TAYLOR_T)}"
+    sigma = qfactory.ramanujan_sigma(SIGMA_TAYLOR_ORDER)
     metrics = {}
-    for t in t_values:
-        if not 0.0 < t <= 0.2:
-            raise ValueError(f"t must lie in (0, 0.2], got {t}")
+    for t in SIGMA_TAYLOR_T:
         value = series.evaluate_real(sigma, math.exp(-t))
         poly = sum(c * t**k for k, c in enumerate(_SIGMA_TAYLOR))
         bound = 2.0 * _SIGMA_NEXT_COEFF * t**5
@@ -401,42 +397,34 @@ def check_sigma_taylor(
     return VerifyReport(name, PASS, rng_desc, metrics=metrics)
 
 
+INGHAM_T = (0.30, 0.25, 0.20)  # the points t, in the order they are judged
+
+
 def _ingham_scaled(gf: Series, t: float) -> float:
     a = series.evaluate_real(gf, math.exp(-t))
     return a * math.sqrt(math.pi) / math.sqrt(t) * math.exp(-math.pi**2 / (4 * t))
 
 
-def check_ingham_scaling(
-    N: int = 2000,
-    t_grid: Sequence[float] = (0.30, 0.25, 0.20),
-    gf: Series | None = None,
-) -> VerifyReport:
-    """The overlined sigma-mex series at q = e^-t, rescaled by the
+def check_ingham_scaling(gf: Series) -> VerifyReport:
+    """The overlined sigma-mex series gf at q = e^-t, rescaled by the
     Tauberian growth sqrt(t)/sqrt(pi) * e^(pi^2/(4t)), approaches 1
-    monotonically as t decreases; also checks the weakly increasing
-    coefficient precondition over the whole order."""
+    monotonically as t decreases through INGHAM_T; also checks the weakly
+    increasing coefficient precondition over the whole order."""
+    N = gf.trunc_order
+    # From order 800 on, the truncation tail at the smallest t in INGHAM_T
+    # is below e^(-0.2 * 800) = e^-160 per unit coefficient.
     if N < 800:
         raise ValueError("order must be >= 800 for a trustworthy tail")
     name = "ingham_scaling"
-    rng_desc = f"N={N}, t in {list(t_grid)}"
-    for t in t_grid:
-        if math.exp(-t * N) >= 1e-8:
-            raise ValueError(
-                f"t={t} leaves a truncation tail above 1e-8 at order {N}"
-            )
-    if gf is None:
-        gf = qfactory.sigma_mex_gf(MexVariant.OVERLINED, N)
-    if gf.trunc_order < N:
-        raise ValueError(f"gf has order {gf.trunc_order}, below N={N}")
+    rng_desc = f"N={N}, t in {list(INGHAM_T)}"
     for n in range(N):
         if gf[n + 1] < gf[n]:
             return VerifyReport(
                 name, FAIL, rng_desc, first_failure=(n, gf[n], gf[n + 1]),
                 metrics={"where": "weakly_increasing"},
             )
-    grid = sorted(t_grid, reverse=True)
-    scaled = [_ingham_scaled(gf, t) for t in grid]
-    metrics = {f"scaled_at_t={t}": s for t, s in zip(grid, scaled)}
+    scaled = [_ingham_scaled(gf, t) for t in INGHAM_T]
+    metrics = {f"scaled_at_t={t}": s for t, s in zip(INGHAM_T, scaled)}
     devs = [abs(s - 1.0) for s in scaled]
     ok = all(map(math.isfinite, scaled)) and all(
         d1 <= d0 for d0, d1 in zip(devs, devs[1:])
@@ -450,11 +438,15 @@ def check_ingham_scaling(
 DEFAULT_ASYM_POINTS = (100, 400, 900, 1600, 2500)
 
 
-def run_all(
-    order: int = 2000, oracle_n_max: int = 20, only: str | None = None
-) -> list:
-    """Run every check (or the one named by `only`) in a fixed order."""
+def run_all(order: int, oracle_n_max: int, only: str | None = None) -> Iterator:
+    """Run every check (or the one named by `only`) in a fixed order, each
+    as the iterator reaches it; an unknown `only` is a KeyError up front."""
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
+
+    @functools.cache
+    def overlined() -> Series:  # read by asym_ratio and ingham_scaling
+        return qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n)
+
     registry = {
         f"gf_vs_oracle:{v.value}": lambda v=v: check_gf_vs_oracle(v, oracle_n_max)
         for v in MexVariant
@@ -465,17 +457,14 @@ def run_all(
         "parity_all_even": lambda: check_parity_all_even(10000),
         "parity_density": lambda: check_parity_density(10000),
         "triangular_parity": lambda: check_triangular_parity(5000),
-        "asym_ratio": lambda: asym_ratio_table(
-            DEFAULT_ASYM_POINTS,
-            gf=qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n),
-        )[1],
+        "asym_ratio": lambda: asym_ratio_table(DEFAULT_ASYM_POINTS, overlined())[1],
         "sigma_taylor": lambda: check_sigma_taylor(),
-        "ingham_scaling": lambda: check_ingham_scaling(N=asym_n),
+        "ingham_scaling": lambda: check_ingham_scaling(overlined()),
     }
     if only is not None:
         if only not in registry:
             raise KeyError(
                 f"unknown check {only!r}; choose from {sorted(registry)}"
             )
-        return [registry[only]()]
-    return [build() for build in registry.values()]
+        registry = {only: registry[only]}
+    return (check() for check in registry.values())

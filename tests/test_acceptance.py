@@ -76,7 +76,8 @@ def test_criterion_4_parity_theorems():
 def test_criterion_5_parity_density():
     """Even-density of the overlined sigma-mex over n <= 10^4: floor 0.85,
     dyadic trend slack 0.01, exact value pinned from the calibration run."""
-    report = vf.check_parity_density(10_000, floor=0.85, trend_slack=0.01)
+    assert (vf.DENSITY_FLOOR, vf.DENSITY_TREND_SLACK) == (0.85, 0.01)
+    report = vf.check_parity_density(10_000)
     assert report.passed, report.to_dict()
     assert report.metrics["density"] == pytest.approx(0.9838, abs=1e-12)
 
@@ -84,12 +85,8 @@ def test_criterion_5_parity_density():
 def test_criterion_6_asymptotics(overlined_gf_2500):
     """|exact/predicted - 1| shrinks across {100,...,2500} with 2% slack
     per step and ends below 0.25."""
-    rows, report = vf.asym_ratio_table(
-        (100, 400, 900, 1600, 2500),
-        final_dev=0.25,
-        step_slack=1.02,
-        gf=overlined_gf_2500,
-    )
+    assert (vf.ASYM_FINAL_DEV, vf.ASYM_STEP_SLACK) == (0.25, 1.02)
+    rows, report = vf.asym_ratio_table((100, 400, 900, 1600, 2500), overlined_gf_2500)
     assert report.passed, report.to_dict()
     assert abs(rows[-1].ratio - 1.0) < 0.25
 
@@ -97,7 +94,8 @@ def test_criterion_6_asymptotics(overlined_gf_2500):
 def test_criterion_7_sigma_taylor():
     """sigma(e^-t) vs its degree-4 expansion at t in {0.05, 0.1}, within
     twice the magnitude of the next term."""
-    report = vf.check_sigma_taylor(t_values=(0.05, 0.1), N=400)
+    assert (vf.SIGMA_TAYLOR_T, vf.SIGMA_TAYLOR_ORDER) == ((0.05, 0.1), 400)
+    report = vf.check_sigma_taylor()
     assert report.passed, report.to_dict()
 
 
@@ -126,7 +124,7 @@ def test_criterion_9_property_suite():
         pbar = qf.overpartition_gf(20)
         total = se.zero(20)
         weighted = se.zero(20)
-        for m in qf.feasible_mex_values(variant, 20):
+        for m in qf.feasible_mex_values(20):
             counts = qf.mex_count_gf(variant, m, 20)
             total = se.add(total, counts)
             weighted = se.add(weighted, se.scale(counts, m))

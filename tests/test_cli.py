@@ -142,6 +142,39 @@ class TestVerify:
             cli.main(["verify", "--only", "euler", "--format", "csv"])
         assert exc.value.code == 2
 
+    def test_reports_streamed_as_checks_finish(self, monkeypatch):
+        # When the fourth check starts, the three before it are on stdout,
+        # each with its progress line on stderr.
+        class Stop(Exception):
+            pass
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        written = []
+
+        def euler(N):
+            written.append((stdout.getvalue(), stderr.getvalue()))
+            raise Stop
+
+        monkeypatch.setattr(verify, "check_euler_identity", euler)
+        with redirect_stdout(stdout), redirect_stderr(stderr), pytest.raises(Stop):
+            cli.main(["verify", "--max-n", "5"])
+        [(out, err)] = written
+        names = [f"gf_vs_oracle:{v}" for v in ("nonoverlined", "overlined", "all")]
+        assert [json.loads(line)["check_name"] for line in out.splitlines()] == names
+        assert err.splitlines() == [
+            f"[PASS] {name} (sigma n <= 5, counts n <= 5)" for name in names
+        ]
+
+    def test_out_file(self, tmp_path, capsys):
+        path = tmp_path / "reports.jsonl"
+        code, out, _ = run(
+            ["verify", "--only", "euler", "--order", "50", "--out", str(path)], capsys
+        )
+        assert code == 0
+        assert out == ""
+        _, expected, _ = run(["verify", "--only", "euler", "--order", "50"], capsys)
+        assert path.read_text() == expected
+
     def test_parity_checks(self, capsys):
         for name in ("parity_all_even", "parity_density", "triangular_parity"):
             code, out, _ = run(["verify", "--only", name], capsys)

@@ -159,7 +159,7 @@ class TestMexCountGf:
     def test_counts_sum_to_overpartition_numbers(self, variant):
         N = 300
         total = se.zero(N)
-        for m in qf.feasible_mex_values(variant, N):
+        for m in qf.feasible_mex_values(N):
             total = se.add(total, qf.mex_count_gf(variant, m, N))
         assert total.coeffs == qf.overpartition_gf(N).coeffs
 
@@ -167,14 +167,14 @@ class TestMexCountGf:
     def test_weighted_counts_sum_to_sigma(self, variant):
         N = 20
         total = se.zero(N)
-        for m in qf.feasible_mex_values(variant, N):
+        for m in qf.feasible_mex_values(N):
             total = se.add(total, se.scale(qf.mex_count_gf(variant, m, N), m))
         assert total.coeffs == qf.sigma_mex_gf(variant, N).coeffs
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_counts_match_oracle(self, variant):
         N = 12
-        for m in qf.feasible_mex_values(variant, N):
+        for m in qf.feasible_mex_values(N):
             gf = qf.mex_count_gf(variant, m, N)
             for n in range(1, N + 1):
                 assert gf[n] == cb.mex_counts(n, variant).get(m, 0), (variant, m, n)
@@ -187,7 +187,7 @@ class TestMexCountGf:
     def test_closed_form_matches_factorwise(self, variant):
         # Every feasible m at N=300, far past the m <= 7 the oracle reaches.
         N = 300
-        for m in qf.feasible_mex_values(variant, N):
+        for m in qf.feasible_mex_values(N):
             assert qf.mex_count_gf(variant, m, N) == _count_gf_by_factors(variant, m, N), m
 
 
@@ -229,6 +229,6 @@ class TestIdentityChains:
     def test_feasibility_bound(self):
         # m is feasible iff the forced parts 1..m-1 fit inside n.
         for n in (0, 1, 5, 20):
-            ms = qf.feasible_mex_values(MexVariant.ALL, n)
+            ms = qf.feasible_mex_values(n)
             assert all(comb(m, 2) <= n for m in ms)
             assert comb(ms[-1] + 1, 2) > n

@@ -1,5 +1,7 @@
 import json
 import math
+import types
+from collections import Counter
 
 import pytest
 
@@ -233,7 +235,7 @@ class TestParity:
         # A constant-odd parity sequence has even-density zero.
         n_max = 1000
         all_odd = (1 << (n_max + 1)) - 1
-        r = vf._density_report("control", all_odd, n_max, 0.85, 0.01)
+        r = vf._density_report("control", all_odd, n_max)
         assert not r.passed
         assert r.metrics["density"] == 0.0
 
@@ -267,6 +269,28 @@ class TestParity:
                 assert r.metrics["where"] == where, r.to_dict()
             else:
                 assert r.passed, r.to_dict()
+
+    def test_each_gf2_series_requested_once(self, monkeypatch):
+        # A parity check reads back the GF(2) series it has just compared
+        # with Z mod 2, rather than asking qfactory for it a second time.
+        requests = Counter()
+        seen_by_verify = types.SimpleNamespace(**vars(qf))
+        for builder in ("overpartition_gf", "sigma_mex_gf"):
+            def spy(*args, ring=se, original=getattr(qf, builder)):
+                if ring is se.GF2:
+                    requests[args] += 1
+                return original(*args, ring=ring)
+
+            setattr(seen_by_verify, builder, spy)
+        monkeypatch.setattr(vf, "qfactory", seen_by_verify)
+        for check, series_args in [
+            (vf.check_parity_all_even, [(300,), (MexVariant.ALL, 300)]),
+            (vf.check_parity_density, [(MexVariant.OVERLINED, 300)]),
+            (vf.check_triangular_parity, [(MexVariant.NON_OVERLINED, 300)]),
+        ]:
+            requests.clear()
+            assert check(300).passed
+            assert requests == Counter(series_args), check.__name__
 
     def test_wrong_integer_pbar_fails(self, monkeypatch):
         # Z P-bar off by one at n = 700, past the old mod-2 check order:
@@ -311,7 +335,7 @@ class TestGf2Arithmetic:
 class TestAsymptotics:
     def test_table_shape(self):
         gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 400)
-        rows, report = vf.asym_ratio_table((100, 400), gf=gf)
+        rows, report = vf.asym_ratio_table((100, 400), gf)
         assert [r.n for r in rows] == [100, 400]
         assert all(r.predicted > 0 and r.ratio > 0 for r in rows)
 
@@ -322,15 +346,15 @@ class TestAsymptotics:
 
     def test_small_points_recorded_but_not_judged(self):
         gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 400)
-        rows, report = vf.asym_ratio_table((4, 100, 400), final_dev=0.2, gf=gf)
+        rows, report = vf.asym_ratio_table((4, 100, 400), gf)
         assert rows[0].n == 4
         assert "dev_at_4" not in report.metrics
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
-            vf.asym_ratio_table(())
+            vf.asym_ratio_table((), se.one(100))
         with pytest.raises(ValueError):
-            vf.asym_ratio_table((0, 100))
+            vf.asym_ratio_table((0, 100), se.one(100))
 
     def test_past_float_range(self):
         # Exact values equal to the prediction, which passes 2^1000 near
@@ -342,7 +366,7 @@ class TestAsymptotics:
 
         pts = (100, 52000, 60000)
         gf = se.from_terms({n: growth(n) for n in pts}, 60000)
-        rows, report = vf.asym_ratio_table(pts, gf=gf)
+        rows, report = vf.asym_ratio_table(pts, gf)
         assert isinstance(report, vf.VerifyReport)
         assert [r.ratio for r in rows] == pytest.approx([1, 1, 1], rel=1e-8)
         assert math.isfinite(rows[1].predicted)
@@ -353,11 +377,11 @@ class TestAsymptotics:
 
     def test_short_gf_rejected(self):
         with pytest.raises(ValueError, match="gf has order 50, below"):
-            vf.asym_ratio_table((100,), gf=se.one(50))
+            vf.asym_ratio_table((100,), se.one(50))
 
     def test_huge_coefficients_report(self):
         gf = se.from_coeffs([10**400] * 2501, 2500)
-        rows, report = vf.asym_ratio_table(vf.DEFAULT_ASYM_POINTS, gf=gf)
+        rows, report = vf.asym_ratio_table(vf.DEFAULT_ASYM_POINTS, gf)
         assert report.status == vf.FAIL
         assert rows[-1].ratio > 1e300
 
@@ -372,35 +396,21 @@ class TestSigmaTaylor:
         sigma = qf.ramanujan_sigma(400)
         assert se.evaluate_real(sigma, math.exp(-0.02)) == pytest.approx(2.0, abs=0.05)
 
-    def test_t_out_of_range(self):
-        with pytest.raises(ValueError):
-            vf.check_sigma_taylor(t_values=(0.5,))
-
 
 class TestInghamScaling:
     def test_passes(self):
         gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 900)
-        assert vf.check_ingham_scaling(N=900, gf=gf).passed
-
-    def test_tail_rule_enforced(self):
-        gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 900)
-        with pytest.raises(ValueError):
-            vf.check_ingham_scaling(N=900, t_grid=(0.01,), gf=gf)
-
-    def test_short_gf_rejected(self):
-        gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 900)
-        with pytest.raises(ValueError, match="gf has order 900, below N=1000"):
-            vf.check_ingham_scaling(N=1000, gf=gf)
+        assert vf.check_ingham_scaling(gf).passed
 
     def test_constant_series_control(self):
         flat = se.one(900)
-        r = vf.check_ingham_scaling(N=900, gf=flat)
+        r = vf.check_ingham_scaling(flat)
         assert not r.passed
 
     def test_huge_coefficients_report(self):
         # 10^400 q^n summed at q = e^-t is past the float range: a FAIL
         # report, not an OverflowError.
-        r = vf.check_ingham_scaling(N=900, gf=se.from_coeffs([10**400] * 901, 900))
+        r = vf.check_ingham_scaling(se.from_coeffs([10**400] * 901, 900))
         assert r.status == vf.FAIL
         assert r.metrics["scaled_at_t=0.3"] == math.inf
         json.loads(json.dumps(r.to_dict()))
@@ -409,7 +419,7 @@ class TestInghamScaling:
         # Increasing everywhere except one step down from n = 2099 to 2100.
         coeffs = list(range(1, 2502))
         coeffs[2100] = coeffs[2099] - 1
-        r = vf.check_ingham_scaling(N=2500, gf=se.from_coeffs(coeffs, 2500))
+        r = vf.check_ingham_scaling(se.from_coeffs(coeffs, 2500))
         assert not r.passed
         assert r.metrics["where"] == "weakly_increasing"
         assert r.first_failure == (2099, 2100, 2099)
@@ -417,13 +427,13 @@ class TestInghamScaling:
 
 class TestRunAll:
     def test_single_check_selection(self):
-        reports = vf.run_all(order=100, oracle_n_max=5, only="euler")
+        reports = list(vf.run_all(100, 5, only="euler"))
         assert len(reports) == 1
         assert reports[0].check_name == "euler_identity"
 
     def test_unknown_check(self):
         with pytest.raises(KeyError):
-            vf.run_all(only="nope")
+            vf.run_all(100, 5, only="nope")
 
     def test_reports_deterministic(self):
         a = vf.check_parity_density(400)

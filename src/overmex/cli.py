@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -32,33 +31,31 @@ MAX_ORDER = 100_000
 #: n=45.  Both grow like e^(c sqrt(n)).
 DEFAULT_ORACLE_LIMIT = 45
 
-_VARIANTS = {
-    "nonoverlined": MexVariant.NON_OVERLINED,
-    "overlined": MexVariant.OVERLINED,
-    "all": MexVariant.ALL,
-}
 
-
-def _write(text: str, out_path: str | None) -> None:
+def _output(out_path: str | None):
+    """The --out file opened for writing, or stdout; opened before any
+    work, so that an unopenable path is refused at once."""
     if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out_path, "w")
 
 
-def _emit_rows(rows, header, fmt: str, out_path: str | None) -> None:
+def _emit_rows(rows, header, fmt: str, out) -> None:
     """Same numeric content in both formats: CSV uses the header order,
-    JSON emits one object per row with the header fields as keys."""
+    JSON emits one object per row with the header fields as keys.  Each
+    row is written as the iterable yields it; the JSON text is that of
+    json.dumps(objects, indent=2) + "\n"."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
-        _write(buf.getvalue(), out_path)
-    else:
-        objs = [dict(zip(header, row)) for row in rows]
-        _write(json.dumps(objs, indent=2) + "\n", out_path)
+        return
+    sep = "[\n  "
+    for row in rows:
+        obj = json.dumps(dict(zip(header, row)), indent=2)
+        out.write(sep + obj.replace("\n", "\n  "))
+        sep = ",\n  "
+    out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 def _above_oracle_limit(args) -> bool:
@@ -82,7 +79,7 @@ def _above_max_order(order: int, flag: str) -> bool:
 
 
 def cmd_table(args) -> int:
-    variant = _VARIANTS[args.variant]
+    variant = MexVariant(args.variant)
     n_max = args.max_n
     if _above_max_order(n_max, "--max-n"):
         return EXIT_USAGE
@@ -90,26 +87,27 @@ def cmd_table(args) -> int:
     use_oracle = args.method in ("oracle", "both")
     if use_oracle and _above_oracle_limit(args):
         return EXIT_USAGE
-    gf = qfactory.sigma_mex_gf(variant, n_max) if use_series else None
-    rows = []
-    mismatch = False
-    for n in range(n_max + 1):
-        if args.method == "both":
-            s = gf[n]
-            o = combinat.sigma_mex_oracle(n, variant)
-            match = s == o
-            mismatch = mismatch or not match
-            rows.append((n, str(s), str(o), "match" if match else "MISMATCH"))
-        elif args.method == "series":
-            rows.append((n, str(gf[n]), "series"))
-        else:
-            rows.append((n, str(combinat.sigma_mex_oracle(n, variant)), "oracle"))
-    header = (
-        ("n", "series", "oracle", "match")
-        if args.method == "both"
-        else ("n", "value", "method")
-    )
-    _emit_rows(rows, header, args.format, args.out)
+    with _output(args.out) as out:
+        gf = qfactory.sigma_mex_gf(variant, n_max) if use_series else None
+        rows = []
+        mismatch = False
+        for n in range(n_max + 1):
+            if args.method == "both":
+                s = gf[n]
+                o = combinat.sigma_mex_oracle(n, variant)
+                match = s == o
+                mismatch = mismatch or not match
+                rows.append((n, str(s), str(o), "match" if match else "MISMATCH"))
+            elif args.method == "series":
+                rows.append((n, str(gf[n]), "series"))
+            else:
+                rows.append((n, str(combinat.sigma_mex_oracle(n, variant)), "oracle"))
+        header = (
+            ("n", "series", "oracle", "match")
+            if args.method == "both"
+            else ("n", "value", "method")
+        )
+        _emit_rows(rows, header, args.format, out)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
@@ -119,17 +117,14 @@ def cmd_verify(args) -> int:
     if args.order < 1:
         print(f"--order {args.order} is below the smallest order 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        reports = verify.run_all(args.order, args.max_n, only=args.only)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
     passed = True
-    # Each report is written, with its progress line, as its check finishes.
-    with (
-        open(args.out, "w") if args.out is not None
-        else contextlib.nullcontext(sys.stdout)
-    ) as out:
+    with _output(args.out) as out:
+        try:
+            reports = verify.run_all(args.order, args.max_n, only=args.only)
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
+            return EXIT_USAGE
+        # Each report is written, with its progress line, as its check finishes.
         for r in reports:
             out.write(json.dumps(r.to_dict()) + "\n")
             out.flush()
@@ -138,48 +133,33 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
+def _enum_row(pi, fmt: str) -> tuple:
+    """An overpartition and its three mex values.  JSON spells the overline
+    out as a boolean per group; the ~ marker is the CSV-only encoding."""
+    shown = (
+        [{"part": p, "count": c, "overlined": o} for p, c, o in pi.groups]
+        if fmt == "json" else pi.display()
+    )
+    return (shown, *(combinat.mex_statistic(pi, v) for v in MexVariant))
+
+
 def cmd_enum(args) -> int:
     n = args.max_n
     if _above_oracle_limit(args):
         return EXIT_USAGE
-    if args.by_class:
-        rows = [
-            ("+".join(map(str, partition)) or "(empty)", size, mex)
-            for partition, size, mex in combinat.class_decomposition(n)
-        ]
-        _emit_rows(rows, ("underlying", "class_size", "mex_all"), args.format, args.out)
-        return EXIT_OK
-    listing = list(combinat.enumerate_overpartitions(n))
-    mexes = [
-        (
-            combinat.mex_statistic(pi, MexVariant.NON_OVERLINED),
-            combinat.mex_statistic(pi, MexVariant.OVERLINED),
-            combinat.mex_statistic(pi, MexVariant.ALL),
-        )
-        for pi in listing
-    ]
-    if args.format == "json":
-        # JSON spells the overline out as a boolean per group; the ~ marker
-        # is the CSV-only encoding.
-        objs = [
-            {
-                "groups": [
-                    {"part": p, "count": c, "overlined": o} for p, c, o in pi.groups
-                ],
-                "mex_nonoverlined": non,
-                "mex_overlined": over,
-                "mex_all": all_,
-            }
-            for pi, (non, over, all_) in zip(listing, mexes)
-        ]
-        _write(json.dumps(objs, indent=2) + "\n", args.out)
-        return EXIT_OK
-    rows = [
-        (pi.display(), non, over, all_)
-        for pi, (non, over, all_) in zip(listing, mexes)
-    ]
-    header = ("overpartition", "mex_nonoverlined", "mex_overlined", "mex_all")
-    _emit_rows(rows, header, args.format, args.out)
+    with _output(args.out) as out:
+        if args.by_class:
+            rows = (
+                ("+".join(map(str, partition)) or "(empty)", size, mex)
+                for partition, size, mex in combinat.class_decomposition(n)
+            )
+            header = ("underlying", "class_size", "mex_all")
+        else:
+            # Each row is written as its overpartition is enumerated.
+            rows = (_enum_row(pi, args.format) for pi in combinat.enumerate_overpartitions(n))
+            shown = "groups" if args.format == "json" else "overpartition"
+            header = (shown, "mex_nonoverlined", "mex_overlined", "mex_all")
+        _emit_rows(rows, header, args.format, out)
     return EXIT_OK
 
 
@@ -194,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, need_variant=False, need_format=True):
         if need_variant:
             p.add_argument(
-                "--variant", choices=sorted(_VARIANTS), default="overlined"
+                "--variant", choices=sorted(v.value for v in MexVariant),
+                default="overlined",
             )
         if need_format:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -242,7 +223,7 @@ def main(argv=None) -> int:
         parser.error("--max-n must be non-negative")
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unopenable --out
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,7 +10,8 @@ in explicitly.
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
 The same rule bounds every sum with a leading q^(m choose 2) or
-q^(m+1 choose 2) factor.
+q^(m+1 choose 2) factor.  The sums over 1/(-q;q)_m run by Horner's rule:
+one polynomial numerator per term, one division by (1 + q^(m+1)) per step.
 
 Builders with a `ring` keyword build over Z by default (ring=series) or
 mod 2 (ring=series.GF2) from one body.
@@ -107,28 +108,24 @@ def overpartition_gf(N: int, *, ring=series):
     return ring.div(ring.one(N), theta_neg(N, ring=ring))
 
 
-def _negq_sum(N: int, ring, weight, lead, one_minus_qm: bool = False):
-    """sum_{m>=0} weight(m) q^lead(m) g_m(q) / (-q;q)_m to order N, where
-    g_m = 1 - q^m if one_minus_qm else 1.  lead must increase with m; terms
-    of weight zero are skipped."""
-    acc = ring.zero(N)
-    inv = ring.one(N)  # 1 / (-q;q)_m, updated incrementally
-    m = 0
-    while lead(m) <= N:
-        if m > 0:
-            inv = ring.div_binomial(inv, +1, m)
-        w = weight(m)
-        if w:
-            term = ring.mul_binomial(inv, -1, m) if one_minus_qm else inv
-            acc = ring.add(acc, ring.shift(ring.scale(term, w), lead(m)))
-        m += 1
+def _negq_sum(N: int, ring, terms):
+    """sum_{m>=0} terms(m) / (-q;q)_m to order N, where terms(m) is the m-th
+    numerator as a {exponent: coefficient} polynomial whose lowest exponent
+    increases with m.  Horner's rule from the last term that reaches q^N:
+    t_0 + (t_1 + (t_2 + ...) / (1 + q^2)) / (1 + q)."""
+    top = 0
+    while min(terms(top + 1)) <= N:
+        top += 1
+    acc = ring.from_terms({}, N)
+    for m in range(top, -1, -1):
+        acc = ring.add(ring.from_terms(terms(m), N), ring.div_binomial(acc, +1, m + 1))
     return acc
 
 
 @_cached
 def ramanujan_sigma(N: int, *, ring=series):
     """The Lost Notebook series sum_{m>=0} q^(m+1 choose 2) / (-q;q)_m."""
-    return _negq_sum(N, ring, lambda m: 1, lambda m: comb(m + 1, 2))
+    return _negq_sum(N, ring, lambda m: {comb(m + 1, 2): 1})
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +158,7 @@ def phi11(N: int) -> Series:
 def phi11_simplified(N: int, *, ring=series):
     """The collapsed form sum_n 2^n q^(n+1 choose 2) / (-q;q)_n; must agree
     with phi11 coefficient by coefficient."""
-    return _negq_sum(N, ring, lambda n: 2**n, lambda n: comb(n + 1, 2))
+    return _negq_sum(N, ring, lambda n: {comb(n + 1, 2): 2**n})
 
 
 @_cached
@@ -169,14 +166,19 @@ def overlined_mex_weighted_sum(N: int, *, ring=series):
     """sum_{m>=1} m q^(m choose 2) / (-q;q)_m: the pre-telescoping form
     whose product with the overpartition series gives the overlined
     sigma-mex generating function."""
-    return _negq_sum(N, ring, lambda m: m, lambda m: comb(m, 2))
+    return _negq_sum(N, ring, lambda m: {comb(m, 2): m})
 
 
 @_cached
 def all_mex_raw_sum(N: int, *, ring=series):
     """sum_{m>=1} m 2^(m-1) q^(m choose 2) (1 - q^m) / (-q;q)_m: the raw
     derivative of the all-parts double series, before simplification."""
-    return _negq_sum(N, ring, lambda m: m * 2**m // 2, lambda m: comb(m, 2), True)
+
+    def terms(m):  # (1 - q^m) written out as two monomials
+        c = m * 2**m // 2  # m 2^(m-1), and 0 at m = 0
+        return {comb(m, 2): c, comb(m + 1, 2): -c}
+
+    return _negq_sum(N, ring, terms)
 
 
 @_cached

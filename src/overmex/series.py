@@ -6,15 +6,17 @@ else.  Binary operations silently truncate to the smaller of the two
 operands' orders; callers build every factor at one global N, so the
 common case never loses information.
 
-This module is the Z ring the q-series builders are written against
-(one, zero, from_terms, add, scale, shift, mul, div, mul_binomial,
-div_binomial); GF2 is the same interface mod 2, on Python-int bitmasks.
-Z `mul` is one Kronecker substitution (a single big-integer product);
-`div` walks only the divisor's nonzero terms, so dividing by a sparse
-theta-like series is O(N * nnz).
+This module is the Z ring the q-series builders are written against.
+The ring interface is the kernels the ring-generic builders call: one,
+from_terms, add, mul, div, mul_binomial and div_binomial.  GF2 is the
+same interface mod 2, on Python-int bitmasks.  Z also has zero, scale
+and shift, for the Z-only builders (the 1phi1 defining sum and the
+per-m count series).  Z `mul` is one Kronecker substitution (a single
+big-integer product); `div` walks only the divisor's nonzero terms, so
+dividing by a sparse theta-like series is O(N * nnz).
 
-Values are immutable and safe to share between workers; all operations
-are pure functions returning new values.
+Values are immutable; all operations are pure functions returning new
+values.
 """
 
 from __future__ import annotations
@@ -233,9 +235,6 @@ class _GF2Ring:
     The binomial kernels take coefficient +-1, the only one the builders
     use; mod 2, (1 - q^k) and (1 + q^k) coincide."""
 
-    def zero(self, trunc_order: int) -> GF2Series:
-        return GF2Series(0, trunc_order)
-
     def one(self, trunc_order: int) -> GF2Series:
         return GF2Series(1, trunc_order)
 
@@ -248,12 +247,6 @@ class _GF2Ring:
 
     def add(self, a: GF2Series, b: GF2Series) -> GF2Series:
         return GF2Series(a.bits ^ b.bits, min(a.trunc_order, b.trunc_order))
-
-    def scale(self, a: GF2Series, c: int) -> GF2Series:
-        return a if c % 2 else GF2Series(0, a.trunc_order)
-
-    def shift(self, a: GF2Series, k: int) -> GF2Series:
-        return GF2Series(a.bits << k, a.trunc_order)
 
     def mul(self, a: GF2Series, b: GF2Series) -> GF2Series:
         """Carry-less product; walks only the set bits of the sparser operand."""

@@ -231,6 +231,28 @@ class TestEnum:
         assert objs[1]["groups"] == [{"part": 3, "count": 1, "overlined": True}]
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_streamed_as_enumerated(self, fmt, monkeypatch, capsys):
+        # When the 20th overpartition is about to be yielded, the 19 before
+        # it are already written: no listing of all of them is held.
+        _, expected, _ = run(["enum", "--max-n", "6", "--format", fmt], capsys)
+        stdout = io.StringIO()
+        enumerate_all = combinat.enumerate_overpartitions
+        rows = {"csv": lambda: stdout.getvalue().count("\n") - 1,
+                "json": lambda: stdout.getvalue().count('"mex_all"')}[fmt]
+
+        def watched(n):
+            for k, pi in enumerate(enumerate_all(n), 1):
+                if k == 20:
+                    assert rows() == 19
+                yield pi
+
+        monkeypatch.setattr(combinat, "enumerate_overpartitions", watched)
+        with redirect_stdout(stdout):
+            assert cli.main(["enum", "--max-n", "6", "--format", fmt]) == 0
+        assert stdout.getvalue() == expected
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -257,9 +279,15 @@ class TestRefusals:
          "--order 0 is below the smallest order"),
         (["verify", "--only", "euler", "--order", "-1"],
          "--order -1 is below the smallest order"),
+        (["verify", "--only", "sigma_taylor", "--out", "/nonexistent/x.jsonl"],
+         "No such file or directory"),
+        (["table", "--max-n", "3", "--out", "/nonexistent/x.csv"],
+         "No such file or directory"),
+        (["enum", "--max-n", "2", "--out", "/"], "Is a directory"),
     ], ids=["table_oracle", "table_both", "verify", "enum", "enum_by_class",
             "table_order", "verify_order", "verify_order_zero",
-            "identities_order_zero", "euler_order_negative"])
+            "identities_order_zero", "euler_order_negative", "verify_out",
+            "table_out", "enum_out"])
     def test_refused_before_any_work(self, argv, message, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("work started")

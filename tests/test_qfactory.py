@@ -58,6 +58,16 @@ class TestRings:
         assert values(qf.theta_neg(N, ring=ring)) == values(ring.div(q_q, negq_q))
         assert values(qf.distinct_parts_gf(N, ring=ring)) == values(negq_q)
 
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 50, 300, 2000])
+    def test_negq_sums_match_running_inverse(self, ring, N):
+        def values(s):
+            return [s[n] for n in range(N + 1)]
+
+        for builder, weight, lead, one_minus_qm in NEGQ_SUMS:
+            expected = _negq_sum_by_running_inverse(N, ring, weight, lead, one_minus_qm)
+            assert values(builder(N, ring=ring)) == values(expected), builder.__name__
+
     def test_one_cache_entry_per_ring(self):
         before = qf.overpartition_gf.cache_info().currsize
         a = qf.overpartition_gf(37)
@@ -65,6 +75,33 @@ class TestRings:
         assert qf.overpartition_gf.cache_info().currsize == before + 1
         qf.overpartition_gf(37, ring=se.GF2)
         assert qf.overpartition_gf.cache_info().currsize == before + 2
+
+
+# The four sums over 1/(-q;q)_m as (builder, weight, lead, one_minus_qm):
+# sum_m weight(m) q^lead(m) g_m / (-q;q)_m with g_m = 1 - q^m or 1.
+NEGQ_SUMS = [
+    (qf.ramanujan_sigma, lambda m: 1, lambda m: comb(m + 1, 2), False),
+    (qf.phi11_simplified, lambda m: 2**m, lambda m: comb(m + 1, 2), False),
+    (qf.overlined_mex_weighted_sum, lambda m: m, lambda m: comb(m, 2), False),
+    (qf.all_mex_raw_sum, lambda m: m * 2**m // 2, lambda m: comb(m, 2), True),
+]
+
+
+def _negq_sum_by_running_inverse(N, ring, weight, lead, one_minus_qm):
+    """The sum term by term from m = 0: a running 1/(-q;q)_m, one
+    division by (1 + q^m) per term, each nonzero term times the monomial
+    weight(m) q^lead(m) and added in.  The reference for Horner's rule."""
+    acc = ring.from_terms({}, N)
+    inv = ring.one(N)  # 1 / (-q;q)_m
+    m = 0
+    while lead(m) <= N:
+        if m > 0:
+            inv = ring.div_binomial(inv, +1, m)
+        if weight(m):
+            term = ring.mul_binomial(inv, -1, m) if one_minus_qm else inv
+            acc = ring.add(acc, ring.mul(term, ring.from_terms({lead(m): weight(m)}, N)))
+        m += 1
+    return acc
 
 
 class TestPochhammer:

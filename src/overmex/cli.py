@@ -1,7 +1,9 @@
 """Command-line front door: sigma-mex tables, the verification suite, and
 deterministic overpartition listings.
 
-Exit codes: 0 success, 1 verification/mismatch failure, 2 usage error.
+Exit codes: 0 success, 1 verification/mismatch failure, 2 usage error,
+141 (128 + SIGPIPE) when the reader of stdout goes away, say `| head`;
+that exit is silent, as for a tool the closed pipe killed.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 
 from . import combinat, qfactory, verify
@@ -18,6 +21,7 @@ from .qfactory import MexVariant
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 #: The largest series order a command accepts: one series at order 10^5
 #: holds about 12 MB of integers (about 4.5 sqrt(n) bits at q^n).  Larger
@@ -32,12 +36,12 @@ MAX_ORDER = 100_000
 DEFAULT_ORACLE_LIMIT = 45
 
 
-def _output(out_path: str | None):
+def _output(out_path: str | None, mode: str = "w"):
     """The --out file opened for writing, or stdout; opened before any
     work, so that an unopenable path is refused at once."""
     if out_path is None:
         return contextlib.nullcontext(sys.stdout)
-    return open(out_path, "w")
+    return open(out_path, mode)
 
 
 def _emit_rows(rows, header, fmt: str, out) -> None:
@@ -118,12 +122,16 @@ def cmd_verify(args) -> int:
         print(f"--order {args.order} is below the smallest order 1", file=sys.stderr)
         return EXIT_USAGE
     passed = True
-    with _output(args.out) as out:
+    # Opened without truncating, and emptied only once run_all has accepted
+    # --only, so that an unknown check name leaves an existing file intact.
+    with _output(args.out, "a") as out:
         try:
             reports = verify.run_all(args.order, args.max_n, only=args.only)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return EXIT_USAGE
+        if args.out is not None:
+            out.truncate(0)
         # Each report is written, with its progress line, as its check finishes.
         for r in reports:
             out.write(json.dumps(r.to_dict()) + "\n")
@@ -223,6 +231,11 @@ def main(argv=None) -> int:
         parser.error("--max-n must be non-negative")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout now points at devnull, so the interpreter's final flush of
+        # what is still buffered stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:  # OSError: an unopenable --out
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

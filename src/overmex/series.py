@@ -13,7 +13,11 @@ same interface mod 2, on Python-int bitmasks.  Z also has zero, scale
 and shift, for the Z-only builders (the 1phi1 defining sum and the
 per-m count series).  Z `mul` is one Kronecker substitution (a single
 big-integer product); `div` walks only the divisor's nonzero terms, so
-dividing by a sparse theta-like series is O(N * nnz).
+dividing by a sparse theta-like series is O(N * nnz).  The binomial
+kernels take the factor (1 +- q^e), coefficient +1 or -1 and nothing
+else, on both rings; over Z each is a few C-level passes (map,
+accumulate) over slices of the coefficients, with no Python loop per
+coefficient.
 
 Values are immutable; all operations are pure functions returning new
 values.
@@ -22,7 +26,9 @@ values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 FLOAT_BITS = 1000
@@ -179,24 +185,41 @@ def ldexp(x: float, k: int) -> float:
     return math.ldexp(x, k)
 
 
-def mul_binomial(a: Series, coefficient: int, exponent: int) -> Series:
-    """a * (1 + coefficient * q^exponent) in O(N) -- the Pochhammer workhorse."""
+def _check_binomial(coefficient: int, exponent: int) -> None:
+    """The binomial kernels' contract, on both rings: the factor is
+    (1 +- q^exponent) with exponent >= 1."""
     if exponent < 1:
         raise ValueError("binomial exponent must be positive")
-    n = a.trunc_order
-    out = list(a.coeffs)
-    for i in range(n, exponent - 1, -1):
-        out[i] += coefficient * a.coeffs[i - exponent]
-    return Series(tuple(out))
+    if coefficient not in (1, -1):
+        raise ValueError(f"binomial coefficient must be +1 or -1, got {coefficient}")
+
+
+def mul_binomial(a: Series, coefficient: int, exponent: int) -> Series:
+    """a * (1 +- q^e): c_i +- c_(i-e), one C-level map over the
+    coefficients -- the Pochhammer workhorse."""
+    _check_binomial(coefficient, exponent)
+    op = operator.add if coefficient > 0 else operator.sub
+    c = a.coeffs
+    return Series((*c[:exponent], *map(op, c[exponent:], c)))
 
 
 def div_binomial(a: Series, coefficient: int, exponent: int) -> Series:
-    """a / (1 + coefficient * q^exponent) in O(N)."""
-    if exponent < 1:
-        raise ValueError("binomial exponent must be positive")
+    """a / (1 +- q^e): out_i = a_i -+ out_(i-e), a running (alternating)
+    sum along each residue class mod e.  One accumulate per class while
+    e^2 < N + 1, else each e-block combined with the block before it:
+    about min(e, N/e) C-level passes, and each output int made once."""
+    _check_binomial(coefficient, exponent)
     out = list(a.coeffs)
-    for i in range(exponent, a.trunc_order + 1):
-        out[i] -= coefficient * out[i - exponent]
+    n, e = len(out), exponent
+    if e * e < n:
+        # accumulate calls step(acc, x): x + acc, or x - acc by int.__rsub__.
+        step = int.__rsub__ if coefficient > 0 else operator.add
+        for r in range(e):
+            out[r::e] = accumulate(out[r::e], step)
+    else:
+        op = operator.sub if coefficient > 0 else operator.add
+        for s in range(e, n, e):
+            out[s : s + e] = map(op, out[s : s + e], out[s - e : s])
     return Series(tuple(out))
 
 
@@ -232,8 +255,8 @@ class GF2Series:
 
 class _GF2Ring:
     """The ring interface of this module, mod 2 and on GF2Series values.
-    The binomial kernels take coefficient +-1, the only one the builders
-    use; mod 2, (1 - q^k) and (1 + q^k) coincide."""
+    The binomial kernels take coefficient +-1 and refuse any other, as
+    over Z; mod 2, (1 - q^k) and (1 + q^k) coincide."""
 
     def one(self, trunc_order: int) -> GF2Series:
         return GF2Series(1, trunc_order)
@@ -278,14 +301,12 @@ class _GF2Ring:
         return out
 
     def mul_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
-        if exponent < 1:
-            raise ValueError("binomial exponent must be positive")
+        _check_binomial(coefficient, exponent)
         return GF2Series(a.bits ^ (a.bits << exponent), a.trunc_order)
 
     def div_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
         """a / (1 + q^k) via 1/(1 + x) = prod_i (1 + x^(2^i))."""
-        if exponent < 1:
-            raise ValueError("binomial exponent must be positive")
+        _check_binomial(coefficient, exponent)
         n = a.trunc_order
         mask = (1 << (n + 1)) - 1
         out = a.bits

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -116,6 +119,24 @@ class TestVerify:
         code, _, err = run(["verify", "--only", "bogus"], capsys)
         assert code == 2
         assert "unknown check" in err
+
+    def test_unknown_check_keeps_out_file(self, tmp_path, capsys):
+        path = tmp_path / "keep.jsonl"
+        path.write_bytes(b'{"kept": true}\n')
+        code, _, err = run(["verify", "--only", "bogus", "--out", str(path)], capsys)
+        assert code == 2
+        assert "unknown check" in err
+        assert path.read_bytes() == b'{"kept": true}\n'
+
+    def test_out_file_replaces_old_contents(self, tmp_path, capsys):
+        path = tmp_path / "reports.jsonl"
+        path.write_text("stale\n" * 100)
+        code, _, _ = run(
+            ["verify", "--only", "euler", "--order", "50", "--out", str(path)], capsys
+        )
+        assert code == 0
+        [line] = path.read_text().splitlines()
+        assert json.loads(line)["check_name"] == "euler_identity"
 
     def test_max_n_above_oracle_limit_refused(self, capsys):
         code, out, err = run(
@@ -263,6 +284,25 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "--variant", "weird", "--max-n", "3"])
         assert exc.value.code == 2
+
+
+class TestClosedPipe:
+    def test_closed_stdout_exits_quietly(self):
+        # The reader takes one row and goes away, as `| head -n 1` does.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "overmex.cli", "enum", "--max-n", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"overpartition,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
 
 
 class TestRefusals:

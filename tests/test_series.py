@@ -30,6 +30,24 @@ def schoolbook_mul(a, b):
     return se.Series(tuple(out))
 
 
+def _mul_binomial_by_index(a, coefficient, exponent):
+    """a * (1 + coefficient q^exponent), one coefficient at a time: the
+    reference for the slice-wise mul_binomial."""
+    out = list(a.coeffs)
+    for i in range(a.trunc_order, exponent - 1, -1):
+        out[i] += coefficient * a.coeffs[i - exponent]
+    return se.Series(tuple(out))
+
+
+def _div_binomial_by_index(a, coefficient, exponent):
+    """a / (1 + coefficient q^exponent), one coefficient at a time: the
+    reference for the slice-wise div_binomial."""
+    out = list(a.coeffs)
+    for i in range(exponent, a.trunc_order + 1):
+        out[i] -= coefficient * out[i - exponent]
+    return se.Series(tuple(out))
+
+
 def to_gf2(a):
     return se.GF2Series(sum((c % 2) << n for n, c in enumerate(a.coeffs)), a.trunc_order)
 
@@ -272,12 +290,30 @@ class TestHelpers:
             c = rng.choice([1, -1])
             assert se.div_binomial(se.mul_binomial(a, c, k), c, k).coeffs == a.coeffs
 
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 7, 40, 200])
+    def test_binomial_kernels_match_index_loops(self, N):
+        # Every exponent up to N + 2: both div_binomial branches (e^2 < N + 1
+        # and not) and exponents past the order.
+        rng = random.Random(N)
+        for exponent in range(1, N + 3):
+            for c in (1, -1):
+                a = random_series(rng, N, lo=-(2**300), hi=2**300)
+                assert se.mul_binomial(a, c, exponent) == _mul_binomial_by_index(a, c, exponent)
+                assert se.div_binomial(a, c, exponent) == _div_binomial_by_index(a, c, exponent)
+
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("kernel", ["mul_binomial", "div_binomial"])
     @pytest.mark.parametrize("exponent", [0, -1])
     def test_binomial_exponent_below_one_refused(self, ring, kernel, exponent):
         with pytest.raises(ValueError):
             getattr(ring, kernel)(ring.one(5), -1, exponent)
+
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("kernel", ["mul_binomial", "div_binomial"])
+    @pytest.mark.parametrize("coefficient", [0, 2, -2])
+    def test_binomial_coefficient_other_than_unit_refused(self, ring, kernel, coefficient):
+        with pytest.raises(ValueError, match="coefficient"):
+            getattr(ring, kernel)(ring.one(5), coefficient, 1)
 
     def test_shift_drops_overflow(self):
         assert se.shift(S([1, 2, 3], 2), 2).coeffs == (0, 0, 1)

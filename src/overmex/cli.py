@@ -36,12 +36,12 @@ MAX_ORDER = 100_000
 DEFAULT_ORACLE_LIMIT = 45
 
 
-def _output(out_path: str | None, mode: str = "w"):
+def _output(out_path: str | None):
     """The --out file opened for writing, or stdout; opened before any
     work, so that an unopenable path is refused at once."""
     if out_path is None:
         return contextlib.nullcontext(sys.stdout)
-    return open(out_path, mode)
+    return open(out_path, "w")
 
 
 def _emit_rows(rows, header, fmt: str, out) -> None:
@@ -121,19 +121,16 @@ def cmd_verify(args) -> int:
     if args.order < 1:
         print(f"--order {args.order} is below the smallest order 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.only is not None and args.only not in verify.CHECKS:
+        print(
+            f"unknown check {args.only!r}; choose from {sorted(verify.CHECKS)}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     passed = True
-    # Opened without truncating, and emptied only once run_all has accepted
-    # --only, so that an unknown check name leaves an existing file intact.
-    with _output(args.out, "a") as out:
-        try:
-            reports = verify.run_all(args.order, args.max_n, only=args.only)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return EXIT_USAGE
-        if args.out is not None:
-            out.truncate(0)
+    with _output(args.out) as out:
         # Each report is written, with its progress line, as its check finishes.
-        for r in reports:
+        for r in verify.run_all(args.order, args.max_n, only=args.only):
             out.write(json.dumps(r.to_dict()) + "\n")
             out.flush()
             print(f"[{r.status}] {r.check_name} ({r.range_checked})", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Builders for the named q-series: the sparse theta(-q) and pentagonal
 series, the overpartition generating function P-bar = 1/theta(-q),
-Ramanujan's sigma series, the collapsed 1phi1 sum, and the three
-sigma-mex generating functions with their per-m count series, each the
-cached P-bar with a few binomial factors swapped.  The defining forms the
-checks compare these with, the Pochhammer products and the 1phi1 defining
-sum, are folds of binomial factors (1 +- q^e), each multiplied or divided
-in explicitly.
+Ramanujan's sigma series, the collapsed 1phi1 sum, the three sigma-mex
+generating functions, the non-overlined one a quotient of pentagonal
+cubes, and their per-m count series, each the cached P-bar with a few
+binomial factors swapped.  The defining forms the checks compare these
+with, the Pochhammer products and the 1phi1 defining sum, are folds of
+binomial factors (1 +- q^e), each multiplied or divided in explicitly.
 
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
@@ -50,18 +50,15 @@ def _cached(builder):
 
 
 @_cached
-def pochhammer(sign: int, step: int, N: int, *, ring=series):
-    """prod_{k>=1} (1 + sign q^(step k)) to order N, one binomial factor
-    at a time: sign=-1 gives (q^s;q^s)_inf and sign=+1 (-q^s;q^s)_inf,
-    for s = step."""
+def pochhammer(sign: int, N: int, *, ring=series):
+    """prod_{k>=1} (1 + sign q^k) to order N, one binomial factor at a
+    time: sign=-1 gives (q;q)_inf and sign=+1 (-q;q)_inf."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if step < 1:
-        raise ValueError("step must be positive")
     if N < 0:
         raise ValueError("truncation order must be non-negative")
     acc = ring.one(N)
-    for e in range(step, N + 1, step):
+    for e in range(1, N + 1):
         acc = ring.mul_binomial(acc, sign, e)
     return acc
 
@@ -91,13 +88,6 @@ def pentagonal(step: int, N: int, *, ring=series):
         terms[step * k * (3 * k + 1) // 2] = (-1) ** k
         k += 1
     return ring.from_terms(terms, N)
-
-
-@_cached
-def distinct_parts_gf(N: int, *, ring=series):
-    """(-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf, both by the pentagonal
-    theorem: partitions into distinct parts."""
-    return ring.div(pentagonal(2, N, ring=ring), pentagonal(1, N, ring=ring))
 
 
 @_cached
@@ -191,9 +181,10 @@ def sigma_mex_gf(variant: MexVariant, N: int, *, ring=series):
         return ring.div(ramanujan_sigma(N, ring=ring), theta_neg(N, ring=ring))
     if variant is MexVariant.ALL:
         return ring.div(phi11_simplified(N, ring=ring), theta_neg(N, ring=ring))
-    # Non-overlined: distinct parts in three colors, (-q;q)_inf^3.
-    p = distinct_parts_gf(N, ring=ring)
-    return ring.mul(ring.mul(p, p), p)
+    # Non-overlined: distinct parts in three colors, (-q;q)_inf^3, as
+    # (q^2;q^2)_inf^3 / (q;q)_inf^3; each product walks a sparse operand.
+    p2, p1 = pentagonal(2, N, ring=ring), pentagonal(1, N, ring=ring)
+    return ring.div(ring.mul(ring.mul(p2, p2), p2), ring.mul(ring.mul(p1, p1), p1))
 
 
 def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:

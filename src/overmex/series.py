@@ -11,13 +11,13 @@ The ring interface is the kernels the ring-generic builders call: one,
 from_terms, add, mul, div, mul_binomial and div_binomial.  GF2 is the
 same interface mod 2, on Python-int bitmasks.  Z also has zero, scale
 and shift, for the Z-only builders (the 1phi1 defining sum and the
-per-m count series).  Z `mul` is one Kronecker substitution (a single
-big-integer product); `div` walks only the divisor's nonzero terms, so
-dividing by a sparse theta-like series is O(N * nnz).  The binomial
-kernels take the factor (1 +- q^e), coefficient +1 or -1 and nothing
-else, on both rings; over Z each is a few C-level passes (map,
-accumulate) over slices of the coefficients, with no Python loop per
-coefficient.
+per-m count series).  `mul` walks the nonzero terms of the sparser
+operand on both rings, and Z `div` only the divisor's nonzero terms, so
+a product with or a division by a sparse theta-like series is
+O(N * nnz).  The binomial kernels take the factor (1 +- q^e),
+coefficient +1 or -1 and nothing else, on both rings; over Z each is a
+few C-level passes (map, accumulate) over slices of the coefficients,
+with no Python loop per coefficient.
 
 Values are immutable; all operations are pure functions returning new
 values.
@@ -97,42 +97,18 @@ def from_terms(terms: dict, trunc_order: int) -> Series:
 
 
 def mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to the smaller order, exact arithmetic, by
-    Kronecker substitution: each operand is packed into one integer with a
-    byte slot per coefficient, wide enough for any product coefficient and
-    its sign, the two integers are multiplied once (CPython's Karatsuba)
-    and the low slots of the product are unpacked."""
+    """Cauchy product truncated to the smaller order, exact arithmetic.
+    Walks the nonzero terms of the operand with more zeros, one C-level
+    map over the other operand per term: O(N * nnz) for a sparse one."""
     n = min(a.trunc_order, b.trunc_order)
-    ac = a.coeffs[: n + 1]
-    bc = b.coeffs[: n + 1]
-    # |c_k| <= (n+1) max|a| max|b| < 2^bits; one spare bit holds the sign.
-    bits = (
-        max(map(abs, ac)).bit_length()
-        + max(map(abs, bc)).bit_length()
-        + (n + 1).bit_length()
-    )
-    width = bits // 8 + 1
-    half = 1 << (8 * width - 1)
-    # Biasing every slot by half makes each digit of the low n+1 slots
-    # non-negative, so they read off without borrows.
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
-    size = width * (n + 1)
-    low = (_pack(ac, width) * _pack(bc, width) + bias) & ((1 << (8 * size)) - 1)
-    raw = low.to_bytes(size, "little")
-    return Series(tuple(
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, len(raw), width)
-    ))
-
-
-def _pack(coeffs: tuple, width: int) -> int:
-    """sum c_i 2^(8 width i): positive and negative parts packed apart."""
-    pos = b"".join(max(c, 0).to_bytes(width, "little") for c in coeffs)
-    packed = int.from_bytes(pos, "little")
-    if min(coeffs) < 0:
-        neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in coeffs)
-        packed -= int.from_bytes(neg, "little")
-    return packed
+    x, y = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    if x.count(0) < y.count(0):
+        x, y = y, x
+    out = [0] * (n + 1)
+    for k, c in enumerate(x):
+        if c:
+            out[k:] = map(operator.add, out[k:], map(c.__mul__, y))
+    return Series(tuple(out))
 
 
 def div(a: Series, d: Series) -> Series:

@@ -14,7 +14,6 @@ they report at any order.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -149,11 +148,14 @@ def check_euler_identity(N: int) -> VerifyReport:
     if N < 1:
         raise ValueError("order must be >= 1")
     rng = f"order <= {N}"
-    a = qfactory.pochhammer(+1, 1, N)
+    a = qfactory.pochhammer(+1, N)
     b = series.one(N)  # 1/(q;q^2)_inf, one factor 1/(1 - q^k) at a time
     for k in range(1, N + 1, 2):
         b = series.div_binomial(b, -1, k)
-    c = series.div(qfactory.pochhammer(-1, 2, N), qfactory.pochhammer(-1, 1, N))
+    q_q = qfactory.pochhammer(-1, N)
+    # (q^2;q^2)_inf is (q;q)_inf at q^2: its coefficients at even exponents.
+    q2_q2 = series.from_terms(dict(zip(range(0, N + 1, 2), q_q.coeffs)), N)
+    c = series.div(q2_q2, q_q)
     return _merge(
         "euler_identity", rng,
         [
@@ -171,8 +173,9 @@ def check_identity_suite(N: int) -> VerifyReport:
     constant term 1, so P-bar*A and P-bar*B agree to order N exactly when
     A and B do, first differing at the same n.  Last, each sparse fast
     path against its defining product: P-bar = 1/theta(-q) against
-    (-q;q)_inf / (q;q)_inf, and (-q;q)_inf from the pentagonal theorem
-    against its factors (the euler check builds the same products)."""
+    (-q;q)_inf / (q;q)_inf, and the pentagonal quotient (q^2;q^2)_inf /
+    (q;q)_inf, whose cube is the non-overlined sigma-mex series, against
+    (-q;q)_inf (the euler check builds the same products)."""
     rng = f"order <= {N}"
     parts = [
         _compare_series(
@@ -190,12 +193,13 @@ def check_identity_suite(N: int) -> VerifyReport:
         _compare_series(
             "identity:pbar_theta",
             qfactory.overpartition_gf(N),
-            series.div(qfactory.pochhammer(+1, 1, N), qfactory.pochhammer(-1, 1, N)),
+            series.div(qfactory.pochhammer(+1, N), qfactory.pochhammer(-1, N)),
             rng,
         ),
         _compare_series(
-            "identity:negq_pentagonal",
-            qfactory.distinct_parts_gf(N), qfactory.pochhammer(+1, 1, N), rng,
+            "identity:pentagonal",
+            series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)),
+            qfactory.pochhammer(+1, N), rng,
         ),
     ]
     return _merge("identity_suite", rng, parts)
@@ -438,33 +442,32 @@ def check_ingham_scaling(gf: Series) -> VerifyReport:
 DEFAULT_ASYM_POINTS = (100, 400, 900, 1600, 2500)
 
 
-def run_all(order: int, oracle_n_max: int, only: str | None = None) -> Iterator:
-    """Run every check (or the one named by `only`) in a fixed order, each
-    as the iterator reaches it; an unknown `only` is a KeyError up front."""
+def _overlined(order: int) -> Series:  # read by asym_ratio and ingham_scaling
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
+    return qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n)
 
-    @functools.cache
-    def overlined() -> Series:  # read by asym_ratio and ingham_scaling
-        return qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n)
 
-    registry = {
-        f"gf_vs_oracle:{v.value}": lambda v=v: check_gf_vs_oracle(v, oracle_n_max)
+#: Every check the CLI runs, in run order: name -> check(order, oracle_n_max).
+CHECKS = {
+    **{
+        f"gf_vs_oracle:{v.value}": lambda order, n, v=v: check_gf_vs_oracle(v, n)
         for v in MexVariant
-    }
-    registry |= {
-        "euler": lambda: check_euler_identity(order),
-        "identities": lambda: check_identity_suite(order),
-        "parity_all_even": lambda: check_parity_all_even(10000),
-        "parity_density": lambda: check_parity_density(10000),
-        "triangular_parity": lambda: check_triangular_parity(5000),
-        "asym_ratio": lambda: asym_ratio_table(DEFAULT_ASYM_POINTS, overlined())[1],
-        "sigma_taylor": lambda: check_sigma_taylor(),
-        "ingham_scaling": lambda: check_ingham_scaling(overlined()),
-    }
-    if only is not None:
-        if only not in registry:
-            raise KeyError(
-                f"unknown check {only!r}; choose from {sorted(registry)}"
-            )
-        registry = {only: registry[only]}
-    return (check() for check in registry.values())
+    },
+    "euler": lambda order, n: check_euler_identity(order),
+    "identities": lambda order, n: check_identity_suite(order),
+    "parity_all_even": lambda order, n: check_parity_all_even(10000),
+    "parity_density": lambda order, n: check_parity_density(10000),
+    "triangular_parity": lambda order, n: check_triangular_parity(5000),
+    "asym_ratio": lambda order, n: asym_ratio_table(
+        DEFAULT_ASYM_POINTS, _overlined(order)
+    )[1],
+    "sigma_taylor": lambda order, n: check_sigma_taylor(),
+    "ingham_scaling": lambda order, n: check_ingham_scaling(_overlined(order)),
+}
+
+
+def run_all(order: int, oracle_n_max: int, only: str | None = None) -> Iterator:
+    """Run every check in CHECKS (or the one named by `only`) in order, each
+    as the iterator reaches it; an unknown `only` is a KeyError up front."""
+    checks = CHECKS.values() if only is None else [CHECKS[only]]
+    return (check(order, oracle_n_max) for check in checks)

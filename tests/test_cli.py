@@ -128,6 +128,15 @@ class TestVerify:
         assert "unknown check" in err
         assert path.read_bytes() == b'{"kept": true}\n'
 
+    def test_out_to_device(self, capsys):
+        code, out, err = run(
+            ["verify", "--only", "sigma_taylor", "--out", os.devnull], capsys
+        )
+        assert code == 0
+        assert out == ""
+        assert err.startswith("[PASS] sigma_taylor (")
+        assert err.count("\n") == 1
+
     def test_out_file_replaces_old_contents(self, tmp_path, capsys):
         path = tmp_path / "reports.jsonl"
         path.write_text("stale\n" * 100)
@@ -324,10 +333,11 @@ class TestRefusals:
         (["table", "--max-n", "3", "--out", "/nonexistent/x.csv"],
          "No such file or directory"),
         (["enum", "--max-n", "2", "--out", "/"], "Is a directory"),
+        (["verify", "--only", "bogus"], "unknown check 'bogus'"),
     ], ids=["table_oracle", "table_both", "verify", "enum", "enum_by_class",
             "table_order", "verify_order", "verify_order_zero",
             "identities_order_zero", "euler_order_negative", "verify_out",
-            "table_out", "enum_out"])
+            "table_out", "enum_out", "verify_only"])
     def test_refused_before_any_work(self, argv, message, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("work started")

@@ -18,12 +18,11 @@ SIGMA_NON = [1, 3, 6, 13, 24, 42, 73, 120, 192, 302, 465]
 # Every builder written once over the ring interface: (builder, args), with
 # the truncation order left off args.
 RING_GENERIC = [
-    (qf.pochhammer, (sign, step)) for sign, step in ((-1, 1), (+1, 1), (-1, 2))
-] + [
+    (qf.pochhammer, (-1,)),
+    (qf.pochhammer, (+1,)),
     (qf.theta_neg, ()),
     (qf.pentagonal, (1,)),
     (qf.pentagonal, (2,)),
-    (qf.distinct_parts_gf, ()),
     (qf.overpartition_gf, ()),
     (qf.ramanujan_sigma, ()),
     (qf.phi11_simplified, ()),
@@ -49,14 +48,16 @@ class TestRings:
         def values(s):
             return [s[n] for n in range(N + 1)]
 
-        q_q = qf.pochhammer(-1, 1, N, ring=ring)
-        negq_q = qf.pochhammer(+1, 1, N, ring=ring)
-        assert values(qf.pentagonal(1, N, ring=ring)) == values(q_q)
-        assert values(qf.pentagonal(2, N, ring=ring)) == values(
-            qf.pochhammer(-1, 2, N, ring=ring)
-        )
+        q_q = qf.pochhammer(-1, N, ring=ring)
+        negq_q = qf.pochhammer(+1, N, ring=ring)
+        q2_q2 = ring.one(N)  # (q^2;q^2)_inf, one factor (1 - q^e) at a time
+        for e in range(2, N + 1, 2):
+            q2_q2 = ring.mul_binomial(q2_q2, -1, e)
+        p1, p2 = qf.pentagonal(1, N, ring=ring), qf.pentagonal(2, N, ring=ring)
+        assert values(p1) == values(q_q)
+        assert values(p2) == values(q2_q2)
         assert values(qf.theta_neg(N, ring=ring)) == values(ring.div(q_q, negq_q))
-        assert values(qf.distinct_parts_gf(N, ring=ring)) == values(negq_q)
+        assert values(ring.div(p2, p1)) == values(negq_q)
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("N", [0, 1, 2, 50, 300, 2000])
@@ -106,14 +107,14 @@ def _negq_sum_by_running_inverse(N, ring, weight, lead, one_minus_qm):
 
 class TestPochhammer:
     def test_empty_product(self):
-        # Every factor of (q^2;q^2)_inf lies beyond order 1.
-        assert qf.pochhammer(-1, 2, 1) == se.one(1)
+        # Every factor of (q;q)_inf and (-q;q)_inf lies beyond order 0.
+        assert qf.pochhammer(-1, 0) == qf.pochhammer(+1, 0) == se.one(0)
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
-            qf.pochhammer(2, 1, 5)
+            qf.pochhammer(2, 5)
         with pytest.raises(ValueError):
-            qf.pochhammer(1, 0, 5)
+            qf.pochhammer(1, -1)
         with pytest.raises(ValueError):
             qf.pentagonal(0, 5)
 
@@ -182,6 +183,57 @@ class TestSigmaMexGf:
         for v in MexVariant:
             assert all(c >= 0 for c in qf.sigma_mex_gf(v, 60).coeffs)
 
+    @pytest.mark.parametrize("N", [0, 1, 2, 50, 300, 2000])
+    def test_nonoverlined_matches_dense_cube_z(self, N):
+        expected = _negq_cubed_dense(N, se)
+        assert qf.sigma_mex_gf(MexVariant.NON_OVERLINED, N) == expected
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 50, 300, 2000, 10000])
+    def test_nonoverlined_matches_dense_cube_gf2(self, N):
+        got = qf.sigma_mex_gf(MexVariant.NON_OVERLINED, N, ring=se.GF2)
+        assert got.bits == _negq_cubed_dense(N, se.GF2).bits
+
+
+def _kronecker_mul(a, b):
+    """Cauchy product of two Z series by Kronecker substitution: each
+    operand packed into one integer with a byte slot per coefficient, one
+    big-integer product, and the low slots unpacked.  A dense reference
+    that shares no code with se.mul."""
+    n = min(a.trunc_order, b.trunc_order)
+    ac, bc = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    # |c_k| <= (n+1) max|a| max|b| < 2^bits; one spare bit holds the sign.
+    bits = max(map(abs, ac)).bit_length() + max(map(abs, bc)).bit_length()
+    width = (bits + (n + 1).bit_length()) // 8 + 1
+    half = 1 << (8 * width - 1)
+
+    def pack(coeffs):  # sum c_i 2^(8 width i), positive and negative parts apart
+        def part(cs):
+            return int.from_bytes(
+                b"".join(max(c, 0).to_bytes(width, "little") for c in cs), "little"
+            )
+
+        return part(coeffs) - part(-c for c in coeffs)
+
+    # Biasing every slot by half makes each of the low n+1 slots
+    # non-negative, so they read off without borrows.
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
+    size = width * (n + 1)
+    low = (pack(ac) * pack(bc) + bias) & ((1 << (8 * size)) - 1)
+    raw = low.to_bytes(size, "little")
+    return se.Series(tuple(
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, size, width)
+    ))
+
+
+def _negq_cubed_dense(N, ring):
+    """(-q;q)_inf^3 as the dense series (q^2;q^2)_inf / (q;q)_inf cubed by
+    dense products: Kronecker substitution over Z, carry-less over GF(2).
+    The reference for the quotient of pentagonal cubes."""
+    negq = ring.div(qf.pentagonal(2, N, ring=ring), qf.pentagonal(1, N, ring=ring))
+    mul = _kronecker_mul if ring is se else ring.mul
+    return mul(mul(negq, negq), negq)
+
 
 class TestMexCountGf:
     def test_table_rows(self):
@@ -234,7 +286,7 @@ def _count_gf_by_factors(variant, m, N):
     (non-overlined): the reference for the closed form."""
     lead = comb(m, 2)
     if variant is MexVariant.NON_OVERLINED:
-        acc = qf.pochhammer(+1, 1, N)
+        acc = qf.pochhammer(+1, N)
         for j in range(1, N + 1):
             if j != m:
                 acc = se.div_binomial(acc, -1, j)

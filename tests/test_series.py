@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overmex import qfactory as qf
 from overmex import series as se
 
 
@@ -21,7 +22,8 @@ def random_series(rng, N, lo=-5, hi=5, unit=False):
 
 
 def schoolbook_mul(a, b):
-    """The O(N^2) Cauchy product: the reference for the Kronecker mul."""
+    """The O(N^2) Cauchy product, one coefficient pair at a time: the
+    reference for mul, which walks the sparser operand's nonzero terms."""
     n = min(a.trunc_order, b.trunc_order)
     out = [0] * (n + 1)
     for i in range(n + 1):
@@ -142,14 +144,24 @@ class TestKroneckerMul:
         # Signed and mixed-order operands, order 0, coefficients past 2^1000.
         assert se.mul(a, b) == schoolbook_mul(a, b)
 
+    @pytest.mark.parametrize("N", [0, 1, 2, 40, 200])
+    def test_sparse_operand_either_side(self, N):
+        # A pentagonal series against a dense one with signed coefficients
+        # near 2^1000, passed first and passed second.
+        rng = random.Random(N)
+        sparse = qf.pentagonal(1, N)
+        dense = random_series(rng, N, lo=-(2**1000) - 5, hi=2**1000 + 5)
+        assert se.mul(sparse, dense) == schoolbook_mul(sparse, dense)
+        assert se.mul(dense, sparse) == schoolbook_mul(dense, sparse)
+
     def test_all_zero_and_order_zero(self):
         assert se.mul(se.zero(7), se.zero(7)) == se.zero(7)
         assert se.mul(se.zero(3), S([1, -2, 3], 5)) == se.zero(3)
         assert se.mul(S([-5], 0), S([7], 0)).coeffs == (-35,)
 
     def test_slot_width_edges(self):
-        # Equal-sign maximal coefficients reach the slot bound: at order 2,
-        # c_2 = 3 * a0 * b0 needs every bit the width leaves for it.
+        # Equal-sign coefficients at and just past powers of two: at order
+        # 2, c_2 = 3 * a0 * b0 is the largest product coefficient.
         for k in list(range(1, 40)) + [1000, 1001, 1002, 1003]:
             for big in (2**k - 1, 2**k):
                 for sign in (1, -1):

@@ -136,7 +136,7 @@ class TestEuler:
         assert vf.check_euler_identity(1).passed
 
     def test_perturbed_fails_with_witness(self):
-        a = qf.pochhammer(+1, 1, 50)
+        a = qf.pochhammer(+1, 50)
         bad = se.add(a, se.from_coeffs([0] * 7 + [1], 50))
         r = vf._compare_series("euler:perturbed", a, bad, "n <= 50")
         assert not r.passed
@@ -154,13 +154,11 @@ class TestEuler:
         assert r.first_failure[0] == 7
 
     def test_perturbed_even_product_fails(self, monkeypatch, cold_caches):
-        pochhammer = qf.pochhammer
-
-        def off_at_30(sign, step, N, ring=se):
-            s = pochhammer(sign, step, N, ring=ring)
-            return _bump(s, 30) if (sign, step) == (-1, 2) else s
-
-        monkeypatch.setattr(qf, "pochhammer", off_at_30)
+        # The check builds (q^2;q^2)_inf, and no other series, by from_terms.
+        from_terms = se.from_terms
+        monkeypatch.setattr(
+            se, "from_terms", lambda terms, N: _bump(from_terms(terms, N), 30)
+        )
         r = vf.check_euler_identity(300)
         assert r.status == vf.FAIL
         assert r.metrics["failed_subcheck"] == "euler:neg_vs_even_over_full"
@@ -188,16 +186,17 @@ class TestIdentitySuite:
 
     def test_perturbed_pentagonal_fails(self, monkeypatch, cold_caches):
         pentagonal = qf.pentagonal
+        for bumped in (1, 2):  # (q;q)_inf, then (q^2;q^2)_inf
 
-        def off_at_30(step, N, ring=se):
-            s = pentagonal(step, N, ring=ring)
-            return _bump(s, 30) if step == 1 else s
+            def off_at_30(step, N, ring=se):
+                s = pentagonal(step, N, ring=ring)
+                return _bump(s, 30) if step == bumped else s
 
-        monkeypatch.setattr(qf, "pentagonal", off_at_30)
-        r = vf.check_identity_suite(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "identity:negq_pentagonal"
-        assert r.first_failure[0] == 30
+            monkeypatch.setattr(qf, "pentagonal", off_at_30)
+            r = vf.check_identity_suite(300)
+            assert r.status == vf.FAIL, bumped
+            assert r.metrics["failed_subcheck"] == "identity:pentagonal"
+            assert r.first_failure[0] == 30
 
     def test_skipped_numerator_factor_fails(self, monkeypatch, cold_caches):
         # The 1phi1 defining sum multiplies in each numerator factor
@@ -310,7 +309,7 @@ class TestParity:
 
 class TestGf2Arithmetic:
     def test_mul_matches_integer_mul(self):
-        a = qf.pochhammer(+1, 1, 40)
+        a = qf.pochhammer(+1, 40)
         b = qf.overpartition_gf(40)
         prod = se.mul(a, b)
         bits_a = se.GF2Series(sum((c % 2) << n for n, c in enumerate(a.coeffs)), 40)
@@ -327,8 +326,8 @@ class TestGf2Arithmetic:
     def test_binomial_identity_mod_two(self):
         # (q^2;q^2)_inf and (q;q)_inf^2 agree coefficientwise mod 2.
         N = 500
-        even = qf.pochhammer(-1, 2, N, ring=se.GF2)
-        full = qf.pochhammer(-1, 1, N, ring=se.GF2)
+        even = qf.pentagonal(2, N, ring=se.GF2)
+        full = qf.pochhammer(-1, N, ring=se.GF2)
         assert even.bits == se.GF2.mul(full, full).bits
 
 

@@ -29,10 +29,13 @@ EXIT_BROKEN_PIPE = 141
 MAX_ORDER = 100_000
 
 #: The default of --oracle-limit: a larger --max-n is a usage error for
-#: every command that runs the oracle.  Class counting (table, verify, enum
-#: --by-class) walks the p(n) ordinary partitions, 89,134 at n=45;
-#: enumeration (enum) builds all p-bar(n) overpartitions, 3,759,240 at
-#: n=45.  Both grow like e^(c sqrt(n)).
+#: every command that runs the oracle.  Class counting (table, verify)
+#: walks the ordinary partitions of every n <= 45 once, 540,635 of them,
+#: for all three variants: 0.12 s, and 1.3-1.5 s for n <= 60, while
+#: `verify --only gf_vs_oracle:V --max-n 45` takes about 0.2 s in all
+#: (Python 3.11 on a shared 2-core machine).  enum --by-class lists the
+#: p(n) classes of one n, 89,134 at n=45; enum builds all p-bar(n)
+#: overpartitions, 3,759,240 at n=45.  All grow like e^(c sqrt(n)).
 DEFAULT_ORACLE_LIMIT = 45
 
 
@@ -93,19 +96,20 @@ def cmd_table(args) -> int:
         return EXIT_USAGE
     with _output(args.out) as out:
         gf = qfactory.sigma_mex_gf(variant, n_max) if use_series else None
+        hists = combinat.mex_histograms(n_max) if use_oracle else None
         rows = []
         mismatch = False
         for n in range(n_max + 1):
             if args.method == "both":
                 s = gf[n]
-                o = combinat.sigma_mex_oracle(n, variant)
+                o = combinat.mex_sum(hists[n][variant])
                 match = s == o
                 mismatch = mismatch or not match
                 rows.append((n, str(s), str(o), "match" if match else "MISMATCH"))
             elif args.method == "series":
                 rows.append((n, str(gf[n]), "series"))
             else:
-                rows.append((n, str(combinat.sigma_mex_oracle(n, variant)), "oracle"))
+                rows.append((n, str(combinat.mex_sum(hists[n][variant])), "oracle"))
         header = (
             ("n", "series", "oracle", "match")
             if args.method == "both"

@@ -2,21 +2,25 @@
 counting, against which everything the series engine produces is judged.
 
 Every ordinary partition with d distinct parts carries exactly 2^d
-overpartitions, one per overline mask (its overline-erasure class), so
-the oracle walks the ordinary partitions of n in descending lexicographic
-order.  mex_counts counts each class's masks per mex value in closed
-form, O(p(n)) work; sigma_mex_oracle sums that histogram.
+overpartitions, one per overline mask (its overline-erasure class).
+mex_histograms counts the masks of every class per mex value, for all
+three variants and every n <= N at once, in one walk that adds parts in
+ascending order and visits each ordinary partition of each n <= N
+exactly once; mex_counts and sigma_mex_oracle read it.
 enumerate_overpartitions is the literal defining form: it builds every
-overpartition, walking the masks of each partition in ascending order
-(mask bit i, least significant first, flags the i-th largest distinct
-part).  The order is deterministic and matches the worked tables used as
-fixtures.  Both walks grow like e^(c sqrt(n)); which n is affordable is
-the caller's choice.
+overpartition, walking the ordinary partitions of n in descending
+lexicographic order and the masks of each in ascending order (mask bit
+i, least significant first, flags the i-th largest distinct part).  That
+order, which class_decomposition keeps too, is deterministic and matches
+the worked tables used as fixtures.  Both walks grow like e^(c sqrt(n));
+which n is affordable is the caller's choice.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Iterator
 
@@ -113,49 +117,102 @@ def mex_statistic(pi: Overpartition, variant: MexVariant) -> int:
     return m
 
 
-def _class_mex_counts(groups: tuple, variant: MexVariant) -> Iterator[tuple]:
-    """(m, masks) for each mex value m in one class: how many of its 2^d
-    overline masks give the variant-mex m.
+@lru_cache(maxsize=None)
+def mex_histograms(N: int) -> tuple:
+    """For each n <= N, {variant: {m: number of overpartitions of n whose
+    variant-mex is m}}, from one walk over every ordinary partition of
+    every n <= N; n=0 gives {1: 1}, the empty overpartition.  Cached on N:
+    callers read the result and must not change it.
 
-    Mex m needs 1..m-1 present and m absent.  A value outside the
-    partition is absent.  A part is always present for ALL; for OVERLINED
-    it is present exactly when overlined; for NON_OVERLINED it is always
-    present at multiplicity >= 2 and present exactly when not overlined at
-    multiplicity 1.  Walking m = 1, 2, ... up the smallest parts, a part
-    whose overline decides its presence gives mex m on the 2^(d-fixed-1)
-    masks that fix 1..m-1 present and m absent, then counts as fixed
-    present; the first m not in the partition takes the 2^(d-fixed) masks
-    left."""
-    d = len(groups)
-    fixed = 0  # mask bits fixed so that 1..m-1 are present
-    m = 1
-    for part, count in reversed(groups):
-        if part != m:
-            break
-        if variant is MexVariant.OVERLINED or (
-            variant is MexVariant.NON_OVERLINED and count == 1
-        ):
-            yield m, 1 << (d - fixed - 1)
-            fixed += 1
-        m += 1
-    yield m, 1 << (d - fixed)
+    The walk builds each partition in ascending order of its parts: a
+    run 1^a_1 2^a_2 ... r^a_r, every a_i >= 1, then parts >= r + 2.  Mex m
+    needs 1..m-1 present and m absent, and a value outside the partition
+    is absent, so only the run decides a mex.  A run part is always
+    present for ALL; for OVERLINED it is present exactly when overlined;
+    for NON_OVERLINED it is always present at a_i >= 2 and present exactly
+    when not overlined at a_i = 1.  Call such a part, whose overline
+    decides its presence, decisive.  Walking up the run, the j-th decisive
+    part, of value m, gives mex m on the 2^(d-j) of the 2^d masks that
+    fix the j-1 decisive parts below it present and it absent; mex r + 1
+    takes the 2^(d-k) masks left after all k decisive parts.  So a
+    class's histograms depend only on 2^d, r and which run parts have
+    a_i = 1: the walk adds each class's 2^d masks to a tally of its sum
+    kept per (r, those parts), and the rule splits each tally at the end."""
+    if N < 0:
+        raise ValueError("n must be non-negative")
+    tallies = {}  # (r, bit i set for each run part i with a_i = 1) -> masks by n
+
+    def extend(tally, s, masks, low):
+        """Tally every partition that adds parts >= low to one of sum s
+        whose class has the given number of masks."""
+        masks <<= 1
+        for part in range(low, N - s + 1):
+            t = s + part
+            while t <= N:
+                tally[t] += masks
+                if t + part < N:  # room left for a larger part
+                    extend(tally, t, masks, part + 1)
+                t += part
+
+    def run(s, r, singles):
+        """Tally the run 1^a_1 ... r^a_r of sum s and every partition
+        that extends it."""
+        tally = tallies.get((r, singles))
+        if tally is None:
+            tally = tallies[r, singles] = [0] * (N + 1)
+        tally[s] += 1 << r
+        extend(tally, s, 1 << r, r + 2)
+        part = r + 1
+        for a, t in enumerate(range(s + part, N + 1, part), 1):
+            run(t, part, singles | (a == 1) << part)
+
+    run(0, 0, 0)
+    hists = tuple({v: {} for v in MexVariant} for _ in range(N + 1))
+    for (r, singles), tally in tallies.items():
+        decisive = {
+            MexVariant.NON_OVERLINED: [i for i in range(1, r + 1) if singles >> i & 1],
+            MexVariant.OVERLINED: range(1, r + 1),
+            MexVariant.ALL: (),
+        }
+        for n, masks in enumerate(tally):
+            if not masks:
+                continue
+            for v, parts in decisive.items():
+                counts = hists[n][v]
+                for j, m in enumerate(parts, 1):
+                    counts[m] = counts.get(m, 0) + (masks >> j)
+                counts[r + 1] = counts.get(r + 1, 0) + (masks >> len(parts))
+    return hists
 
 
 def mex_counts(n: int, variant: MexVariant) -> dict:
     """Histogram {m: number of overpartitions of n whose variant-mex is m},
-    counted class by class without building an overpartition; n=0 gives
-    {1: 1}, the empty overpartition."""
-    counts = {}
-    for groups in _classes(n):
-        for m, masks in _class_mex_counts(groups, variant):
-            counts[m] = counts.get(m, 0) + masks
-    return counts
+    a copy of mex_histograms(n)[n][variant]."""
+    return dict(mex_histograms(n)[n][variant])
+
+
+def mex_sum(counts: dict) -> int:
+    """The sigma-mex value of a mex histogram: the sum of m * count."""
+    return sum(m * c for m, c in counts.items())
 
 
 def sigma_mex_oracle(n: int, variant: MexVariant) -> int:
     """Sum of the variant-mex over all overpartitions of n; 1 at n=0, the
     mex of the empty overpartition."""
-    return sum(m * c for m, c in mex_counts(n, variant).items())
+    return mex_sum(mex_histograms(n)[n][variant])
+
+
+@lru_cache(maxsize=None)
+def literal_mex_histograms(n: int) -> dict:
+    """{variant: Counter of mex values} over every overpartition of n, each
+    built by enumerate_overpartitions: the defining form that
+    mex_histograms must reproduce.  Cached on n: callers read the result
+    and must not change it."""
+    hists = {v: Counter() for v in MexVariant}
+    for pi in enumerate_overpartitions(n):
+        for v, hist in hists.items():
+            hist[mex_statistic(pi, v)] += 1
+    return hists
 
 
 def overpartitions_from_multiset(elements: Iterable[int]) -> list:
@@ -177,7 +234,11 @@ def class_decomposition(n: int) -> list:
     structural reason the all-parts sigma-mex is even."""
     rows = []
     for groups in _classes(n):
-        ((mex, size),) = _class_mex_counts(groups, MexVariant.ALL)
+        mex = 1  # one past the run 1, 2, ..., r of smallest parts
+        for part, _ in reversed(groups):
+            if part != mex:
+                break
+            mex += 1
         partition = tuple(p for p, count in groups for _ in range(count))
-        rows.append((partition, size, mex))
+        rows.append((partition, 1 << len(groups), mex))
     return rows

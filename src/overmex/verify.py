@@ -15,7 +15,6 @@ they report at any order.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -99,9 +98,11 @@ def check_gf_vs_oracle(
 ) -> VerifyReport:
     """Generating-function coefficients against the oracle: sigma values
     for n <= n_max and per-m counts for n <= count_n_max, both read from
-    one class-counted mex histogram per n; the smallest failing n is
-    reported.  For n <= LITERAL_CHECK_N that histogram is first compared
-    with the literal one, from every enumerated overpartition."""
+    the mex histograms of one walk over every ordinary partition of every
+    n <= max(n_max, count_n_max), which the three variants' checks share;
+    the smallest failing n is reported.  For n <= LITERAL_CHECK_N each
+    histogram is first compared with the literal one, from every
+    enumerated overpartition."""
     if count_n_max is None:
         count_n_max = n_max
     name = f"gf_vs_oracle:{variant.value}"
@@ -111,13 +112,10 @@ def check_gf_vs_oracle(
         m: qfactory.mex_count_gf(variant, m, count_n_max)
         for m in qfactory.feasible_mex_values(count_n_max)
     }
-    for n in range(max(n_max, count_n_max) + 1):
-        counts = combinat.mex_counts(n, variant)
+    for n, hists in enumerate(combinat.mex_histograms(max(n_max, count_n_max))):
+        counts = hists[variant]
         if n <= LITERAL_CHECK_N:
-            literal = Counter(
-                combinat.mex_statistic(pi, variant)
-                for pi in combinat.enumerate_overpartitions(n)
-            )
+            literal = combinat.literal_mex_histograms(n)[variant]
             for m in sorted(literal.keys() | counts.keys()):
                 if literal[m] != counts.get(m, 0):
                     return VerifyReport(
@@ -125,7 +123,7 @@ def check_gf_vs_oracle(
                         first_failure=(n, literal[m], counts.get(m, 0)),
                         metrics={"where": "literal", "m": m},
                     )
-        expected = sum(m * c for m, c in counts.items())
+        expected = combinat.mex_sum(counts)
         if n <= n_max and gf[n] != expected:
             return VerifyReport(
                 name, FAIL, rng, first_failure=(n, expected, gf[n]),

@@ -342,8 +342,8 @@ class TestRefusals:
         def never(*args, **kwargs):
             raise AssertionError("work started")
 
-        for module, name in ((combinat, "_classes"), (qfactory, "sigma_mex_gf"),
-                             (verify, "run_all")):
+        for module, name in ((combinat, "_classes"), (combinat, "mex_histograms"),
+                             (qfactory, "sigma_mex_gf"), (verify, "run_all")):
             monkeypatch.setattr(module, name, never)
         code, out, err = run(argv, capsys)
         assert code == 2

@@ -130,11 +130,51 @@ def literal_histograms(n):
     return hists
 
 
+def reference_class_counts(groups, variant):
+    """(m, masks) for each mex value m in one class, given as its
+    (part, multiplicity) groups with parts decreasing: how many of its 2^d
+    overline masks give the variant-mex m.  Walking m = 1, 2, ... up the
+    smallest parts, a part whose overline decides its presence gives mex m
+    on the 2^(d-fixed-1) masks that fix 1..m-1 present and m absent, then
+    counts as fixed present; the first m not in the partition takes the
+    2^(d-fixed) masks left."""
+    d = len(groups)
+    fixed = 0
+    m = 1
+    for part, count in reversed(groups):
+        if part != m:
+            break
+        if variant is MexVariant.OVERLINED or (
+            variant is MexVariant.NON_OVERLINED and count == 1
+        ):
+            yield m, 1 << (d - fixed - 1)
+            fixed += 1
+        m += 1
+    yield m, 1 << (d - fixed)
+
+
+def reference_mex_counts(n, variant):
+    """The class-by-class histogram over the descending-lex partitions of
+    n: the reference that the ascending walk must reproduce."""
+    counts = {}
+    for groups in cb._classes(n):
+        for m, masks in reference_class_counts(groups, variant):
+            counts[m] = counts.get(m, 0) + masks
+    return counts
+
+
 class TestClassCounting:
     @pytest.mark.parametrize("n", range(26))
     def test_matches_literal_histogram(self, n):
         for v, hist in literal_histograms(n).items():
             assert cb.mex_counts(n, v) == dict(hist), v
+
+    def test_walk_matches_descending_lex_reference(self):
+        hists = cb.mex_histograms(30)
+        assert len(hists) == 31
+        for n, hist in enumerate(hists):
+            for v in MexVariant:
+                assert hist[v] == reference_mex_counts(n, v), (n, v)
 
     def test_limit_refused(self):
         for v in MexVariant:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import types
@@ -92,7 +93,9 @@ class TestGfVsOracle:
 
     @pytest.fixture
     def enumerated_n(self, monkeypatch):
-        """The n of every enumerate_overpartitions call, in order."""
+        """The n of every enumerate_overpartitions call, in order, from
+        cold literal histograms."""
+        cb.literal_mex_histograms.cache_clear()
         calls = []
         enumerate_overpartitions = cb.enumerate_overpartitions
 
@@ -107,24 +110,59 @@ class TestGfVsOracle:
         assert vf.check_gf_vs_oracle(MexVariant.OVERLINED, 6).passed
         assert enumerated_n == list(range(7))
 
+    @pytest.fixture
+    def class_count_off_at(self, monkeypatch):
+        """Make the walk's table count one overpartition too many with mex 1
+        at the given n, for every variant; the cached table stays right."""
+
+        def inject(at):
+            mex_histograms = cb.mex_histograms
+
+            def off(N):
+                hists = copy.deepcopy(mex_histograms(N))
+                for counts in hists[at].values():
+                    counts[1] += 1
+                return hists
+
+            monkeypatch.setattr(cb, "mex_histograms", off)
+
+        return inject
+
     @pytest.mark.parametrize("variant", list(MexVariant))
-    def test_wrong_class_count_fails(self, variant, monkeypatch):
-        mex_counts = cb.mex_counts
-
-        def off_at_9(n, v, *args):
-            counts = mex_counts(n, v, *args)
-            if n == 9:
-                counts[1] += 1
-            return counts
-
-        monkeypatch.setattr(cb, "mex_counts", off_at_9)
+    def test_wrong_class_count_fails(self, variant, class_count_off_at):
+        class_count_off_at(9)
         r = vf.check_gf_vs_oracle(variant, 10)
         assert r.status == vf.FAIL
         assert r.metrics["where"] == "literal"
         assert r.first_failure[0] == 9
 
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    def test_wrong_class_count_past_literal_range_fails(self, variant, class_count_off_at):
+        class_count_off_at(15)  # past LITERAL_CHECK_N
+        r = vf.check_gf_vs_oracle(variant, 20)
+        assert r.status == vf.FAIL
+        assert r.metrics["where"] in ("sigma", "count")
+        assert r.first_failure[0] == 15
+
+    def test_variants_share_one_walk(self):
+        cb.mex_histograms.cache_clear()
+        for v in MexVariant:
+            assert vf.check_gf_vs_oracle(v, 20).passed
+        # lru_cache runs the walk once per miss.
+        assert cb.mex_histograms.cache_info().misses == 1
+
+    def test_changed_counts_leave_the_cache_alone(self):
+        for v in MexVariant:
+            counts = cb.mex_counts(10, v)
+            counts[1] += 5
+            counts[99] = 1
+            assert cb.mex_counts(10, v) != counts
+            assert vf.check_gf_vs_oracle(v, 10).passed
+
     def test_enumerates_only_literal_range(self, enumerated_n):
-        assert vf.check_gf_vs_oracle(MexVariant.OVERLINED, 20).passed
+        # The three variants' checks share one literal histogram per n.
+        for v in MexVariant:
+            assert vf.check_gf_vs_oracle(v, 20).passed
         assert enumerated_n == list(range(13))  # n <= LITERAL_CHECK_N
 
 

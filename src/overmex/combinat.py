@@ -6,7 +6,7 @@ overpartitions, one per overline mask (its overline-erasure class).
 mex_histograms counts the masks of every class per mex value, for all
 three variants and every n <= N at once, in one walk that adds parts in
 ascending order and visits each ordinary partition of each n <= N
-exactly once; mex_counts and sigma_mex_oracle read it.
+exactly once; sigma_mex_oracle reads it.
 enumerate_overpartitions is the literal defining form: it builds every
 overpartition, walking the ordinary partitions of n in descending
 lexicographic order and the masks of each in ascending order (mask bit
@@ -21,8 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .qfactory import MexVariant
 
@@ -42,10 +41,6 @@ class Overpartition:
             if prev is not None and part >= prev:
                 raise ValueError("parts must be strictly decreasing across groups")
             prev = part
-
-    @property
-    def weight(self) -> int:
-        return sum(part * count for part, count, _ in self.groups)
 
     def part_values(self, variant: MexVariant) -> set:
         if variant is MexVariant.OVERLINED:
@@ -185,12 +180,6 @@ def mex_histograms(N: int) -> tuple:
     return hists
 
 
-def mex_counts(n: int, variant: MexVariant) -> dict:
-    """Histogram {m: number of overpartitions of n whose variant-mex is m},
-    a copy of mex_histograms(n)[n][variant]."""
-    return dict(mex_histograms(n)[n][variant])
-
-
 def mex_sum(counts: dict) -> int:
     """The sigma-mex value of a mex histogram: the sum of m * count."""
     return sum(m * c for m, c in counts.items())
@@ -213,18 +202,6 @@ def literal_mex_histograms(n: int) -> dict:
         for v, hist in hists.items():
             hist[mex_statistic(pi, v)] += 1
     return hists
-
-
-def overpartitions_from_multiset(elements: Iterable[int]) -> list:
-    """All overpartitions whose underlying multiset of parts is the given
-    one; there are exactly 2^(distinct values) of them."""
-    parts = sorted(elements, reverse=True)
-    if not parts:
-        raise ValueError("multiset must be non-empty")
-    if any(p < 1 for p in parts):
-        raise ValueError("parts must be positive")
-    groups = tuple((p, sum(1 for _ in run)) for p, run in groupby(parts))
-    return list(_overline_masks(groups))
 
 
 def class_decomposition(n: int) -> list:

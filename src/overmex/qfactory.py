@@ -129,7 +129,7 @@ def phi11(N: int) -> Series:
     denominator factor (1+q^n)(1-q^n) by division and each numerator
     factor (1-q^n) by an explicit multiplication.
     """
-    acc = series.zero(N)
+    acc = series.from_terms({}, N)
     term = series.one(N)  # (q;q)_n / ((-q;q)_n (q;q)_n)
     n = 0
     while comb(n, 2) + n <= N:
@@ -137,9 +137,9 @@ def phi11(N: int) -> Series:
             term = series.div_binomial(term, +1, n)
             term = series.div_binomial(term, -1, n)
             term = series.mul_binomial(term, -1, n)
-        lead = comb(n, 2) + n  # q^(n choose 2) * q^n from (-2q)^n
-        weight = (-1) ** n * (-2) ** n  # = 2^n
-        acc = series.add(acc, series.shift(series.scale(term, weight), lead))
+        # (-1)^n q^(n choose 2) (-2q)^n = 2^n q^(n choose 2 + n)
+        monomial = series.from_terms({comb(n, 2) + n: 2**n}, N)
+        acc = series.add(acc, series.mul(term, monomial))
         n += 1
     return acc
 
@@ -207,9 +207,8 @@ def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:
             acc = series.div_binomial(acc, +1, j)
     if variant is not MexVariant.OVERLINED:
         acc = series.mul_binomial(acc, -1, m)
-    if variant is MexVariant.ALL:
-        acc = series.scale(acc, 2 ** (m - 1))
-    return series.shift(acc, comb(m, 2))
+    weight = 2 ** (m - 1) if variant is MexVariant.ALL else 1
+    return series.mul(acc, series.from_terms({comb(m, 2): weight}, N))
 
 
 def feasible_mex_values(n: int) -> range:

@@ -7,13 +7,13 @@ operands' orders; callers build every factor at one global N, so the
 common case never loses information.
 
 This module is the Z ring the q-series builders are written against.
-The ring interface is the kernels the ring-generic builders call: one,
+Both rings share one interface, the kernels every builder calls: one,
 from_terms, add, mul, div, mul_binomial and div_binomial.  GF2 is the
-same interface mod 2, on Python-int bitmasks.  Z also has zero, scale
-and shift, for the Z-only builders (the 1phi1 defining sum and the
-per-m count series).  `mul` walks the nonzero terms of the sparser
-operand on both rings, and Z `div` only the divisor's nonzero terms, so
-a product with or a division by a sparse theta-like series is
+same interface mod 2, on Python-int bitmasks; Z adds only the float
+evaluators.  A monomial c q^k is from_terms({k: c}, N), so a shift or
+a scaling is a product with one.  `mul` walks the nonzero terms of the
+sparser operand on both rings, and Z `div` only the divisor's nonzero
+terms, so a product with or a division by a sparse theta-like series is
 O(N * nnz).  The binomial kernels take the factor (1 +- q^e),
 coefficient +1 or -1 and nothing else, on both rings; over Z each is a
 few C-level passes (map, accumulate) over slices of the coefficients,
@@ -29,7 +29,6 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
 
 FLOAT_BITS = 1000
 """Integers of at most this many bits convert to float with room to spare:
@@ -59,28 +58,6 @@ class Series:
         return f"Series([{head}{tail}], N={self.trunc_order})"
 
 
-def from_coeffs(values: Sequence[int], trunc_order: int) -> Series:
-    """Series with the given low-order coefficients, zero-padded up to N."""
-    if trunc_order < 0:
-        raise ValueError("trunc_order must be non-negative")
-    if not values:
-        raise ValueError("values must be non-empty")
-    if trunc_order < len(values) - 1:
-        raise ValueError(
-            f"trunc_order {trunc_order} cannot hold {len(values)} coefficients"
-        )
-    coeffs = tuple(values) + (0,) * (trunc_order + 1 - len(values))
-    return Series(coeffs)
-
-
-def zero(trunc_order: int) -> Series:
-    return from_coeffs([0], trunc_order)
-
-
-def one(trunc_order: int) -> Series:
-    return from_coeffs([1], trunc_order)
-
-
 def add(a: Series, b: Series) -> Series:
     n = min(a.trunc_order, b.trunc_order)
     return Series(tuple(x + y for x, y in zip(a.coeffs[: n + 1], b.coeffs[: n + 1])))
@@ -89,11 +66,17 @@ def add(a: Series, b: Series) -> Series:
 def from_terms(terms: dict, trunc_order: int) -> Series:
     """The series sum c q^e over the (e, c) items of terms; exponents past
     the truncation order are dropped."""
+    if trunc_order < 0 or min(terms, default=0) < 0:
+        raise ValueError("truncation order and exponents must be non-negative")
     coeffs = [0] * (trunc_order + 1)
     for e, c in terms.items():
         if e <= trunc_order:
             coeffs[e] += c
     return Series(tuple(coeffs))
+
+
+def one(trunc_order: int) -> Series:
+    return from_terms({0: 1}, trunc_order)
 
 
 def mul(a: Series, b: Series) -> Series:
@@ -199,22 +182,6 @@ def div_binomial(a: Series, coefficient: int, exponent: int) -> Series:
     return Series(tuple(out))
 
 
-def shift(a: Series, k: int) -> Series:
-    """a * q^k; coefficients pushed past the truncation order are dropped."""
-    if k < 0:
-        raise ValueError("shift must be non-negative")
-    n = a.trunc_order
-    if k == 0:
-        return a
-    if k > n:
-        return zero(n)
-    return Series((0,) * k + a.coeffs[: n + 1 - k])
-
-
-def scale(a: Series, c: int) -> Series:
-    return Series(tuple(c * x for x in a.coeffs))
-
-
 class GF2Series:
     """A series mod 2 truncated at trunc_order: bit n of `bits` is the
     coefficient of q^n."""
@@ -235,12 +202,14 @@ class _GF2Ring:
     over Z; mod 2, (1 - q^k) and (1 + q^k) coincide."""
 
     def one(self, trunc_order: int) -> GF2Series:
-        return GF2Series(1, trunc_order)
+        return self.from_terms({0: 1}, trunc_order)
 
     def from_terms(self, terms: dict, trunc_order: int) -> GF2Series:
+        if trunc_order < 0 or min(terms, default=0) < 0:
+            raise ValueError("truncation order and exponents must be non-negative")
         bits = 0
         for e, c in terms.items():
-            if c % 2:
+            if c % 2 and e <= trunc_order:
                 bits ^= 1 << e
         return GF2Series(bits, trunc_order)
 

@@ -105,9 +105,12 @@ def test_criterion_8_power_of_two_classes():
     for n in range(1, 26):
         for partition, size, _ in cb.class_decomposition(n):
             assert size == 2 ** len(set(partition)), (n, partition)
-    ops = cb.overpartitions_from_multiset([5, 3, 3, 3, 2, 2])
+    ops = [
+        pi for pi in cb.enumerate_overpartitions(18)
+        if tuple((p, count) for p, count, _ in pi.groups) == ((5, 1), (3, 3), (2, 2))
+    ]
     assert len(ops) == 8
-    assert all(pi.weight == 18 for pi in ops)
+    assert all(sum(p * count for p, count, _ in pi.groups) == 18 for pi in ops)
 
 
 def test_criterion_9_property_suite():
@@ -122,12 +125,12 @@ def test_criterion_9_property_suite():
     for variant in MexVariant:
         gf = qf.sigma_mex_gf(variant, 20)
         pbar = qf.overpartition_gf(20)
-        total = se.zero(20)
-        weighted = se.zero(20)
+        total = se.from_terms({}, 20)
+        weighted = se.from_terms({}, 20)
         for m in qf.feasible_mex_values(20):
             counts = qf.mex_count_gf(variant, m, 20)
             total = se.add(total, counts)
-            weighted = se.add(weighted, se.scale(counts, m))
+            weighted = se.add(weighted, se.mul(counts, se.from_terms({0: m}, 20)))
         assert total.coeffs == pbar.coeffs
         assert weighted.coeffs == gf.coeffs
 

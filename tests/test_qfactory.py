@@ -149,8 +149,9 @@ class TestPhi11:
         assert qf.phi11(10)[0] == 1
 
     def test_defining_equals_simplified(self):
-        N = 300
-        assert qf.phi11(N).coeffs == qf.phi11_simplified(N).coeffs
+        # N = 0, 1, 2: the n = 1 term's q^1, and the n = 2 term's q^3 past N.
+        for N in (0, 1, 2, 300):
+            assert qf.phi11(N).coeffs == qf.phi11_simplified(N).coeffs, N
 
     def test_product_gives_sigma_all(self):
         gf = se.mul(qf.overpartition_gf(10), qf.phi11(10))
@@ -247,7 +248,7 @@ class TestMexCountGf:
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_counts_sum_to_overpartition_numbers(self, variant):
         N = 300
-        total = se.zero(N)
+        total = se.from_terms({}, N)
         for m in qf.feasible_mex_values(N):
             total = se.add(total, qf.mex_count_gf(variant, m, N))
         assert total.coeffs == qf.overpartition_gf(N).coeffs
@@ -255,9 +256,10 @@ class TestMexCountGf:
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_weighted_counts_sum_to_sigma(self, variant):
         N = 20
-        total = se.zero(N)
+        total = se.from_terms({}, N)
         for m in qf.feasible_mex_values(N):
-            total = se.add(total, se.scale(qf.mex_count_gf(variant, m, N), m))
+            weighted = se.mul(qf.mex_count_gf(variant, m, N), se.from_terms({0: m}, N))
+            total = se.add(total, weighted)
         assert total.coeffs == qf.sigma_mex_gf(variant, N).coeffs
 
     @pytest.mark.parametrize("variant", list(MexVariant))
@@ -266,11 +268,18 @@ class TestMexCountGf:
         for m in qf.feasible_mex_values(N):
             gf = qf.mex_count_gf(variant, m, N)
             for n in range(1, N + 1):
-                assert gf[n] == cb.mex_counts(n, variant).get(m, 0), (variant, m, n)
+                assert gf[n] == cb.mex_histograms(n)[n][variant].get(m, 0), (variant, m, n)
 
     def test_mex_beyond_order_is_zero(self):
         # q^(4 choose 2) = q^6 lies past order 3.
         assert qf.mex_count_gf(MexVariant.OVERLINED, 4, 3).coeffs == (0, 0, 0, 0)
+        # Every variant, at the first two m whose q^(m choose 2) lies past N.
+        for N in (0, 1, 2, 3, 300):
+            past = qf.feasible_mex_values(N)[-1] + 1
+            for variant in MexVariant:
+                for m in (past, past + 1):
+                    assert comb(m, 2) > N
+                    assert qf.mex_count_gf(variant, m, N) == se.from_terms({}, N), (N, m)
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_closed_form_matches_factorwise(self, variant):
@@ -290,14 +299,14 @@ def _count_gf_by_factors(variant, m, N):
         for j in range(1, N + 1):
             if j != m:
                 acc = se.div_binomial(acc, -1, j)
-        return se.shift(acc, lead)
+        return se.mul(acc, se.from_terms({lead: 1}, N))
     negq_m = se.one(N)  # (-q;q)_m
     for j in range(1, min(m, N) + 1):
         negq_m = se.mul_binomial(negq_m, +1, j)
     body = se.div(se.one(N), negq_m)
     if variant is MexVariant.ALL:
-        body = se.scale(se.mul_binomial(body, -1, m), 2 ** (m - 1))
-    return se.shift(se.mul(qf.overpartition_gf(N), body), lead)
+        body = se.mul(se.mul_binomial(body, -1, m), se.from_terms({0: 2 ** (m - 1)}, N))
+    return se.mul(se.mul(qf.overpartition_gf(N), body), se.from_terms({lead: 1}, N))
 
 
 class TestIdentityChains:

@@ -11,7 +11,8 @@ from overmex import series as se
 
 
 def S(values, N):
-    return se.from_coeffs(values, N)
+    """The series with the given low coefficients, zero-padded to order N."""
+    return se.Series(tuple(values) + (0,) * (N + 1 - len(values)))
 
 
 def random_series(rng, N, lo=-5, hi=5, unit=False):
@@ -71,29 +72,58 @@ def series(draw, max_order=40, unit=False):
 
 class TestConstruction:
     def test_constant_padding(self):
-        s = S([1], 3)
+        s = se.one(3)
         assert s.coeffs == (1, 0, 0, 0)
         assert s.trunc_order == 3
 
     def test_prefix_values(self):
-        s = S([1, 2, 4, 8], 3)
+        s = se.from_terms({0: 1, 1: 2, 2: 4, 3: 8}, 3)
         assert s.coeffs == (1, 2, 4, 8)
 
     def test_monomial(self):
-        s = S([0, 1], 5)
+        s = se.from_terms({1: 1}, 5)
         assert s.coeffs == (0, 1, 0, 0, 0, 0)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            se.from_coeffs([1], -1)
+        for ring in (se, se.GF2):
+            for terms in ({0: 1}, {}):
+                with pytest.raises(ValueError, match="truncation order"):
+                    ring.from_terms(terms, -1)
+            with pytest.raises(ValueError, match="truncation order"):
+                ring.one(-1)
 
-    def test_too_many_values_rejected(self):
-        with pytest.raises(ValueError):
-            se.from_coeffs([1, 2, 3], 1)
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    def test_negative_exponent_rejected(self, ring):
+        # Not wrapped round to q^N by negative indexing.
+        for terms in ({-1: 5}, {0: 1, -3: 1}, {-2: 2}):
+            with pytest.raises(ValueError, match="exponents"):
+                ring.from_terms(terms, 3)
+
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    def test_exponents_past_order_dropped(self, ring):
+        s = ring.from_terms({0: 1, 2: -1, 3: 1, 64: 1, 10**6: 1}, 2)
+        assert s.trunc_order == 2
+        assert [s[n] % 2 for n in range(3)] == [1, 0, 1]
+        assert s[2] == (-1 if ring is se else 1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            se.from_coeffs([], 3)
+            se.Series(())
+
+
+def test_one_ring_interface():
+    """Z and GF(2) expose the same kernels; Z adds only the float
+    evaluators and the two value types are not kernels."""
+    z = {
+        name for name, obj in vars(se).items()
+        if callable(obj) and not name.startswith("_")
+        and getattr(obj, "__module__", None) == se.__name__
+    }
+    gf2 = {
+        name for name in dir(se.GF2)
+        if callable(getattr(se.GF2, name)) and not name.startswith("_")
+    }
+    assert z - {"evaluate_real", "ldexp", "Series", "GF2Series"} == gf2
 
 
 class TestAddSub:
@@ -104,7 +134,8 @@ class TestAddSub:
         rng = random.Random(1)
         for _ in range(20):
             x = random_series(rng, rng.randint(0, 12))
-            assert not any(se.add(x, se.scale(x, -1)).coeffs)
+            minus_x = se.mul(x, se.from_terms({0: -1}, x.trunc_order))
+            assert not any(se.add(x, minus_x).coeffs)
 
     def test_truncates_to_min_order(self):
         assert se.add(S([1], 5), S([1], 2)).trunc_order == 2
@@ -132,8 +163,8 @@ class TestMul:
         for _ in range(20):
             vals_a = [rng.randint(-4, 4) for _ in range(6)]
             vals_b = [rng.randint(-4, 4) for _ in range(6)]
-            small = se.mul(se.from_coeffs(vals_a, 8), se.from_coeffs(vals_b, 8))
-            big = se.mul(se.from_coeffs(vals_a, 20), se.from_coeffs(vals_b, 20))
+            small = se.mul(S(vals_a, 8), S(vals_b, 8))
+            big = se.mul(S(vals_a, 20), S(vals_b, 20))
             assert big.coeffs[:9] == small.coeffs
 
 
@@ -155,8 +186,10 @@ class TestKroneckerMul:
         assert se.mul(dense, sparse) == schoolbook_mul(dense, sparse)
 
     def test_all_zero_and_order_zero(self):
-        assert se.mul(se.zero(7), se.zero(7)) == se.zero(7)
-        assert se.mul(se.zero(3), S([1, -2, 3], 5)) == se.zero(3)
+        zero = se.from_terms({}, 7)
+        assert zero.coeffs == (0,) * 8
+        assert se.mul(zero, zero) == zero
+        assert se.mul(se.from_terms({}, 3), S([1, -2, 3], 5)) == se.from_terms({}, 3)
         assert se.mul(S([-5], 0), S([7], 0)).coeffs == (-35,)
 
     def test_slot_width_edges(self):
@@ -235,11 +268,11 @@ class TestInvert:
 
 class TestEvaluateReal:
     def test_geometric_sum(self):
-        geo = se.from_coeffs([1] * 61, 60)
+        geo = S([1] * 61, 60)
         assert se.evaluate_real(geo, 0.5) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_series(self):
-        assert se.evaluate_real(se.zero(10), 0.3) == 0.0
+        assert se.evaluate_real(se.from_terms({}, 10), 0.3) == 0.0
 
     def test_domain_enforced(self):
         for q0 in (0.0, 1.0, -0.5, 1.5):
@@ -257,25 +290,25 @@ class TestEvaluateReal:
 
     def test_coefficients_past_float_range(self):
         # 1 + 2^3000 q^3000 at q = 1/2 is exactly 2.
-        a = se.from_coeffs([1] + [0] * 2999 + [2**3000], 3000)
+        a = se.from_terms({0: 1, 3000: 2**3000}, 3000)
         assert se.evaluate_real(a, 0.5) == 2.0
         # 10^400 q^1000 at q = 1/4 is about 1e-202.
-        b = se.from_coeffs([0] * 1000 + [10**400], 1000)
+        b = se.from_terms({1000: 10**400}, 1000)
         expected = float(Fraction(10**400, 4**1000))
         assert se.evaluate_real(b, 0.25) == pytest.approx(expected, rel=1e-12)
         # A tail whose terms vanish in float leaves the head's plain sum.
-        c = se.from_coeffs([1, 1] + [0] * 1998 + [10**400] * 1001, 3000)
+        c = S([1, 1] + [0] * 1998 + [10**400] * 1001, 3000)
         assert se.evaluate_real(c, 0.25) == 1.25
 
     def test_sum_past_float_range_is_inf(self):
-        assert se.evaluate_real(se.from_coeffs([10**400] * 5, 4), 0.5) == math.inf
-        assert se.evaluate_real(se.from_coeffs([-(10**400)], 4), 0.5) == -math.inf
+        assert se.evaluate_real(S([10**400] * 5, 4), 0.5) == math.inf
+        assert se.evaluate_real(S([-(10**400)], 4), 0.5) == -math.inf
 
     def test_truncation_stability(self):
         # Doubling N moves the value by less than the discarded tail bound.
         coeffs = [n + 1 for n in range(201)]
-        short = se.from_coeffs(coeffs[:101], 100)
-        long = se.from_coeffs(coeffs, 200)
+        short = S(coeffs[:101], 100)
+        long = S(coeffs, 200)
         q0 = 0.9
         tail = sum(c * q0**n for n, c in enumerate(coeffs[101:], start=101))
         diff = abs(se.evaluate_real(long, q0) - se.evaluate_real(short, q0))
@@ -290,7 +323,7 @@ class TestHelpers:
             a = random_series(rng, n)
             k = rng.randint(1, n)
             c = rng.choice([1, -1])
-            binom = se.from_coeffs([1] + [0] * (k - 1) + [c], n)
+            binom = se.from_terms({0: 1, k: c}, n)
             assert se.mul_binomial(a, c, k).coeffs == se.mul(a, binom).coeffs
 
     def test_binomial_div_roundtrip(self):
@@ -327,9 +360,13 @@ class TestHelpers:
         with pytest.raises(ValueError, match="coefficient"):
             getattr(ring, kernel)(ring.one(5), coefficient, 1)
 
+    # A shift by k is a product with the monomial q^k, on either side.
     def test_shift_drops_overflow(self):
-        assert se.shift(S([1, 2, 3], 2), 2).coeffs == (0, 0, 1)
+        a, q2 = S([1, 2, 3], 2), se.from_terms({2: 1}, 2)
+        assert se.mul(a, q2).coeffs == se.mul(q2, a).coeffs == (0, 0, 1)
+        assert se.mul(a, se.from_terms({1: -3}, 2)).coeffs == (0, -3, -6)
 
     def test_shift_past_order_is_zero(self):
         for k in (6, 8, 12, 13):
-            assert se.shift(se.one(5), k) == se.zero(5), k
+            qk = se.from_terms({k: 7}, 5)
+            assert se.mul(se.one(5), qk) == se.mul(qk, se.one(5)) == se.from_terms({}, 5), k

@@ -60,7 +60,7 @@ class Series:
 
 def add(a: Series, b: Series) -> Series:
     n = min(a.trunc_order, b.trunc_order)
-    return Series(tuple(x + y for x, y in zip(a.coeffs[: n + 1], b.coeffs[: n + 1])))
+    return Series(tuple(map(operator.add, a.coeffs[: n + 1], b.coeffs[: n + 1])))
 
 
 def from_terms(terms: dict, trunc_order: int) -> Series:

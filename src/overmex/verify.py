@@ -7,15 +7,19 @@ experiment: its tolerances, grids and orders are module constants, and it
 takes only what its callers vary.  Parity sweeps read the qfactory series
 built over GF(2) (series.GF2), which keeps n_max = 10^4 cheap; each GF(2)
 series a sweep reads is built once and first compared, coefficient by
-coefficient to order 1000, with its integer series reduced mod 2.  The
-float checks scale integers past the float range by a power of two, so
-they report at any order.
+coefficient to order 1000, with its integer series reduced mod 2.  Each
+sweep is then a few whole-int bit operations on the bitmask, a FAIL's n
+is the lowest set bit of the mismatch, and no Python step is taken per n.
+The float checks scale integers past the float range by a power of two,
+so they report at any order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterator, Sequence
 
 from . import combinat, qfactory, series
@@ -65,10 +69,11 @@ class AsymRow:
 
 def _compare_series(name: str, a: Series, b: Series, range_desc: str) -> VerifyReport:
     n = min(a.trunc_order, b.trunc_order)
-    for i in range(n + 1):
-        if a[i] != b[i]:
-            return VerifyReport(name, FAIL, range_desc, first_failure=(i, a[i], b[i]))
-    return VerifyReport(name, PASS, range_desc)
+    x, y = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    if x == y:
+        return VerifyReport(name, PASS, range_desc)
+    i = list(map(operator.ne, x, y)).index(True)
+    return VerifyReport(name, FAIL, range_desc, first_failure=(i, x[i], y[i]))
 
 
 def _merge(name: str, range_desc: str, parts: Sequence[VerifyReport]) -> VerifyReport:
@@ -239,13 +244,13 @@ def check_parity_all_even(n_max: int) -> VerifyReport:
     ])
     if failure is not None:
         return failure
-    for n in range(1, n_max + 1):
-        for where, bits in reads:
-            if bits[n]:
-                return VerifyReport(
-                    name, FAIL, rng_desc, first_failure=(n, 0, 1),
-                    metrics={"where": where},
-                )
+    odd = reduce(operator.or_, (bits.bits for _, bits in reads)) & ~1
+    if odd:  # the smallest odd n >= 1, named by the first read odd there
+        n = (odd & -odd).bit_length() - 1
+        where = next(where for where, bits in reads if bits[n])
+        return VerifyReport(
+            name, FAIL, rng_desc, first_failure=(n, 0, 1), metrics={"where": where}
+        )
     return VerifyReport(name, PASS, rng_desc)
 
 
@@ -302,13 +307,14 @@ def check_triangular_parity(n_max: int) -> VerifyReport:
     if failure is not None:
         return failure
     [(_, bits)] = reads
-    for n in range(1, n_max + 1):
-        is_odd = bits[n]
-        should = math.isqrt(8 * n + 1) ** 2 == 8 * n + 1  # n = j(j+1)/2
-        if bool(is_odd) != should:
-            return VerifyReport(
-                name, FAIL, rng_desc, first_failure=(n, int(should), is_odd)
-            )
+    j_max = (math.isqrt(8 * n_max + 1) - 1) // 2  # the last j(j+1)/2 <= n_max
+    triangular = sum(1 << j * (j + 1) // 2 for j in range(1, j_max + 1))
+    diff = (bits.bits ^ triangular) & ~1  # q^0 is 1 by convention, not checked
+    if diff:
+        n = (diff & -diff).bit_length() - 1
+        return VerifyReport(
+            name, FAIL, rng_desc, first_failure=(n, triangular >> n & 1, bits[n])
+        )
     return VerifyReport(name, PASS, rng_desc)
 
 
@@ -419,12 +425,14 @@ def check_ingham_scaling(gf: Series) -> VerifyReport:
         raise ValueError("order must be >= 800 for a trustworthy tail")
     name = "ingham_scaling"
     rng_desc = f"N={N}, t in {list(INGHAM_T)}"
-    for n in range(N):
-        if gf[n + 1] < gf[n]:
-            return VerifyReport(
-                name, FAIL, rng_desc, first_failure=(n, gf[n], gf[n + 1]),
-                metrics={"where": "weakly_increasing"},
-            )
+    c = gf.coeffs
+    drops = list(map(operator.lt, c[1:], c))  # drops[n]: gf[n + 1] < gf[n]
+    if True in drops:
+        n = drops.index(True)
+        return VerifyReport(
+            name, FAIL, rng_desc, first_failure=(n, c[n], c[n + 1]),
+            metrics={"where": "weakly_increasing"},
+        )
     scaled = [_ingham_scaled(gf, t) for t in INGHAM_T]
     metrics = {f"scaled_at_t={t}": s for t, s in zip(INGHAM_T, scaled)}
     devs = [abs(s - 1.0) for s in scaled]

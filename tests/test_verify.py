@@ -39,17 +39,41 @@ class TestReport:
             "metrics": {"density": 0.5},
         }
 
-    def test_failure_carries_witness(self):
-        a = se.from_terms({0: 1, 1: 2, 2: 3}, 4)
-        b = se.from_terms({0: 1, 1: 2, 2: 4}, 4)
+    @pytest.mark.parametrize("a_terms,a_order,b_terms,b_order,witness", [
+        ({0: 1, 1: 2, 2: 3}, 4, {0: 1, 1: 2, 2: 4}, 4, (2, 3, 4)),
+        ({0: 1, 3: 5}, 4, {0: 2, 3: 5}, 4, (0, 1, 2)),  # only at q^0
+        ({0: 1, 4: 7}, 4, {0: 1, 4: 8}, 6, (4, 7, 8)),  # only at the last shared q^N
+        ({0: 1, 2: 3}, 3, {0: 1, 2: 3, 5: 9}, 6, None),  # past q^3 is not compared
+    ], ids=["inner", "constant_term", "last_shared", "shared_prefix_agrees"])
+    def test_failure_carries_witness(self, a_terms, a_order, b_terms, b_order, witness):
+        a = se.from_terms(a_terms, a_order)
+        b = se.from_terms(b_terms, b_order)
         r = vf._compare_series("demo", a, b, "n <= 4")
-        assert not r.passed
-        assert r.first_failure == (2, 3, 4)
+        assert r.passed == (witness is None)
+        assert r.first_failure == witness
 
 
 def _bump(series, k):
     """series + q^k, at the series' own order."""
     return se.add(series, se.from_terms({k: 1}, series.trunc_order))
+
+
+def _flip_gf2_bits(monkeypatch, flips):
+    """verify sees qfactory with the bits listed in flips toggled in every
+    GF(2) build whose arguments, N left off, are a key of flips: () for
+    overpartition_gf, (variant,) for sigma_mex_gf.  The integer series,
+    and so the mod-2 comparison, are unchanged."""
+    seen_by_verify = types.SimpleNamespace(**vars(qf))
+    for builder in ("overpartition_gf", "sigma_mex_gf"):
+        def flipped(*args, ring=se, original=getattr(qf, builder)):
+            s = original(*args, ring=ring)
+            if ring is not se.GF2:
+                return s
+            toggles = dict.fromkeys(flips.get(args[:-1], ()), 1)
+            return se.GF2.add(s, se.GF2.from_terms(toggles, s.trunc_order))
+
+        setattr(seen_by_verify, builder, flipped)
+    monkeypatch.setattr(vf, "qfactory", seen_by_verify)
 
 
 class TestGfVsOracle:
@@ -328,6 +352,34 @@ class TestParity:
             requests.clear()
             assert check(300).passed
             assert requests == Counter(series_args), check.__name__
+
+    # Past MOD2_CHECK_ORDER only the sweep reads a GF(2) coefficient, so
+    # each fault below is visible to nothing but the sweep.
+    @pytest.mark.parametrize("flips,witness,where", [
+        ({(MexVariant.ALL,): [1500]}, (1500, 0, 1), "sigma_mex_all"),
+        # Same n in both reads: the witness names the first read.
+        ({(): [1500], (MexVariant.ALL,): [1500]}, (1500, 0, 1), "overpartition_number"),
+        ({(): [1700], (MexVariant.ALL,): [1500]}, (1500, 0, 1), "sigma_mex_all"),
+        ({(MexVariant.ALL,): [2000]}, (2000, 0, 1), "sigma_mex_all"),
+    ], ids=["all_parts", "tie_first_read", "smaller_n_wins", "at_n_max"])
+    def test_all_even_witness_past_mod2_window(self, flips, witness, where, monkeypatch):
+        _flip_gf2_bits(monkeypatch, flips)
+        r = vf.check_parity_all_even(2000)
+        assert r.status == vf.FAIL
+        assert r.first_failure == witness
+        assert r.metrics == {"where": where}
+
+    @pytest.mark.parametrize("flip,witness", [
+        (1540, (1540, 1, 0)),  # the triangular 55*56/2, read even
+        (1541, (1541, 0, 1)),  # a non-triangular n, read odd
+        (2000, (2000, 0, 1)),
+    ], ids=["triangular_even", "non_triangular_odd", "at_n_max"])
+    def test_triangular_witness_past_mod2_window(self, flip, witness, monkeypatch):
+        _flip_gf2_bits(monkeypatch, {(MexVariant.NON_OVERLINED,): [flip]})
+        r = vf.check_triangular_parity(2000)
+        assert r.status == vf.FAIL
+        assert r.first_failure == witness
+        assert r.metrics == {}
 
     def test_wrong_integer_pbar_fails(self, monkeypatch):
         # Z P-bar off by one at n = 700, past the old mod-2 check order:

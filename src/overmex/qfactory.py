@@ -197,18 +197,24 @@ def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:
 
     Per line: forcing part j < m present multiplies its P-bar factor
     (1+q^j)/(1-q^j) by q^j/(1+q^j), q^j or 2q^j/(1+q^j); forcing m absent
-    multiplies that of m by 1/(1+q^m), 1-q^m or (1-q^m)/(1+q^m).
+    multiplies that of m by 1/(1+q^m), 1-q^m or (1-q^m)/(1+q^m).  With
+    k = (m choose 2), the quotient is built on the first N - k + 1
+    coefficients of the cached P-bar, the only ones that reach q^N once
+    placed at q^k: about m (N - k) work, not m N.
     """
     if m < 1:
         raise ValueError("mex value m must be >= 1")
-    acc = overpartition_gf(N)
+    k = comb(m, 2)
+    if k > N:
+        return series.from_terms({}, N)
+    acc = Series(overpartition_gf(N).coeffs[: N - k + 1])
     if variant is not MexVariant.NON_OVERLINED:
         for j in range(1, m + 1):
             acc = series.div_binomial(acc, +1, j)
     if variant is not MexVariant.OVERLINED:
         acc = series.mul_binomial(acc, -1, m)
     weight = 2 ** (m - 1) if variant is MexVariant.ALL else 1
-    return series.mul(acc, series.from_terms({comb(m, 2): weight}, N))
+    return Series((0,) * k + tuple(map(weight.__mul__, acc.coeffs)))
 
 
 def feasible_mex_values(n: int) -> range:

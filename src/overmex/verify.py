@@ -211,22 +211,29 @@ def check_identity_suite(N: int) -> VerifyReport:
 MOD2_CHECK_ORDER = 1000  # GF(2) series are compared with Z mod 2 up to here
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # parity bytes to base-2 digits
+
+
 def _gf2_reads(name: str, rng_desc: str, n_max: int, builds) -> tuple:
     """(failure, reads): reads lists (where, GF(2) series to n_max) for
     each build (where, builder, args), the order N left off args, after
     comparing it up to MOD2_CHECK_ORDER with its integer series mod 2;
-    failure is a FAIL report at the first n where they differ, else None."""
+    failure is a FAIL report at the first n where they differ, else None.
+    The integer series' parities are packed into a bitmask, highest
+    power first, by C-level passes, and the comparison is one XOR."""
     m = min(MOD2_CHECK_ORDER, n_max)
     reads = []
     for where, builder, args in builds:
         bits = builder(*args, n_max, ring=series.GF2)
         full = builder(*args, m)
-        for n in range(m + 1):
-            if bits[n] != full[n] % 2:
-                return VerifyReport(
-                    name, FAIL, rng_desc, first_failure=(n, full[n] % 2, bits[n]),
-                    metrics={"where": f"mod2:{where}"},
-                ), reads
+        digits = bytes(map((1).__and__, reversed(full.coeffs))).translate(_BIT_DIGITS)
+        diff = (int(digits, 2) ^ bits.bits) & ((1 << (m + 1)) - 1)
+        if diff:
+            n = (diff & -diff).bit_length() - 1
+            return VerifyReport(
+                name, FAIL, rng_desc, first_failure=(n, full[n] % 2, bits[n]),
+                metrics={"where": f"mod2:{where}"},
+            ), reads
         reads.append((where, bits))
     return None, reads
 

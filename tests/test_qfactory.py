@@ -283,10 +283,36 @@ class TestMexCountGf:
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_closed_form_matches_factorwise(self, variant):
-        # Every feasible m at N=300, far past the m <= 7 the oracle reaches.
-        N = 300
-        for m in qf.feasible_mex_values(N):
-            assert qf.mex_count_gf(variant, m, N) == _count_gf_by_factors(variant, m, N), m
+        # Every feasible m, far past the m <= 7 the oracle reaches.  The
+        # orders hit (m choose 2) = N (1, 3, 6, 10, 45) and N - (m choose 2)
+        # < m, where the quotient is built on fewer coefficients than it
+        # has binomial factors.
+        for N in (0, 1, 3, 6, 10, 45, 300):
+            for m in qf.feasible_mex_values(N):
+                got = qf.mex_count_gf(variant, m, N)
+                assert got == _count_gf_by_factors(variant, m, N), (N, m)
+
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    def test_largest_m_at_order_2000(self, variant):
+        # The three largest m leave 171, 110 and 48 coefficients below q^N.
+        N = 2000
+        for m in qf.feasible_mex_values(N)[-3:]:
+            assert qf.mex_count_gf(variant, m, N) == _count_gf_at_full_order(variant, m, N), m
+
+
+def _count_gf_at_full_order(variant, m, N):
+    """The closed form of mex_count_gf with every factor applied to the
+    whole P-bar at order N, then shifted to q^(m choose 2) and truncated:
+    the reference for building the quotient on a prefix of P-bar."""
+    acc = qf.overpartition_gf(N)
+    if variant is not MexVariant.NON_OVERLINED:
+        for j in range(1, m + 1):
+            acc = se.div_binomial(acc, +1, j)
+    if variant is not MexVariant.OVERLINED:
+        acc = se.mul_binomial(acc, -1, m)
+    weight = 2 ** (m - 1) if variant is MexVariant.ALL else 1
+    lead = comb(m, 2)
+    return se.Series(tuple([0] * lead + [weight * c for c in acc.coeffs])[: N + 1])
 
 
 def _count_gf_by_factors(variant, m, N):

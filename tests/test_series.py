@@ -70,6 +70,15 @@ def series(draw, max_order=40, unit=False):
     return se.Series(tuple(coeffs))
 
 
+@st.composite
+def sparse_series(draw, max_order=60):
+    """A series with at most four nonzero terms, often one or none, so
+    that mul takes its single-term path or walks nonzero pairs."""
+    n = draw(st.integers(0, max_order))
+    terms = draw(st.dictionaries(st.integers(0, n), coefficient, max_size=4))
+    return se.from_terms(terms, n)
+
+
 class TestConstruction:
     def test_constant_padding(self):
         s = se.one(3)
@@ -203,6 +212,69 @@ class TestKroneckerMul:
                     assert se.mul(a, b) == schoolbook_mul(a, b), (k, big, sign)
 
 
+class TestMulPaths:
+    """Each path of mul against the schoolbook product: one operand a
+    single term c q^k, or both walked by their nonzero pairs."""
+
+    @pytest.mark.parametrize("N", [0, 1, 7, 200])
+    @pytest.mark.parametrize(
+        "c", [1, -1, 2**1000, -(2**1000)], ids=["1", "-1", "2^1000", "-2^1000"]
+    )
+    def test_monomial_either_side(self, N, c):
+        rng = random.Random(N)
+        dense = random_series(rng, N, lo=-(2**1000), hi=2**1000)
+        zero = se.from_terms({}, N)
+        for k in (0, 1, N):
+            mono = se.from_terms({k: c}, N)
+            expected = schoolbook_mul(mono, dense)
+            assert se.mul(mono, dense) == expected, k
+            assert se.mul(dense, mono) == expected, k
+            assert se.mul(mono, mono) == schoolbook_mul(mono, mono), k
+            assert se.mul(mono, zero) == se.mul(zero, mono) == zero, k
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 40, 300])
+    def test_sparse_named_series(self, N):
+        p1, p2, theta = qf.pentagonal(1, N), qf.pentagonal(2, N), qf.theta_neg(N)
+        for a, b in [(p1, p1), (p2, p2), (p1, p2), (theta, p1), (p2, theta)]:
+            assert se.mul(a, b) == schoolbook_mul(a, b)
+            assert se.mul(b, a) == schoolbook_mul(a, b)
+        cube = se.mul(se.mul(p1, p1), p1)
+        assert cube == schoolbook_mul(schoolbook_mul(p1, p1), p1)
+        zero = se.from_terms({}, N)
+        assert se.mul(p1, zero) == se.mul(zero, theta) == zero
+
+    @pytest.mark.parametrize("N", [1, 2, 9, 40])
+    def test_exponent_sums_at_the_edge(self, N):
+        # Every split i + j of N and of N + 1, with c = 3 and 2^1000 + 1:
+        # the first lands on q^N, the second falls past it.
+        for i in range(N + 1):
+            for j in (N - i, N + 1 - i):
+                if j > N:
+                    continue
+                a = se.from_terms({0: 1, i: 3}, N)
+                b = se.from_terms({1: -1, j: 2**1000 + 1}, N)
+                assert se.mul(a, b) == schoolbook_mul(a, b), (i, j)
+
+    def test_mixed_orders(self):
+        rng = random.Random(8)
+        for na, nb in [(0, 5), (5, 0), (3, 40), (40, 3), (17, 18)]:
+            dense = random_series(rng, na, lo=-(2**1000), hi=2**1000)
+            for sparse in (
+                se.from_terms({nb: -5}, nb), se.from_terms({0: 1, nb: 2}, nb),
+                qf.pentagonal(1, nb),
+            ):
+                for a, b in ((dense, sparse), (sparse, dense)):
+                    got = se.mul(a, b)
+                    assert got.trunc_order == min(na, nb)
+                    assert got == schoolbook_mul(a, b), (na, nb)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_series(), st.one_of(sparse_series(), series(max_order=60)))
+    def test_sparse_matches_schoolbook(self, a, b):
+        assert se.mul(a, b) == schoolbook_mul(a, b)
+        assert se.mul(b, a) == schoolbook_mul(a, b)
+
+
 class TestDiv:
     @settings(max_examples=100, deadline=None)
     @given(series(), series(unit=True))
@@ -233,7 +305,7 @@ class TestDiv:
             se.GF2.div(se.GF2.one(3), se.GF2Series(0b10, 3))
 
 
-class TestInvert:
+class TestReciprocal:
     def test_geometric(self):
         inv = se.div(se.one(6), S([1, -1], 6))
         assert inv.coeffs == (1, 1, 1, 1, 1, 1, 1)

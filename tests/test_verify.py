@@ -381,6 +381,27 @@ class TestParity:
         assert r.first_failure == witness
         assert r.metrics == {}
 
+    # Inside the window the mod-2 guard reads every bit: of two bad bits
+    # the lower is the witness, and MOD2_CHECK_ORDER itself is inside.
+    @pytest.mark.parametrize("check,flips,witness,where", [
+        (vf.check_parity_all_even, {(): [801, 300]}, (300, 0, 1), "mod2:overpartition_number"),
+        (vf.check_parity_all_even, {(MexVariant.ALL,): [999, 998]}, (998, 0, 1), "mod2:sigma_mex_all"),
+        # 300 = 24 * 25 / 2 is triangular, so the Z series is odd there.
+        (vf.check_triangular_parity, {(MexVariant.NON_OVERLINED,): [500, 300]},
+         (300, 1, 0), "mod2:sigma_mex_nonoverlined"),
+        (vf.check_parity_all_even, {(): [vf.MOD2_CHECK_ORDER]},
+         (vf.MOD2_CHECK_ORDER, 0, 1), "mod2:overpartition_number"),
+        (vf.check_parity_density, {(MexVariant.OVERLINED,): [vf.MOD2_CHECK_ORDER]},
+         (vf.MOD2_CHECK_ORDER, 0, 1), "mod2:sigma_mex_overlined"),
+    ], ids=["two_in_pbar", "adjacent_in_all_parts", "triangular", "at_check_order",
+            "density_at_check_order"])
+    def test_mod2_guard_witness(self, check, flips, witness, where, monkeypatch):
+        _flip_gf2_bits(monkeypatch, flips)
+        r = check(2000)
+        assert r.status == vf.FAIL
+        assert r.first_failure == witness
+        assert r.metrics == {"where": where}
+
     def test_wrong_integer_pbar_fails(self, monkeypatch):
         # Z P-bar off by one at n = 700, past the old mod-2 check order:
         # the GF(2) side is 1 by construction, so only Z can show it.

@@ -9,8 +9,8 @@ common case never loses information.
 This module is the Z ring the q-series builders are written against.
 Both rings share one interface, the kernels every builder calls: one,
 from_terms, add, mul, div, mul_binomial and div_binomial.  GF2 is the
-same interface mod 2, on Python-int bitmasks; Z adds only the float
-evaluators.  A monomial c q^k is from_terms({k: c}, N), so a shift or
+same interface mod 2, on Python-int bitmasks, and neither ring adds
+anything to it.  A monomial c q^k is from_terms({k: c}, N), so a shift or
 a scaling is a product with one.  Z `mul` by a single term c q^k is one
 C-level pass, c times the other operand's first N + 1 - k coefficients
 placed at q^k; any other Z product walks the pairs of nonzero terms, so
@@ -28,15 +28,10 @@ values.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from bisect import bisect_right
 from itertools import accumulate, compress
-
-FLOAT_BITS = 1000
-"""Integers of at most this many bits convert to float with room to spare:
-the double range ends at 2^1024."""
 
 
 @dataclass(frozen=True)
@@ -127,35 +122,6 @@ def div(a: Series, d: Series) -> Series:
             s -= dk * b[i - k]
         b[i] = d0 * s
     return Series(tuple(b))
-
-
-def evaluate_real(a: Series, q0: float) -> float:
-    """Sum coeffs[n] * q0^n in double precision, Horner from the top down.
-
-    The running sum is kept as acc * 2^scale with acc below 2^FLOAT_BITS,
-    so coefficients past the float range are summed too; while the
-    coefficients and the running sum stay below 2^FLOAT_BITS, scale stays
-    0 and this is plain Horner.  A sum past the float range is inf.
-    """
-    if not 0.0 < q0 < 1.0:
-        raise ValueError(f"q0 must lie in (0, 1), got {q0}")
-    acc, scale = 0.0, 0
-    for c in reversed(a.coeffs):
-        k = abs(c).bit_length() - FLOAT_BITS
-        if k > scale:
-            acc, scale = math.ldexp(acc, scale - k), k
-        acc = acc * q0 + float(c >> scale)
-        d = min(scale, FLOAT_BITS - math.frexp(acc)[1])
-        if d:
-            acc, scale = math.ldexp(acc, d), scale - d
-    return ldexp(acc, scale)
-
-
-def ldexp(x: float, k: int) -> float:
-    """x * 2^k, and +-inf past the float range where math.ldexp raises."""
-    if x and math.frexp(x)[1] + k > 1024:
-        return math.copysign(math.inf, x)
-    return math.ldexp(x, k)
 
 
 def _check_binomial(coefficient: int, exponent: int) -> None:

@@ -10,8 +10,9 @@ series a sweep reads is built once and first compared, coefficient by
 coefficient to order 1000, with its integer series reduced mod 2.  Each
 sweep is then a few whole-int bit operations on the bitmask, a FAIL's n
 is the lowest set bit of the mismatch, and no Python step is taken per n.
-The float checks scale integers past the float range by a power of two,
-so they report at any order.
+The float checks sum and divide exact integers, rounding to a float only
+at the end, so they report at any order: a value past the float range is
+inf.
 """
 
 from __future__ import annotations
@@ -55,14 +56,6 @@ class VerifyReport:
         return d
 
 
-@dataclass
-class AsymRow:
-    n: int
-    exact: int
-    predicted: float
-    ratio: float
-
-
 # --------------------------------------------------------------------------
 # Shared helpers
 
@@ -87,6 +80,31 @@ def _merge(name: str, range_desc: str, parts: Sequence[VerifyReport]) -> VerifyR
     for p in parts:
         merged.update(p.metrics)
     return VerifyReport(name, PASS, range_desc, metrics=merged)
+
+
+FIXED_POINT_BITS = 128  # fraction bits of _evaluate's running sum
+
+
+def _quotient(a: int, b: int) -> float:
+    """a / b for b > 0, correctly rounded, and +-inf past the float range."""
+    try:
+        return a / b
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
+
+
+def _evaluate(gf: Series, q0: float) -> float:
+    """Sum gf[n] q0^n by Horner's rule in binary fixed point: q0 is
+    num / 2^s exactly, the running sum an integer over 2^FIXED_POINT_BITS,
+    and each step floors one product by q0.  The sum is off by less than
+    (N + 1) 2^-FIXED_POINT_BITS / (1 - q0) for 0 <= q0 < 1, so a value
+    near 1 or above is the correctly rounded float, and inf past the range."""
+    num, den = q0.as_integer_ratio()
+    s = den.bit_length() - 1
+    acc = 0
+    for c in reversed(gf.coeffs):
+        acc = (acc * num >> s) + (c << FIXED_POINT_BITS)
+    return _quotient(acc, 1 << FIXED_POINT_BITS)
 
 
 # --------------------------------------------------------------------------
@@ -325,25 +343,19 @@ def check_triangular_parity(n_max: int) -> VerifyReport:
     return VerifyReport(name, PASS, rng_desc)
 
 
-def _predicted_growth(n: int, scale: int = 0) -> float:
-    """e^(pi sqrt(n)) / (4n), divided by 2^scale."""
-    return math.exp(math.pi * math.sqrt(n) - scale * math.log(2)) / (4 * n)
-
-
 ASYM_REGIME_MIN = 100  # asym_ratio judges only points from here on
 ASYM_FINAL_DEV = 0.25
 ASYM_STEP_SLACK = 1.02
 
 
-def asym_ratio_table(points: Sequence[int], gf: Series) -> tuple:
+def asym_ratio_table(points: Sequence[int], gf: Series) -> VerifyReport:
     """Exact overlined sigma-mex, read from gf, against e^(pi sqrt(n))/(4n).
 
-    Returns (rows, report).  The report passes iff |ratio - 1| is
-    non-increasing (up to ASYM_STEP_SLACK) across the given points that are
-    >= ASYM_REGIME_MIN, and the deviation at the largest point is below
-    ASYM_FINAL_DEV; smaller points are recorded but not judged.  Each row's
-    predicted value is inf past the float range; its ratio is taken with
-    both sides scaled into range by powers of two.
+    Passes iff |ratio - 1| is non-increasing (up to ASYM_STEP_SLACK) across
+    the given points that are >= ASYM_REGIME_MIN, and the deviation at the
+    largest point is below ASYM_FINAL_DEV; smaller points are in the range
+    but not judged.  With e^(pi sqrt(n)) = 2^x, each ratio is the integer
+    quotient 4n gf[n] / 2^int(x), divided by 2^(x - int(x)).
     """
     if not points:
         raise ValueError("points must be non-empty")
@@ -356,21 +368,12 @@ def asym_ratio_table(points: Sequence[int], gf: Series) -> tuple:
         raise ValueError(
             f"gf has order {gf.trunc_order}, below the largest point {pts[-1]}"
         )
-    rows = []
+    devs = []
     for n in pts:
-        exact = gf[n]
-        # Both scales are 0 while the two sides fit a float.
-        exact_scale = max(0, abs(exact).bit_length() - series.FLOAT_BITS)
-        growth_bits = math.ceil(math.pi * math.sqrt(n) / math.log(2))
-        growth_scale = max(0, growth_bits - series.FLOAT_BITS)
-        predicted = _predicted_growth(n, growth_scale)
-        ratio = series.ldexp(
-            float(exact >> exact_scale) / predicted, exact_scale - growth_scale
-        )
-        rows.append(
-            AsymRow(n, exact, series.ldexp(predicted, growth_scale), ratio)
-        )
-    devs = [(r.n, abs(r.ratio - 1.0)) for r in rows if r.n >= ASYM_REGIME_MIN]
+        if n >= ASYM_REGIME_MIN:
+            x = math.pi * math.sqrt(n) / math.log(2)
+            ratio = _quotient(4 * n * gf[n], 1 << int(x)) / 2 ** (x - int(x))
+            devs.append((n, abs(ratio - 1.0)))
     metrics = {f"dev_at_{n}": d for n, d in devs}
     ok = bool(devs) and devs[-1][1] < ASYM_FINAL_DEV
     for (n0, d0), (n1, d1) in zip(devs, devs[1:]):
@@ -378,8 +381,7 @@ def asym_ratio_table(points: Sequence[int], gf: Series) -> tuple:
             ok = False
             metrics["monotonicity_break_at"] = n1
             break
-    report = VerifyReport(name, PASS if ok else FAIL, rng_desc, metrics=metrics)
-    return rows, report
+    return VerifyReport(name, PASS if ok else FAIL, rng_desc, metrics=metrics)
 
 
 # Degree-4 prefix of the sigma(e^-t) expansion at t -> 0+, with the
@@ -400,8 +402,8 @@ def check_sigma_taylor() -> VerifyReport:
     sigma = qfactory.ramanujan_sigma(SIGMA_TAYLOR_ORDER)
     metrics = {}
     for t in SIGMA_TAYLOR_T:
-        value = series.evaluate_real(sigma, math.exp(-t))
-        poly = sum(c * t**k for k, c in enumerate(_SIGMA_TAYLOR))
+        value = _evaluate(sigma, math.exp(-t))
+        poly = math.fsum(c * t**k for k, c in enumerate(_SIGMA_TAYLOR))
         bound = 2.0 * _SIGMA_NEXT_COEFF * t**5
         err = abs(value - poly)
         metrics[f"err_at_t={t}"] = err
@@ -416,7 +418,7 @@ INGHAM_T = (0.30, 0.25, 0.20)  # the points t, in the order they are judged
 
 
 def _ingham_scaled(gf: Series, t: float) -> float:
-    a = series.evaluate_real(gf, math.exp(-t))
+    a = _evaluate(gf, math.exp(-t))
     return a * math.sqrt(math.pi) / math.sqrt(t) * math.exp(-math.pi**2 / (4 * t))
 
 
@@ -473,7 +475,7 @@ CHECKS = {
     "triangular_parity": lambda order, n: check_triangular_parity(5000),
     "asym_ratio": lambda order, n: asym_ratio_table(
         DEFAULT_ASYM_POINTS, _overlined(order)
-    )[1],
+    ),
     "sigma_taylor": lambda order, n: check_sigma_taylor(),
     "ingham_scaling": lambda order, n: check_ingham_scaling(_overlined(order)),
 }

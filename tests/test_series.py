@@ -1,6 +1,4 @@
-import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -121,8 +119,8 @@ class TestConstruction:
 
 
 def test_one_ring_interface():
-    """Z and GF(2) expose the same kernels; Z adds only the float
-    evaluators and the two value types are not kernels."""
+    """Z and GF(2) expose the same kernels and nothing else; the two
+    value types are not kernels."""
     z = {
         name for name, obj in vars(se).items()
         if callable(obj) and not name.startswith("_")
@@ -132,7 +130,7 @@ def test_one_ring_interface():
         name for name in dir(se.GF2)
         if callable(getattr(se.GF2, name)) and not name.startswith("_")
     }
-    assert z - {"evaluate_real", "ldexp", "Series", "GF2Series"} == gf2
+    assert z - {"Series", "GF2Series"} == gf2
 
 
 class TestAddSub:
@@ -336,55 +334,6 @@ class TestReciprocal:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="constant term"):
             se.div(se.one(3), S([2, 1], 3))
-
-
-class TestEvaluateReal:
-    def test_geometric_sum(self):
-        geo = S([1] * 61, 60)
-        assert se.evaluate_real(geo, 0.5) == pytest.approx(2.0, abs=1e-12)
-
-    def test_zero_series(self):
-        assert se.evaluate_real(se.from_terms({}, 10), 0.3) == 0.0
-
-    def test_domain_enforced(self):
-        for q0 in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                se.evaluate_real(se.one(3), q0)
-
-    def test_plain_horner_while_coefficients_fit(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            a = random_series(rng, 300, lo=-(2**900), hi=2**900)
-            acc = 0.0
-            for c in reversed(a.coeffs):
-                acc = acc * 0.7 + c
-            assert se.evaluate_real(a, 0.7) == acc
-
-    def test_coefficients_past_float_range(self):
-        # 1 + 2^3000 q^3000 at q = 1/2 is exactly 2.
-        a = se.from_terms({0: 1, 3000: 2**3000}, 3000)
-        assert se.evaluate_real(a, 0.5) == 2.0
-        # 10^400 q^1000 at q = 1/4 is about 1e-202.
-        b = se.from_terms({1000: 10**400}, 1000)
-        expected = float(Fraction(10**400, 4**1000))
-        assert se.evaluate_real(b, 0.25) == pytest.approx(expected, rel=1e-12)
-        # A tail whose terms vanish in float leaves the head's plain sum.
-        c = S([1, 1] + [0] * 1998 + [10**400] * 1001, 3000)
-        assert se.evaluate_real(c, 0.25) == 1.25
-
-    def test_sum_past_float_range_is_inf(self):
-        assert se.evaluate_real(S([10**400] * 5, 4), 0.5) == math.inf
-        assert se.evaluate_real(S([-(10**400)], 4), 0.5) == -math.inf
-
-    def test_truncation_stability(self):
-        # Doubling N moves the value by less than the discarded tail bound.
-        coeffs = [n + 1 for n in range(201)]
-        short = S(coeffs[:101], 100)
-        long = S(coeffs, 200)
-        q0 = 0.9
-        tail = sum(c * q0**n for n, c in enumerate(coeffs[101:], start=101))
-        diff = abs(se.evaluate_real(long, q0) - se.evaluate_real(short, q0))
-        assert diff <= tail * (1 + 1e-9)
 
 
 class TestHelpers:

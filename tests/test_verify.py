@@ -1,8 +1,10 @@
 import copy
 import json
 import math
+import random
 import types
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -442,22 +444,82 @@ class TestGf2Arithmetic:
         assert even.bits == se.GF2.mul(full, full).bits
 
 
+class TestEvaluate:
+    def test_geometric_sum(self):
+        geo = se.Series((1,) * 61)
+        assert vf._evaluate(geo, 0.5) == pytest.approx(2.0, abs=1e-12)
+
+    def test_zero_series(self):
+        assert vf._evaluate(se.from_terms({}, 10), 0.3) == 0.0
+
+    def test_correctly_rounded(self):
+        # Against the exact rational sum: constant term >= 1, the other
+        # coefficients signed, some series past the float range.
+        rng = random.Random(7)
+        for _ in range(60):
+            bits = round(3000 ** rng.random())  # log-uniform in [1, 3000]
+            N = rng.randint(0, 300)
+            coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(N)]
+            gf = se.Series((rng.randint(1, 2**bits), *coeffs))
+            q0 = rng.uniform(0.05, 0.95)
+            exact = Fraction(0)
+            for c in reversed(gf.coeffs):
+                exact = exact * Fraction(q0) + c
+            try:
+                expected = float(exact)
+            except OverflowError:
+                expected = math.inf if exact > 0 else -math.inf
+            value = vf._evaluate(gf, q0)
+            if math.isinf(expected):
+                assert value == expected
+            else:
+                assert abs(value - expected) <= math.ulp(expected)
+
+    def test_coefficients_past_float_range(self):
+        # 1 + 2^3000 q^3000 at q = 1/2 is exactly 2.
+        a = se.from_terms({0: 1, 3000: 2**3000}, 3000)
+        assert vf._evaluate(a, 0.5) == 2.0
+        # 10^400 q^1000 at q = 1/4 is about 1e-202: right to 2^-100 absolute.
+        b = se.from_terms({1000: 10**400}, 1000)
+        assert abs(vf._evaluate(b, 0.25) - float(Fraction(10**400, 4**1000))) <= 2**-100
+        # A tail far below the last place leaves the head's sum.
+        c = se.Series((1, 1) + (0,) * 1998 + (10**400,) * 1001)
+        assert vf._evaluate(c, 0.25) == 1.25
+
+    def test_sum_past_float_range_is_inf(self):
+        assert vf._evaluate(se.Series((10**400,) * 5), 0.5) == math.inf
+        assert vf._evaluate(se.Series((-(10**400), 0, 0, 0, 0)), 0.5) == -math.inf
+
+    def test_truncation_stability(self):
+        # Doubling N moves the value by less than the discarded tail bound.
+        coeffs = [n + 1 for n in range(201)]
+        short = se.Series(tuple(coeffs[:101]))
+        long = se.Series(tuple(coeffs))
+        q0 = 0.9
+        tail = sum(c * q0**n for n, c in enumerate(coeffs[101:], start=101))
+        diff = abs(vf._evaluate(long, q0) - vf._evaluate(short, q0))
+        assert diff <= tail * (1 + 1e-9)
+
+
 class TestAsymptotics:
     def test_table_shape(self):
         gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 400)
-        rows, report = vf.asym_ratio_table((100, 400), gf)
-        assert [r.n for r in rows] == [100, 400]
-        assert all(r.predicted > 0 and r.ratio > 0 for r in rows)
+        report = vf.asym_ratio_table((100, 400), gf)
+        assert report.range_checked == "points [100, 400]"
+        assert report.metrics.keys() == {"dev_at_100", "dev_at_400"}
+        assert all(0 < d < 1 for d in report.metrics.values())
 
     def test_prediction_formula(self):
-        assert vf._predicted_growth(100) == pytest.approx(
-            math.exp(math.pi * 10) / 400
-        )
+        # gf[100] is e^(10 pi) / 400, about 1.1e11, rounded to an integer
+        # and computed without the power-of-two split the check uses.
+        gf = se.from_terms({100: round(math.exp(math.pi * 10) / 400)}, 100)
+        report = vf.asym_ratio_table((100,), gf)
+        assert report.metrics["dev_at_100"] == pytest.approx(0, abs=1e-10)
 
     def test_small_points_recorded_but_not_judged(self):
         gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 400)
-        rows, report = vf.asym_ratio_table((4, 100, 400), gf)
-        assert rows[0].n == 4
+        report = vf.asym_ratio_table((4, 100, 400), gf)
+        assert report.range_checked == "points [4, 100, 400]"
         assert "dev_at_4" not in report.metrics
 
     def test_empty_points_rejected(self):
@@ -476,14 +538,10 @@ class TestAsymptotics:
 
         pts = (100, 52000, 60000)
         gf = se.from_terms({n: growth(n) for n in pts}, 60000)
-        rows, report = vf.asym_ratio_table(pts, gf)
-        assert isinstance(report, vf.VerifyReport)
-        assert [r.ratio for r in rows] == pytest.approx([1, 1, 1], rel=1e-8)
-        assert math.isfinite(rows[1].predicted)
-        assert rows[2].predicted == math.inf
-        assert vf._predicted_growth(60000, 100) == pytest.approx(
-            math.exp(math.pi * math.sqrt(60000) - 100 * math.log(2)) / 240000
-        )
+        report = vf.asym_ratio_table(pts, gf)
+        assert report.passed
+        for n in pts:
+            assert report.metrics[f"dev_at_{n}"] == pytest.approx(0, abs=1e-8)
 
     def test_short_gf_rejected(self):
         with pytest.raises(ValueError, match="gf has order 50, below"):
@@ -491,9 +549,10 @@ class TestAsymptotics:
 
     def test_huge_coefficients_report(self):
         gf = se.Series((10**400,) * 2501)
-        rows, report = vf.asym_ratio_table(vf.DEFAULT_ASYM_POINTS, gf)
+        report = vf.asym_ratio_table(vf.DEFAULT_ASYM_POINTS, gf)
         assert report.status == vf.FAIL
-        assert rows[-1].ratio > 1e300
+        assert report.metrics["dev_at_2500"] == math.inf
+        json.loads(json.dumps(report.to_dict()))
 
 
 class TestSigmaTaylor:
@@ -504,7 +563,7 @@ class TestSigmaTaylor:
         # Leading expansion term is 2; at t=0.02 the truncation tail at
         # N=400 is already below e^-8 per unit coefficient.
         sigma = qf.ramanujan_sigma(400)
-        assert se.evaluate_real(sigma, math.exp(-0.02)) == pytest.approx(2.0, abs=0.05)
+        assert vf._evaluate(sigma, math.exp(-0.02)) == pytest.approx(2.0, abs=0.05)
 
 
 class TestInghamScaling:

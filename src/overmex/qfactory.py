@@ -10,8 +10,13 @@ binomial factors (1 +- q^e), each multiplied or divided in explicitly.
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
 The same rule bounds every sum with a leading q^(m choose 2) or
-q^(m+1 choose 2) factor.  The sums over 1/(-q;q)_m run by Horner's rule:
-one polynomial numerator per term, one division by (1 + q^(m+1)) per step.
+q^(m+1 choose 2) factor.  The sums over 1/(-q;q)_m run by Horner's rule,
+one polynomial numerator and one division by (1 + q^(m+1)) per step, on
+only the tail of the running sum from the numerator's lowest exponent
+up: each step divides the tail and places the numerator under it with
+concat.  sigma(q) also has a Z-only form with no series kernel, the
+Andrews-Dyson-Hickerson double sum, that the Horner sum is checked
+against.
 
 Builders with a `ring` keyword build over Z by default (ring=series) or
 mod 2 (ring=series.GF2) from one body.
@@ -100,22 +105,55 @@ def overpartition_gf(N: int, *, ring=series):
 
 def _negq_sum(N: int, ring, terms):
     """sum_{m>=0} terms(m) / (-q;q)_m to order N, where terms(m) is the m-th
-    numerator as a {exponent: coefficient} polynomial whose lowest exponent
-    increases with m.  Horner's rule from the last term that reaches q^N:
-    t_0 + (t_1 + (t_2 + ...) / (1 + q^2)) / (1 + q)."""
+    numerator as a {exponent: coefficient} polynomial whose lowest
+    exponent L_m does not decrease with m, from L_0 = 0.  Horner's rule
+    from the last term that reaches q^N:
+    t_0 + (t_1 + (t_2 + ...) / (1 + q^2)) / (1 + q).  The sum from step m
+    on is q^(L_m) times a tail of order N - L_m, and only the tail is
+    kept: step m divides step m + 1's tail by (1 + q^(m+1)) and places the
+    numerator's terms below L_(m+1) under it with one concat.  A term at
+    or past L_(m+1) (the second monomial of a two-term numerator, or any
+    term when L_(m+1) = L_m) is added into the tail instead."""
     top = 0
     while min(terms(top + 1)) <= N:
         top += 1
-    acc = ring.from_terms({}, N)
-    for m in range(top, -1, -1):
-        acc = ring.add(ring.from_terms(terms(m), N), ring.div_binomial(acc, +1, m + 1))
-    return acc
+    low = min(terms(top))
+    tail = ring.from_terms({e - low: c for e, c in terms(top).items()}, N - low)
+    for m in range(top - 1, -1, -1):
+        numerator, above = terms(m), low
+        low = min(numerator)
+        tail = ring.div_binomial(tail, +1, m + 1)
+        overlap = {e - above: c for e, c in numerator.items() if e >= above}
+        if overlap:
+            tail = ring.add(tail, ring.from_terms(overlap, N - above))
+        if low < above:
+            head = {e - low: c for e, c in numerator.items() if e < above}
+            tail = ring.concat(ring.from_terms(head, above - low - 1), tail)
+    return tail
 
 
 @_cached
 def ramanujan_sigma(N: int, *, ring=series):
     """The Lost Notebook series sum_{m>=0} q^(m+1 choose 2) / (-q;q)_m."""
     return _negq_sum(N, ring, lambda m: {comb(m + 1, 2): 1})
+
+
+def sigma_adh(N: int) -> Series:
+    """sigma(q) to order N by Andrews, Dyson and Hickerson (Invent. Math.
+    91, 1988): sum_{n>=0} sum_{|j|<=n} (-1)^(n+j) q^(n(3n+1)/2 - j^2)
+    (1 - q^(2n+1)), about 2N signed unit terms and no series kernel; the
+    witness the Horner sum for sigma is checked against."""
+    coeffs = [0] * (N + 1)
+    n = 0
+    while n * (n + 1) // 2 <= N:  # n(3n+1)/2 - n^2, the least exponent
+        for j in range(-n, n + 1):
+            e, sign = n * (3 * n + 1) // 2 - j * j, (-1) ** (n + j)
+            if e <= N:
+                coeffs[e] += sign
+            if e + 2 * n + 1 <= N:
+                coeffs[e + 2 * n + 1] -= sign
+        n += 1
+    return Series(tuple(coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -8,19 +8,24 @@ common case never loses information.
 
 This module is the Z ring the q-series builders are written against.
 Both rings share one interface, the kernels every builder calls: one,
-from_terms, add, mul, div, mul_binomial and div_binomial.  GF2 is the
-same interface mod 2, on Python-int bitmasks, and neither ring adds
-anything to it.  A monomial c q^k is from_terms({k: c}, N), so a shift or
-a scaling is a product with one.  Z `mul` by a single term c q^k is one
-C-level pass, c times the other operand's first N + 1 - k coefficients
-placed at q^k; any other Z product walks the pairs of nonzero terms, so
-two theta-like series of about sqrt(N) terms multiply in O(N), and a
-sparse by a dense one in O(N * nnz).  GF(2) `mul` shifts the other
-operand once per set bit of the sparser one, and Z `div` walks only the
-divisor's nonzero terms: O(N * nnz(d)).  The binomial kernels take the
-factor (1 +- q^e), coefficient +1 or -1 and nothing else, on both
-rings; over Z each is a few C-level passes (map, accumulate) over
-slices of the coefficients, with no Python loop per coefficient.
+from_terms, add, concat, mul, div, mul_binomial and div_binomial.  GF2
+is the same interface mod 2, on Python-int bitmasks, and neither ring
+adds anything to it.  A monomial c q^k is from_terms({k: c}, N), so a
+shift or a scaling is a product with one; concat(head, tail) places a
+tail right above a head, the one kernel that returns a higher order
+than its operands.  Z `mul` by a single term c q^k is one C-level pass,
+c times the other operand's first N + 1 - k coefficients placed at q^k;
+any other Z product walks the pairs of nonzero terms, so two
+theta-like series of about sqrt(N) terms multiply in O(N), and a
+sparse by a dense one in O(N * nnz).  GF(2) `mul` reads the exponents
+of the sparser operand's set bits up to q^N in one pass over its binary
+digits and XORs one shift of the other operand per exponent; GF(2)
+`div` doubles the divisor's exponents from factor to factor.  Z `div`
+walks only the divisor's nonzero terms: O(N * nnz(d)).  The binomial
+kernels take the factor (1 +- q^e), coefficient +1 or -1 and nothing
+else, on both rings; over Z each is a few C-level passes (map,
+accumulate) over slices of the coefficients, with no Python loop per
+coefficient.
 
 Values are immutable; all operations are pure functions returning new
 values.
@@ -31,6 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate, compress
 
 
@@ -60,6 +66,12 @@ class Series:
 def add(a: Series, b: Series) -> Series:
     n = min(a.trunc_order, b.trunc_order)
     return Series(tuple(map(operator.add, a.coeffs[: n + 1], b.coeffs[: n + 1])))
+
+
+def concat(head: Series, tail: Series) -> Series:
+    """head + q^(N_head + 1) tail, of order N_head + 1 + N_tail: tail's
+    coefficients placed right after head's, nothing truncated."""
+    return Series(head.coeffs + tail.coeffs)
 
 
 def from_terms(terms: dict, trunc_order: int) -> Series:
@@ -184,6 +196,25 @@ class GF2Series:
         return (self.bits >> n) & 1
 
 
+def _exponents(bits: int, n: int) -> list:
+    """The exponents <= n of the set bits, ascending: one pass over the
+    binary digits from q^0 up, stopping at q^n."""
+    digits = bin(bits)
+    last = len(digits) - 1  # the digit of q^0; that of q^e is at last - e
+    stop = max(2, last - n)  # past the "0b" prefix and the digit of q^n
+    out = []
+    i = digits.rfind("1", stop)
+    while i >= 0:
+        out.append(last - i)
+        i = digits.rfind("1", stop, i)
+    return out
+
+
+def _shifted_sum(bits: int, exponents) -> int:
+    """bits times sum q^e over the exponents, mod 2 and not truncated."""
+    return reduce(operator.xor, map(bits.__lshift__, exponents), 0)
+
+
 class _GF2Ring:
     """The ring interface of this module, mod 2 and on GF2Series values.
     The binomial kernels take coefficient +-1 and refuse any other, as
@@ -204,34 +235,34 @@ class _GF2Ring:
     def add(self, a: GF2Series, b: GF2Series) -> GF2Series:
         return GF2Series(a.bits ^ b.bits, min(a.trunc_order, b.trunc_order))
 
+    def concat(self, head: GF2Series, tail: GF2Series) -> GF2Series:
+        n = head.trunc_order + 1
+        return GF2Series(head.bits | tail.bits << n, n + tail.trunc_order)
+
     def mul(self, a: GF2Series, b: GF2Series) -> GF2Series:
-        """Carry-less product; walks only the set bits of the sparser operand."""
+        """Carry-less product: the denser operand shifted to each exponent
+        <= N of the sparser one's set bits."""
         n = min(a.trunc_order, b.trunc_order)
         x, y = a.bits, b.bits
         if y.bit_count() < x.bit_count():
             x, y = y, x
-        out = 0
-        while x:
-            low = x & -x
-            out ^= y << (low.bit_length() - 1)
-            x ^= low
-        return GF2Series(out, n)
+        return GF2Series(_shifted_sum(y, _exponents(x, n)), n)
 
     def div(self, a: GF2Series, d: GF2Series) -> GF2Series:
         """a / d truncated to the smaller order; d's constant term must be 1.
         Mod 2, d(q)^(2^i) = d(q^(2^i)), and that is 1 mod q^(N+1) once
-        2^i > N, so 1/d = prod_{2^i <= N} d(q^(2^i)): log2(N) products."""
+        2^i > N, so 1/d = prod_{2^i <= N} d(q^(2^i)): log2(N) products,
+        each factor's exponents the last one's doubled, up to N."""
         if not d.bits & 1:
             raise ValueError("cannot divide by a series with even constant term")
         n = min(a.trunc_order, d.trunc_order)
-        out = GF2Series(a.bits, n)
-        power = GF2Series(d.bits, n)  # d(q^(2^i)) = d^(2^i)
-        s = 1
-        while s <= n:
-            out = self.mul(out, power)
-            power = self.mul(power, power)
-            s *= 2
-        return out
+        mask = (1 << (n + 1)) - 1
+        out = a.bits & mask
+        exponents = _exponents(d.bits, n)  # of d(q^(2^i)), from i = 0
+        while len(exponents) > 1:
+            out = _shifted_sum(out, exponents) & mask
+            exponents = [2 * e for e in exponents[: bisect_right(exponents, n // 2)]]
+        return GF2Series(out, n)
 
     def mul_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
         _check_binomial(coefficient, exponent)

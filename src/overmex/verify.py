@@ -7,9 +7,11 @@ experiment: its tolerances, grids and orders are module constants, and it
 takes only what its callers vary.  Parity sweeps read the qfactory series
 built over GF(2) (series.GF2), which keeps n_max = 10^4 cheap; each GF(2)
 series a sweep reads is built once and first compared, coefficient by
-coefficient to order 1000, with its integer series reduced mod 2.  Each
-sweep is then a few whole-int bit operations on the bitmask, a FAIL's n
-is the lowest set bit of the mismatch, and no Python step is taken per n.
+coefficient to order 1000, with its integer series reduced mod 2; past
+that, each read is checked against a closed form (even, pentagonal or
+triangular).  Each sweep is a few whole-int bit operations on the
+bitmask, a FAIL's n is the lowest set bit of the mismatch, and no Python
+step is taken per n.
 The float checks sum and divide exact integers, rounding to a float only
 at the end, so they report at any order: a value past the float range is
 inf.
@@ -192,11 +194,13 @@ def check_identity_suite(N: int) -> VerifyReport:
     the pre-telescoping overlined sum against sigma.  The last two are the
     sigma-mex identities with the common factor P-bar cancelled: P-bar has
     constant term 1, so P-bar*A and P-bar*B agree to order N exactly when
-    A and B do, first differing at the same n.  Last, each sparse fast
+    A and B do, first differing at the same n.  Then each sparse fast
     path against its defining product: P-bar = 1/theta(-q) against
     (-q;q)_inf / (q;q)_inf, and the pentagonal quotient (q^2;q^2)_inf /
     (q;q)_inf, whose cube is the non-overlined sigma-mex series, against
-    (-q;q)_inf (the euler check builds the same products)."""
+    (-q;q)_inf (the euler check builds the same products).  Last, the
+    Horner sum for sigma against the Andrews-Dyson-Hickerson double sum,
+    the one witness for sigma that shares no series kernel with it."""
     rng = f"order <= {N}"
     parts = [
         _compare_series(
@@ -221,6 +225,10 @@ def check_identity_suite(N: int) -> VerifyReport:
             "identity:pentagonal",
             series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)),
             qfactory.pochhammer(+1, N), rng,
+        ),
+        _compare_series(
+            "identity:sigma_adh",
+            qfactory.ramanujan_sigma(N), qfactory.sigma_adh(N), rng,
         ),
     ]
     return _merge("identity_suite", rng, parts)
@@ -307,16 +315,29 @@ def _density_report(name: str, odd_bits: int, n_max: int) -> VerifyReport:
 
 def check_parity_density(n_max: int) -> VerifyReport:
     """The overlined sigma-mex is almost always even: regression guard on
-    the observed even-density over [1, n_max] and its dyadic trend."""
+    the observed even-density over [1, n_max] and its dyadic trend.  Every
+    bit read is first checked against its closed form: in the
+    Andrews-Dyson-Hickerson sum for sigma the j and -j terms cancel mod 2,
+    so sigma = (q;q)_inf mod 2, and with P-bar = 1 mod 2 the overlined
+    sigma-mex is odd exactly at the generalized pentagonal numbers."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100 for a meaningful density")
     name = "parity_density"
-    failure, reads = _gf2_reads(name, f"1 <= n <= {n_max}", n_max, [
+    rng_desc = f"1 <= n <= {n_max}"
+    failure, reads = _gf2_reads(name, rng_desc, n_max, [
         ("sigma_mex_overlined", qfactory.sigma_mex_gf, (MexVariant.OVERLINED,)),
     ])
     if failure is not None:
         return failure
     [(_, odd)] = reads
+    pentagonal = qfactory.pentagonal(1, n_max, ring=series.GF2).bits
+    diff = odd.bits ^ pentagonal
+    if diff:
+        n = (diff & -diff).bit_length() - 1
+        return VerifyReport(
+            name, FAIL, rng_desc, first_failure=(n, pentagonal >> n & 1, odd[n]),
+            metrics={"where": "pentagonal"},
+        )
     return _density_report(name, odd.bits, n_max)
 
 

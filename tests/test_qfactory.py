@@ -61,7 +61,9 @@ class TestRings:
         assert values(ring.div(p2, p1)) == values(negq_q)
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
-    @pytest.mark.parametrize("N", [0, 1, 2, 50, 300, 2000])
+    # 54, 55, 56 and 90, 91, 92 straddle C(m+1, 2) for m = 10 and 13: a
+    # numerator's lowest exponent one past, at and one below q^N.
+    @pytest.mark.parametrize("N", [0, 1, 2, 50, 54, 55, 56, 90, 91, 92, 300, 2000])
     def test_negq_sums_match_running_inverse(self, ring, N):
         def values(s):
             return [s[n] for n in range(N + 1)]
@@ -69,6 +71,27 @@ class TestRings:
         for builder, weight, lead, one_minus_qm in NEGQ_SUMS:
             expected = _negq_sum_by_running_inverse(N, ring, weight, lead, one_minus_qm)
             assert values(builder(N, ring=ring)) == values(expected), builder.__name__
+
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 11, 12, 100])
+    def test_overlapping_numerators(self, ring, N):
+        # Numerators with terms at and past the next numerator's lowest
+        # exponent, and lowest exponents that repeat (L_(m+1) = L_m).
+        for terms in (
+            lambda m: {comb(m, 2): 3, comb(m + 1, 2): -1, comb(m + 1, 2) + 2: m + 1},
+            lambda m: {comb(m // 2 + 1, 2): m + 1, comb(m // 2 + 1, 2) + 1: -2},
+        ):
+            expected = ring.from_terms({}, N)
+            inv = ring.one(N)  # 1 / (-q;q)_m
+            m = 0
+            while min(terms(m)) <= N:
+                if m > 0:
+                    inv = ring.div_binomial(inv, +1, m)
+                expected = ring.add(expected, ring.mul(inv, ring.from_terms(terms(m), N)))
+                m += 1
+            got = qf._negq_sum(N, ring, terms)
+            assert got.trunc_order == N
+            assert [got[n] for n in range(N + 1)] == [expected[n] for n in range(N + 1)]
 
     def test_one_cache_entry_per_ring(self):
         before = qf.overpartition_gf.cache_info().currsize
@@ -143,6 +166,19 @@ class TestRamanujanSigma:
         value = vf._evaluate(qf.ramanujan_sigma(400), math.exp(-t))
         poly = 2 - 2 * t + 5 * t**2 - 55 / 3 * t**3 + 1073 / 12 * t**4
         assert abs(value - poly) <= 2 * (32671 / 60) * t**5
+
+
+class TestSigmaAdh:
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 6, 7, 300, 2500, 10000])
+    def test_matches_horner_sum(self, N):
+        assert qf.sigma_adh(N) == qf.ramanujan_sigma(N)
+
+    def test_parity_is_pentagonal(self):
+        # The j and -j terms cancel mod 2: sigma = (q;q)_inf mod 2.
+        N = 3000
+        assert [c % 2 for c in qf.sigma_adh(N).coeffs] == [
+            c % 2 for c in qf.pentagonal(1, N).coeffs
+        ]
 
 
 class TestPhi11:

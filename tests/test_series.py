@@ -53,6 +53,41 @@ def to_gf2(a):
     return se.GF2Series(sum((c % 2) << n for n, c in enumerate(a.coeffs)), a.trunc_order)
 
 
+def _gf2_mul_by_low_bits(a, b):
+    """The carry-less product one set bit at a time, each taken off the
+    sparser operand with x & -x: the reference for GF2.mul, which reads
+    the exponents from the binary digits."""
+    n = min(a.trunc_order, b.trunc_order)
+    x, y = a.bits, b.bits
+    if y.bit_count() < x.bit_count():
+        x, y = y, x
+    out = 0
+    while x:
+        low = x & -x
+        out ^= y << (low.bit_length() - 1)
+        x ^= low
+    return se.GF2Series(out, n)
+
+
+def _gf2_div_by_squaring(a, d):
+    """a / d as prod_{2^i <= N} d^(2^i), each factor squared with the
+    reference product: the reference for GF2.div, which doubles the
+    exponents of each factor instead."""
+    n = min(a.trunc_order, d.trunc_order)
+    out, power = se.GF2Series(a.bits, n), se.GF2Series(d.bits, n)
+    s = 1
+    while s <= n:
+        out = _gf2_mul_by_low_bits(out, power)
+        power = _gf2_mul_by_low_bits(power, power)
+        s *= 2
+    return out
+
+
+def random_gf2(rng, N, density):
+    bits = sum(1 << e for e in range(N + 1) if rng.random() < density)
+    return se.GF2Series(bits, N)
+
+
 # Signed coefficients from tiny to past 2^1000; orders up to 40.
 coefficient = st.one_of(
     st.integers(-3, 3), st.integers(-(2**1100), 2**1100), st.just(0)
@@ -133,6 +168,79 @@ def test_one_ring_interface():
     assert z - {"Series", "GF2Series"} == gf2
 
 
+class TestConcat:
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    def test_tail_placed_right_above_head(self, ring):
+        head = ring.from_terms({0: 1, 2: -3}, 2)
+        tail = ring.from_terms({0: 5, 1: 7, 3: -1}, 3)
+        got = ring.concat(head, tail)
+        assert got.trunc_order == 6
+        expected = ring.from_terms({0: 1, 2: -3, 3: 5, 4: 7, 6: -1}, 6)
+        assert [got[n] for n in range(7)] == [expected[n] for n in range(7)]
+
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    def test_head_of_order_zero(self, ring):
+        for c in (0, 1, -1):
+            tail = ring.from_terms({0: 1, 4: 1}, 4)
+            got = ring.concat(ring.from_terms({0: c}, 0), tail)
+            assert got.trunc_order == 5
+            assert [got[n] % 2 for n in range(6)] == [c % 2, 1, 0, 0, 0, 1]
+            assert got[0] == (c if ring is se else c % 2)
+
+    @pytest.mark.parametrize("N_head,N_tail", [(0, 0), (0, 9), (1, 0), (7, 63), (64, 64)])
+    def test_z_mod_2_equals_gf2(self, N_head, N_tail):
+        rng = random.Random(N_head * 100 + N_tail)
+        head, tail = random_series(rng, N_head), random_series(rng, N_tail)
+        got = se.GF2.concat(to_gf2(head), to_gf2(tail))
+        assert got.trunc_order == N_head + 1 + N_tail
+        assert got.bits == to_gf2(se.concat(head, tail)).bits
+        assert se.concat(head, tail).coeffs == head.coeffs + tail.coeffs
+
+
+class TestGF2Kernels:
+    """GF2.mul and GF2.div against the set-bit-at-a-time references."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 63, 64, 65, 300])
+    def test_mul_and_div_match_low_bit_loop(self, N):
+        rng = random.Random(N)
+        for density in (0.0, 0.02, 0.5, 1.0):
+            for other in (N, N + 7, 2 * N + 1):  # bits past the product's order
+                a, b = random_gf2(rng, N, density), random_gf2(rng, other, 0.3)
+                for x, y in ((a, b), (b, a)):
+                    got = se.GF2.mul(x, y)
+                    assert got.trunc_order == N
+                    assert got.bits == _gf2_mul_by_low_bits(x, y).bits, (density, other)
+                # Each divided by the other with its constant term set.
+                for x, y in ((a, b), (b, a)):
+                    d = se.GF2Series(y.bits | 1, y.trunc_order)
+                    assert se.GF2.div(x, d).bits == _gf2_div_by_squaring(x, d).bits, (density, other)
+
+    def test_zero_operand(self):
+        for N in (0, 5, 200):
+            zero, one = se.GF2.from_terms({}, N), se.GF2.one(N)
+            dense = se.GF2Series((1 << (N + 1)) - 1, N)
+            assert se.GF2.mul(zero, dense).bits == se.GF2.mul(dense, zero).bits == 0
+            assert se.GF2.div(zero, dense).bits == 0
+            assert se.GF2.div(dense, one).bits == dense.bits
+
+    def test_named_series_at_order_10000(self):
+        # Sparse pentagonal factors, where each shift is long.
+        N = 10000
+        p1, p2 = qf.pentagonal(1, N, ring=se.GF2), qf.pentagonal(2, N, ring=se.GF2)
+        cube = se.GF2.mul(se.GF2.mul(p1, p1), p1)
+        assert cube.bits == _gf2_mul_by_low_bits(_gf2_mul_by_low_bits(p1, p1), p1).bits
+        assert se.GF2.div(p2, cube).bits == _gf2_div_by_squaring(p2, cube).bits
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 200])
+    def test_exponents_stop_at_the_order(self, n):
+        rng = random.Random(n)
+        for bits in (
+            0, 1, 1 << n, 1 << (n + 1), (1 << (2 * n + 3)) - 1, rng.getrandbits(3 * n + 5)
+        ):
+            expected = [e for e in range(n + 1) if bits >> e & 1]
+            assert se._exponents(bits, n) == expected, bin(bits)
+
+
 class TestAddSub:
     def test_add(self):
         assert se.add(S([1, 1], 3), S([1, -1], 3)).coeffs == (2, 0, 0, 0)
@@ -175,7 +283,7 @@ class TestMul:
             assert big.coeffs[:9] == small.coeffs
 
 
-class TestKroneckerMul:
+class TestMulAgainstSchoolbook:
     @settings(max_examples=150, deadline=None)
     @given(series(), series())
     def test_matches_schoolbook(self, a, b):

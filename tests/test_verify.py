@@ -273,6 +273,28 @@ class TestIdentitySuite:
         assert r.status == vf.FAIL
         assert r.metrics["failed_subcheck"] == "identity:phi11_defining_vs_simplified"
 
+    def test_perturbed_adh_term_fails(self, monkeypatch):
+        adh = qf.sigma_adh
+        monkeypatch.setattr(qf, "sigma_adh", lambda N: _bump(adh(N), 123))
+        r = vf.check_identity_suite(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "identity:sigma_adh"
+        assert r.first_failure == (123, qf.ramanujan_sigma(300)[123], adh(300)[123] + 1)
+
+    def test_perturbed_horner_sigma_fails(self, monkeypatch):
+        # The same fault in both Horner sums of the overlined chain is
+        # invisible to identity:overlined_telescoped, which compares them
+        # with each other; only the ADH witness sees it.
+        seen_by_verify = types.SimpleNamespace(**vars(qf))
+        for builder in ("ramanujan_sigma", "overlined_mex_weighted_sum"):
+            original = getattr(qf, builder)
+            setattr(seen_by_verify, builder, lambda N, f=original: _bump(f(N), 77))
+        monkeypatch.setattr(vf, "qfactory", seen_by_verify)
+        r = vf.check_identity_suite(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "identity:sigma_adh"
+        assert r.first_failure[0] == 77
+
 
 class TestParity:
     def test_all_even(self):
@@ -301,6 +323,35 @@ class TestParity:
         r = vf._density_report("control", all_odd, n_max)
         assert not r.passed
         assert r.metrics["density"] == 0.0
+
+    def test_density_reads_every_bit_past_mod2_window(self, monkeypatch, cold_caches):
+        # A GF(2) div that loses every bit past the mod-2 window leaves the
+        # density above its floor (0.995 at 10^4); the pentagonal closed
+        # form sees the first odd n lost, 1001 = 26 * 77 / 2.
+        div = se.GF2.div
+        window = (1 << (vf.MOD2_CHECK_ORDER + 1)) - 1
+
+        def div_losing_high_bits(a, d):
+            quotient = div(a, d)
+            return se.GF2Series(quotient.bits & window, quotient.trunc_order)
+
+        monkeypatch.setattr(se.GF2, "div", div_losing_high_bits)
+        r = vf.check_parity_density(10000)
+        assert r.status == vf.FAIL
+        assert r.first_failure == (1001, 1, 0)
+        assert r.metrics == {"where": "pentagonal"}
+
+    @pytest.mark.parametrize("flip,witness", [
+        (1500, (1500, 0, 1)),  # not a generalized pentagonal number, read odd
+        (1520, (1520, 1, 0)),  # 32 * 95 / 2, read even
+        (2000, (2000, 0, 1)),
+    ], ids=["non_pentagonal_odd", "pentagonal_even", "at_n_max"])
+    def test_density_witness_past_mod2_window(self, flip, witness, monkeypatch):
+        _flip_gf2_bits(monkeypatch, {(MexVariant.OVERLINED,): [flip]})
+        r = vf.check_parity_density(2000)
+        assert r.status == vf.FAIL
+        assert r.first_failure == witness
+        assert r.metrics == {"where": "pentagonal"}
 
     def test_triangular(self):
         assert vf.check_triangular_parity(500).passed

@@ -172,9 +172,14 @@ def check_euler_identity(N: int) -> VerifyReport:
         raise ValueError("order must be >= 1")
     rng = f"order <= {N}"
     a = qfactory.pochhammer(+1, N)
-    b = series.one(N)  # 1/(q;q^2)_inf, one factor 1/(1 - q^k) at a time
-    for k in range(1, N + 1, 2):
-        b = series.div_binomial(b, -1, k)
+    # 1/(q;q^2)_inf, one factor 1/(1 - q^k) at a time from the largest odd
+    # k <= N down: prod_{odd j>=k} 1/(1 - q^j) = 1 + q^k U_k with U_k of
+    # order N - k, and U_k = (1 + q^2 U_(k+2)) / (1 - q^k).
+    top = N - 1 + N % 2
+    u = series.div_binomial(series.one(N - top), -1, top)
+    for k in range(top - 2, 0, -2):
+        u = series.div_binomial(series.concat(series.one(1), u), -1, k)
+    b = series.concat(series.one(0), u)
     q_q = qfactory.pochhammer(-1, N)
     # (q^2;q^2)_inf is (q;q)_inf at q^2: its coefficients at even exponents.
     q2_q2 = series.from_terms(dict(zip(range(0, N + 1, 2), q_q.coeffs)), N)

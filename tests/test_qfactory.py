@@ -134,6 +134,17 @@ class TestPochhammer:
         # Every factor of (q;q)_inf and (-q;q)_inf lies beyond order 0.
         assert qf.pochhammer(-1, 0) == qf.pochhammer(+1, 0) == se.one(0)
 
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 7, 50, 301, 2000])
+    def test_matches_ascending_fold(self, ring, sign, N):
+        acc = ring.one(N)  # the defining fold from the smallest factor up
+        for e in range(1, N + 1):
+            acc = ring.mul_binomial(acc, sign, e)
+        got = qf.pochhammer(sign, N, ring=ring)
+        assert got.trunc_order == N
+        assert [got[n] for n in range(N + 1)] == [acc[n] for n in range(N + 1)]
+
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             qf.pochhammer(2, 5)

@@ -206,16 +206,52 @@ class TestEuler:
         assert not r.passed
         assert r.first_failure[0] == 7
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 301])
+    def test_odd_fold_matches_ascending_fold(self, monkeypatch, N):
+        seen, compare = {}, vf._compare_series
+
+        def record(name, a, b, rng):
+            seen[name] = b
+            return compare(name, a, b, rng)
+
+        monkeypatch.setattr(vf, "_compare_series", record)
+        vf.check_euler_identity(N)
+        b = se.one(N)  # 1/(q;q^2)_inf from the smallest factor up
+        for k in range(1, N + 1, 2):
+            b = se.div_binomial(b, -1, k)
+        assert seen["euler:neg_vs_odd_inverse"] == b
+
     def test_skipped_odd_factor_fails(self, monkeypatch, cold_caches):
         # 1/(q;q^2)_inf missing its factor 1/(1 - q^7) first differs at q^7.
+        # The step at k = 7 divides 1 + q^2 U_9 by (1 - q^7); returning it
+        # without its constant term instead leaves U_7 = q^2 U_9, so the
+        # product is 1 + q^9 U_9 times the factors below q^7.
         div_binomial = se.div_binomial
-        monkeypatch.setattr(
-            se, "div_binomial", lambda a, c, e: a if e == 7 else div_binomial(a, c, e)
-        )
+
+        def skip_7(a, c, e):
+            if e == 7:
+                return se.add(a, se.from_terms({0: -a[0]}, a.trunc_order))
+            return div_binomial(a, c, e)
+
+        monkeypatch.setattr(se, "div_binomial", skip_7)
         r = vf.check_euler_identity(300)
         assert r.status == vf.FAIL
         assert r.metrics["failed_subcheck"] == "euler:neg_vs_odd_inverse"
-        assert r.first_failure[0] == 7
+        assert r.first_failure == (7, 5, 4)
+
+    def test_missing_neg_factor_fails(self, monkeypatch):
+        # (-q;q)_inf with its factor (1 + q^7) divided out first differs at q^7.
+        pochhammer = qf.pochhammer
+
+        def without_1_plus_q7(sign, N, ring=se):
+            p = pochhammer(sign, N, ring=ring)
+            return ring.div_binomial(p, +1, 7) if sign > 0 else p
+
+        monkeypatch.setattr(qf, "pochhammer", without_1_plus_q7)
+        r = vf.check_euler_identity(300)
+        assert r.status == vf.FAIL
+        assert r.metrics["failed_subcheck"] == "euler:neg_vs_odd_inverse"
+        assert r.first_failure == (7, 4, 5)
 
     def test_perturbed_even_product_fails(self, monkeypatch):
         # Of the series the check itself builds, only (q^2;q^2)_inf comes

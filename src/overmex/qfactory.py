@@ -5,8 +5,9 @@ generating functions, the non-overlined one a quotient of pentagonal
 cubes, and their per-m count series, each the cached P-bar with a few
 binomial factors swapped.  The defining forms the checks compare these
 with, the Pochhammer products and the 1phi1 defining sum, are folds of
-binomial factors (1 +- q^e), each multiplied or divided in explicitly,
-the Pochhammer products from the largest factor down on only the live tail.
+binomial factors (1 +- q^e), each multiplied or divided in explicitly:
+the Pochhammer products by the rings' binomial_product, and the 1phi1
+sum with each term cut to the coefficients that reach q^N.
 
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
@@ -20,17 +21,23 @@ Andrews-Dyson-Hickerson double sum, that the Horner sum is checked
 against.
 
 Builders with a `ring` keyword build over Z by default (ring=series) or
-mod 2 (ring=series.GF2) from one body.
+mod 2 (ring=series.GF2) from one body, and are cached at the largest
+order built: a smaller order is served as a prefix.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+from collections import Counter, namedtuple
 from functools import lru_cache, wraps
 from math import comb
 
 from . import series
 from .series import Series
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 
 
 class MexVariant(enum.Enum):
@@ -42,37 +49,46 @@ class MexVariant(enum.Enum):
 
 
 def _cached(builder):
-    """lru_cache keyed on the positional arguments and the ring, so that
-    f(N) and f(N, ring=series) share one entry."""
-    cached = lru_cache(maxsize=None)(builder)
+    """Cache a builder f(*args, N, ring=...) at the largest order M built
+    per leading arguments and ring.  f(M) returns the cached value and
+    f(N) for N < M its first N + 1 coefficients, every builder being exact
+    mod q^(N+1).  cache_info() reads (hits, misses, currsize) and
+    cache_clear() empties the cache."""
+    built = {}  # (leading args, ring) -> f(M)
+    stats = Counter()
 
     @wraps(builder)
     def call(*args, ring=series):
-        return cached(*args, ring=ring)
+        *lead, N = args
+        value = built.get((*lead, ring))
+        if value is not None and N <= value.trunc_order:
+            stats["hits"] += 1
+            # add truncates to the smaller order: f(M)'s prefix, on either ring
+            return value if N == value.trunc_order else ring.add(value, ring.from_terms({}, N))
+        stats["misses"] += 1
+        built[(*lead, ring)] = value = builder(*args, ring=ring)
+        return value
 
-    call.cache_info = cached.cache_info
-    call.cache_clear = cached.cache_clear
+    def cache_clear():
+        built.clear()
+        stats.clear()
+
+    call.cache_info = lambda: _CacheInfo(stats["hits"], stats["misses"], len(built))
+    call.cache_clear = cache_clear
     return call
 
 
 @_cached
 def pochhammer(sign: int, N: int, *, ring=series):
     """prod_{k>=1} (1 + sign q^k) to order N, one binomial factor at a
-    time: sign=-1 gives (q;q)_inf and sign=+1 (-q;q)_inf.  From the
-    largest factor down, prod_{j>e} (1 + sign q^j) = 1 + q^(e+1) T_e with
-    T_e of order N - e - 1 and T_(e-1) = sign + q T_e (1 + sign q^e), so
-    factor e touches N - 2e coefficients: about N^2/4 additions, not N^2/2."""
+    time: sign=-1 gives (q;q)_inf and sign=+1 (-q;q)_inf.  Every factor
+    up to q^N is applied by the ring's binomial_product, from the largest
+    down on the coefficients it can still move."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if N < 0:
         raise ValueError("truncation order must be non-negative")
-    if N == 0:
-        return ring.one(0)
-    head = ring.from_terms({0: sign}, 0)
-    tail = head  # T_(N-1)
-    for e in range(N - 1, 0, -1):
-        tail = ring.concat(head, ring.mul_binomial(tail, sign, e))
-    return ring.concat(ring.one(0), tail)
+    return ring.binomial_product(sign, N)
 
 
 @_cached
@@ -170,23 +186,26 @@ def phi11(N: int) -> Series:
 
         sum_n [(q;q)_n / ((-q;q)_n (q;q)_n)] * (-1)^n q^(n choose 2) * (-2q)^n
 
-    with no symbolic cancellation: one running term at order N takes each
+    with no symbolic cancellation: one running term takes each
     denominator factor (1+q^n)(1-q^n) by division and each numerator
-    factor (1-q^n) by an explicit multiplication.
+    factor (1-q^n) by an explicit multiplication.  Term n is placed at
+    q^(n+1 choose 2), so before its factors the running term is cut to
+    order N - (n+1 choose 2), the only coefficients that reach q^N.
     """
-    acc = series.from_terms({}, N)
+    acc = [0] * (N + 1)
     term = series.one(N)  # (q;q)_n / ((-q;q)_n (q;q)_n)
     n = 0
-    while comb(n, 2) + n <= N:
+    while comb(n + 1, 2) <= N:
+        # (-1)^n q^(n choose 2) (-2q)^n = 2^n q^(n+1 choose 2)
+        lead = comb(n + 1, 2)
+        term = Series(term.coeffs[: N - lead + 1])
         if n > 0:
             term = series.div_binomial(term, +1, n)
             term = series.div_binomial(term, -1, n)
             term = series.mul_binomial(term, -1, n)
-        # (-1)^n q^(n choose 2) (-2q)^n = 2^n q^(n choose 2 + n)
-        monomial = series.from_terms({comb(n, 2) + n: 2**n}, N)
-        acc = series.add(acc, series.mul(term, monomial))
+        acc[lead:] = map(operator.add, acc[lead:], map((2**n).__mul__, term.coeffs))
         n += 1
-    return acc
+    return Series(tuple(acc))
 
 
 @_cached

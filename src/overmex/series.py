@@ -8,7 +8,8 @@ common case never loses information.
 
 This module is the Z ring the q-series builders are written against.
 Both rings share one interface, the kernels every builder calls: one,
-from_terms, add, concat, mul, div, mul_binomial and div_binomial.  GF2
+from_terms, add, concat, mul, div, mul_binomial, div_binomial and
+binomial_product.  GF2
 is the same interface mod 2, on Python-int bitmasks, and neither ring
 adds anything to it.  A monomial c q^k is from_terms({k: c}, N), so a
 shift or a scaling is a product with one; concat(head, tail) places a
@@ -21,9 +22,10 @@ sparse by a dense one in O(N * nnz).  GF(2) `mul` reads the exponents
 of the sparser operand's set bits up to q^N in one pass over its binary
 digits and XORs one shift of the other operand per exponent; GF(2)
 `div` doubles the divisor's exponents from factor to factor.  Z `div`
-walks only the divisor's nonzero terms: O(N * nnz(d)).  The binomial
-kernels take the factor (1 +- q^e), coefficient +1 or -1 and nothing
-else, on both rings; over Z each is a few C-level passes (map,
+walks only the divisor's nonzero terms, O(N * nnz(d)), and sums the
+terms of a repeated coefficient before its one multiplication.  The
+binomial kernels take the factor (1 +- q^e), coefficient +1 or -1 and
+nothing else, on both rings; over Z each is a few C-level passes (map,
 accumulate) over slices of the coefficients, with no Python loop per
 coefficient.
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from bisect import bisect_right
+from collections import Counter
 from functools import reduce
 from itertools import accumulate, compress
 
@@ -117,7 +120,9 @@ def mul(a: Series, b: Series) -> Series:
 
 def div(a: Series, d: Series) -> Series:
     """a / d truncated to the smaller order; d's constant term must be +1
-    or -1.  The recurrence walks only d's nonzero terms: O(N * nnz(d))."""
+    or -1.  The recurrence walks only d's nonzero terms, O(N * nnz(d)),
+    each joining the walk when i reaches its exponent; a repeated
+    coefficient multiplies the sum of its terms once (+-1 not at all)."""
     d0 = d.coeffs[0]
     if d0 not in (1, -1):
         raise ValueError(
@@ -125,12 +130,22 @@ def div(a: Series, d: Series) -> Series:
         )
     n = min(a.trunc_order, d.trunc_order)
     nz = [(k, dk) for k, dk in enumerate(d.coeffs[1 : n + 1], 1) if dk]
+    counts = Counter(dk for _, dk in nz)
+    groups = {dk: [] for dk, c in counts.items() if c > 1}  # dk -> exponents joined
+    pairs = []  # the joined (k, dk) whose dk occurs once
+    joins = {k: (groups[dk], k) if dk in groups else (pairs, (k, dk)) for k, dk in nz}
     b = list(a.coeffs[: n + 1])
     for i in range(n + 1):
+        join = joins.get(i)
+        if join:
+            join[0].append(join[1])
         s = b[i]
-        for k, dk in nz:
-            if k > i:
-                break
+        for dk, ks in groups.items():
+            t = 0
+            for k in ks:
+                t += b[i - k]
+            s -= t if dk == 1 else -t if dk == -1 else dk * t
+        for k, dk in pairs:
             s -= dk * b[i - k]
         b[i] = d0 * s
     return Series(tuple(b))
@@ -180,6 +195,20 @@ def div_binomial(a: Series, coefficient: int, exponent: int) -> Series:
         for s in range(e, n, e):
             out[s : s + e] = map(op, out[s : s + e], out[s - e : s])
     return Series(tuple(out))
+
+
+def binomial_product(sign: int, trunc_order: int) -> Series:
+    """prod_{e=1..N} (1 + sign q^e) to order N, in place from e = N down.
+    P_e = prod_{j>e} (1 + sign q^j) is 1 plus terms from q^(e+1) up, so
+    P_e (1 + sign q^e) only sets q^e to sign and adds sign P_e[i-e] at
+    i >= 2e + 1: one C-level map over N - 2e coefficients per factor."""
+    _check_binomial(sign, 1)
+    op = operator.add if sign > 0 else operator.sub
+    p, n = list(one(trunc_order).coeffs), trunc_order
+    for e in range(n, 0, -1):
+        p[2 * e + 1 :] = map(op, p[2 * e + 1 :], p[e + 1 : n - e + 1])
+        p[e] = sign
+    return Series(tuple(p))
 
 
 class GF2Series:
@@ -267,6 +296,17 @@ class _GF2Ring:
     def mul_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
         _check_binomial(coefficient, exponent)
         return GF2Series(a.bits ^ (a.bits << exponent), a.trunc_order)
+
+    def binomial_product(self, sign: int, trunc_order: int) -> GF2Series:
+        """As over Z, from e = N down: factor e XORs the bits from q^(e+1)
+        up in at q^(2e+1) and sets bit e."""
+        _check_binomial(sign, 1)
+        p = self.one(trunc_order).bits
+        mask = (1 << (trunc_order + 1)) - 1
+        for e in range(trunc_order, 0, -1):
+            p ^= ((p >> (e + 1)) << (2 * e + 1)) & mask
+            p |= 1 << e
+        return GF2Series(p, trunc_order)
 
     def div_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
         """a / (1 + q^k) via 1/(1 + x) = prod_i (1 + x^(2^i))."""

@@ -93,7 +93,32 @@ class TestRings:
             assert got.trunc_order == N
             assert [got[n] for n in range(N + 1)] == [expected[n] for n in range(N + 1)]
 
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    def test_prefix_of_a_larger_build(self, ring):
+        # f(N) after f(M) is f(M)'s first N + 1 coefficients: it must equal
+        # f(N) built afresh, and counts as a hit, not a new entry.
+        M = 50
+        for builder, args in RING_GENERIC:
+            builder.cache_clear()
+            big = builder(*args, M, ring=ring)
+            for N in (0, M - 1, M):
+                got = builder(*args, N, ring=ring)
+                fresh = builder.__wrapped__(*args, N, ring=ring)
+                assert got.trunc_order == fresh.trunc_order == N
+                assert [got[n] for n in range(N + 1)] == [fresh[n] for n in range(N + 1)], (
+                    builder.__name__, args, N,
+                )
+            assert builder(*args, M, ring=ring) is big
+            assert builder.cache_info() == (4, 1, 1), builder.__name__
+            builder(*args, M + 1, ring=ring)  # a larger order replaces the entry
+            assert builder.cache_info() == (4, 2, 1), builder.__name__
+            builder.cache_clear()
+            assert builder.cache_info() == (0, 0, 0)
+
     def test_one_cache_entry_per_ring(self):
+        # A larger P-bar cached by an earlier test would serve order 37 as
+        # a fresh prefix, not the cached value itself.
+        qf.overpartition_gf.cache_clear()
         before = qf.overpartition_gf.cache_info().currsize
         a = qf.overpartition_gf(37)
         assert qf.overpartition_gf(37, ring=se) is a
@@ -201,9 +226,32 @@ class TestPhi11:
         for N in (0, 1, 2, 300):
             assert qf.phi11(N).coeffs == qf.phi11_simplified(N).coeffs, N
 
+    # C(n+1, 2) = 1, 3, 6, 10, 45 and the orders one either side: the last
+    # term reaches q^N by one coefficient, none, or two.
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 44, 45, 46, 300])
+    def test_matches_untrimmed_defining_sum(self, N):
+        assert qf.phi11(N) == _phi11_untrimmed(N)
+
     def test_product_gives_sigma_all(self):
         gf = se.mul(qf.overpartition_gf(10), qf.phi11(10))
         assert gf[3] == 18
+
+
+def _phi11_untrimmed(N):
+    """The 1phi1 defining sum with every running term at the full order N,
+    placed by a single-term product: the reference for phi11, which cuts
+    term n to the coefficients below q^(N - (n+1 choose 2))."""
+    acc = se.from_terms({}, N)
+    term = se.one(N)
+    n = 0
+    while comb(n + 1, 2) <= N:
+        if n > 0:
+            term = se.div_binomial(term, +1, n)
+            term = se.div_binomial(term, -1, n)
+            term = se.mul_binomial(term, -1, n)
+        acc = se.add(acc, se.mul(term, se.from_terms({comb(n + 1, 2): 2**n}, N)))
+        n += 1
+    return acc
 
 
 class TestSigmaMexGf:

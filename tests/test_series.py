@@ -411,6 +411,80 @@ class TestDiv:
             se.GF2.div(se.GF2.one(3), se.GF2Series(0b10, 3))
 
 
+def _div_by_pairs(a, d):
+    """a / d by the recurrence over d's nonzero (k, d_k) pairs, each term
+    multiplied by its own coefficient and the walk cut off at k > i: the
+    reference for div, which sums the terms of a repeated coefficient."""
+    d0 = d.coeffs[0]
+    n = min(a.trunc_order, d.trunc_order)
+    nz = [(k, dk) for k, dk in enumerate(d.coeffs[1 : n + 1], 1) if dk]
+    b = list(a.coeffs[: n + 1])
+    for i in range(n + 1):
+        s = b[i]
+        for k, dk in nz:
+            if k > i:
+                break
+            s -= dk * b[i - k]
+        b[i] = d0 * s
+    return se.Series(tuple(b))
+
+
+@st.composite
+def sparse_divisors(draw, max_order=60):
+    """A constant term +-1 and up to a dozen terms whose coefficients come
+    from a pool of at most four, so that most repeat and some occur once."""
+    n = draw(st.integers(0, max_order))
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from([1, -1, 2, -2, 3]), st.integers(-(2**70), 2**70)),
+        min_size=1, max_size=4,
+    ))
+    terms = draw(st.dictionaries(st.integers(1, n + 1), st.sampled_from(pool), max_size=12))
+    terms[0] = draw(st.sampled_from([1, -1]))
+    return se.from_terms(terms, n)
+
+
+def _with_constant(d, d0):
+    return se.Series((d0,) + d.coeffs[1:])
+
+
+class TestDivGrouped:
+    """div, which sums the terms of each repeated divisor coefficient
+    once, against the pair walk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(series(max_order=60), sparse_divisors())
+    def test_sparse_divisors_match_pair_walk(self, a, d):
+        assert se.div(a, d) == _div_by_pairs(a, d)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 50, 300])
+    def test_named_divisors_match_pair_walk(self, N):
+        # theta(-q) (+-2 at the squares), the pentagonal series and the
+        # ascending fold of (q;q)_inf (+-1), and the pentagonal cube,
+        # whose coefficients are all distinct; each with d_0 = 1 and -1.
+        rng = random.Random(N)
+        q_q = se.one(N)
+        for e in range(1, N + 1):
+            q_q = se.mul_binomial(q_q, -1, e)
+        p1 = qf.pentagonal(1, N)
+        numerators = [se.one(N), random_series(rng, N, lo=-(2**200), hi=2**200)]
+        for d in (qf.theta_neg(N), p1, q_q, se.mul(se.mul(p1, p1), p1)):
+            for d0 in (1, -1):
+                for a in numerators:
+                    assert se.div(a, _with_constant(d, d0)) == _div_by_pairs(
+                        a, _with_constant(d, d0)
+                    ), d0
+
+    def test_orders_zero_and_one_and_terms_past_the_numerator(self):
+        rng = random.Random(9)
+        d = se.from_terms({0: 1, 1: 2, 2: 2, 3: -1, 4: -1, 6: 5, 7: 2, 9: 2}, 12)
+        for d0 in (1, -1):
+            for na in (0, 1, 2, 5, 8, 12, 20):
+                a = random_series(rng, na, lo=-(2**80), hi=2**80)
+                got = se.div(a, _with_constant(d, d0))
+                assert got.trunc_order == min(na, 12)
+                assert got == _div_by_pairs(a, _with_constant(d, d0)), (d0, na)
+
+
 class TestReciprocal:
     def test_geometric(self):
         inv = se.div(se.one(6), S([1, -1], 6))
@@ -442,6 +516,46 @@ class TestReciprocal:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="constant term"):
             se.div(se.one(3), S([2, 1], 3))
+
+
+def _binomial_product_descending(ring, sign, N):
+    """prod_{e=1..N} (1 + sign q^e) folded from the largest factor down on
+    the live tail: prod_{j>e} (1 + sign q^j) = 1 + q^(e+1) T_e with
+    T_(N-1) = (sign) and T_(e-1) = concat(sign, T_e (1 + sign q^e)).  A
+    reference for binomial_product made of the other ring kernels."""
+    if N == 0:
+        return ring.one(0)
+    head = ring.from_terms({0: sign}, 0)
+    tail = head
+    for e in range(N - 1, 0, -1):
+        tail = ring.concat(head, ring.mul_binomial(tail, sign, e))
+    return ring.concat(ring.one(0), tail)
+
+
+class TestBinomialProduct:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 7, 50, 301, 2000])
+    def test_matches_both_folds_on_both_rings(self, sign, N):
+        values = {}
+        for ring in (se, se.GF2):
+            got = ring.binomial_product(sign, N)
+            ascending = ring.one(N)
+            for e in range(1, N + 1):
+                ascending = ring.mul_binomial(ascending, sign, e)
+            descending = _binomial_product_descending(ring, sign, N)
+            assert got.trunc_order == descending.trunc_order == N
+            values[ring] = [got[n] for n in range(N + 1)]
+            assert values[ring] == [ascending[n] for n in range(N + 1)]
+            assert values[ring] == [descending[n] for n in range(N + 1)]
+        assert values[se.GF2] == [c % 2 for c in values[se]]
+
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    def test_bad_arguments_refused(self, ring):
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError, match="coefficient"):
+                ring.binomial_product(sign, 5)
+        with pytest.raises(ValueError, match="truncation order"):
+            ring.binomial_product(1, -1)
 
 
 class TestHelpers:

@@ -19,28 +19,40 @@ which n is affordable is the caller's choice.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .qfactory import MexVariant
 
 
-@dataclass(frozen=True)
 class Overpartition:
     """Canonical overpartition: per distinct part value, its multiplicity
-    and whether the first copy is overlined; parts strictly decreasing."""
+    and whether the first copy is overlined; parts strictly decreasing.  Immutable."""
 
-    groups: tuple  # of (part, count, overlined)
+    __slots__ = ("groups",)  # of (part, count, overlined)
 
-    def __post_init__(self):
+    def __init__(self, groups: tuple):
         prev = None
-        for part, count, _ in self.groups:
+        for part, count, _ in groups:
             if part < 1 or count < 1:
-                raise ValueError(f"invalid group in {self.groups}")
+                raise ValueError(f"invalid group in {groups}")
             if prev is not None and part >= prev:
                 raise ValueError("parts must be strictly decreasing across groups")
             prev = part
+        object.__setattr__(self, "groups", groups)
+
+    def __setattr__(self, *args):
+        raise AttributeError("an Overpartition is immutable")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.groups == other.groups if isinstance(other, Overpartition) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.groups)
+
+    def __repr__(self) -> str:
+        return f"Overpartition(groups={self.groups!r})"
 
     def part_values(self, variant: MexVariant) -> set:
         if variant is MexVariant.OVERLINED:

@@ -36,22 +36,31 @@ values.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from bisect import bisect_right
 from collections import Counter
 from functools import reduce
 from itertools import accumulate, compress
 
 
-@dataclass(frozen=True)
 class Series:
-    """Coefficients of q^0 .. q^trunc_order, exact Python integers."""
+    """Immutable coefficients of q^0 .. q^trunc_order, exact Python integers."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple):
+        if not coeffs:
             raise ValueError("a Series needs at least the q^0 coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *args):
+        raise AttributeError("a Series is immutable")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, Series) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def trunc_order(self) -> int:

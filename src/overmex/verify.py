@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from functools import reduce
-from typing import Iterator, Sequence
 
 from . import combinat, qfactory, series
 from .qfactory import MexVariant
@@ -33,13 +32,13 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-@dataclass
 class VerifyReport:
-    check_name: str
-    status: str
-    range_checked: str
-    first_failure: tuple | None = None
-    metrics: dict = field(default_factory=dict)
+    __slots__ = ("check_name", "status", "range_checked", "first_failure", "metrics")
+
+    def __init__(self, check_name, status, range_checked, first_failure=None, metrics=None):
+        self.check_name, self.status = check_name, status
+        self.range_checked, self.first_failure = range_checked, first_failure
+        self.metrics = {} if metrics is None else metrics  # a fresh dict per report
 
     @property
     def passed(self) -> bool:

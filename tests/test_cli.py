@@ -314,6 +314,36 @@ class TestClosedPipe:
         assert err == b""
 
 
+class TestImportFootprint:
+    # Modules that cost start-up time and that no overmex code calls.
+    HEAVY = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+
+    @staticmethod
+    def added_modules(module):
+        # A site-less interpreter (-I -S), so that no site-packages .pth file
+        # can load one of these modules first and hide a regression.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            f"import {module}; print(*sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code, src],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        return set(proc.stdout.split())
+
+    def test_package(self):
+        added = self.added_modules("overmex")
+        assert "overmex.series" in added
+        assert added.isdisjoint(self.HEAVY + ("argparse", "json", "csv"))
+
+    def test_cli(self):
+        added = self.added_modules("overmex.cli")
+        assert "overmex.verify" in added
+        assert added.isdisjoint(self.HEAVY)
+
+
 class TestRefusals:
     @pytest.mark.parametrize("argv, message", [
         (["table", "--method", "oracle", "--max-n", "46"], "oracle limit"),

@@ -38,6 +38,28 @@ class TestOverpartitionType:
         with pytest.raises(ValueError):
             op((0, 1, False))
 
+    def test_immutable(self):
+        pi = op((2, 1, True))
+        with pytest.raises(AttributeError):
+            pi.groups = ()
+        with pytest.raises(AttributeError):
+            pi.extra = 1
+        with pytest.raises(AttributeError):
+            del pi.groups
+        assert pi.groups == ((2, 1, True),)
+
+    def test_equal_groups_equal_and_hash_alike(self):
+        a, b = op((3, 1, True), (1, 2, False)), op((3, 1, True), (1, 2, False))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != op((3, 1, False), (1, 2, False)) and a != a.groups
+        pis = list(cb.enumerate_overpartitions(4))
+        assert len(set(pis + [op(*pi.groups) for pi in pis])) == 14  # copies collapse
+
+    def test_repr(self):
+        pi = op((2, 1, True), (1, 1, False))
+        assert repr(pi) == "Overpartition(groups=((2, 1, True), (1, 1, False)))"
+        assert eval(repr(pi), {"Overpartition": Overpartition}) == pi
+
 
 class TestEnumeration:
     def test_n3_matches_worked_table(self):

@@ -115,6 +115,20 @@ class TestRings:
             builder.cache_clear()
             assert builder.cache_info() == (0, 0, 0)
 
+    def test_served_series_cannot_be_changed(self):
+        # At N == M every caller gets the cached object itself; a caller that
+        # could change it would change the series of every later caller.
+        qf.overpartition_gf.cache_clear()
+        served = qf.overpartition_gf(12)
+        assert qf.overpartition_gf(12) is served
+        for value in (served, qf.overpartition_gf(7)):
+            with pytest.raises(AttributeError):
+                value.coeffs = (1,) * (value.trunc_order + 1)
+            with pytest.raises(AttributeError):
+                del value.coeffs
+        assert qf.overpartition_gf(12) is served
+        assert served == qf.overpartition_gf.__wrapped__(12)
+
     def test_one_cache_entry_per_ring(self):
         # A larger P-bar cached by an earlier test would serve order 37 as
         # a fresh prefix, not the cached value itself.

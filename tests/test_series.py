@@ -151,6 +151,35 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             se.Series(())
+        with pytest.raises(ValueError):
+            se.Series(coeffs=())
+
+
+class TestSeriesValue:
+    def test_immutable(self):
+        s = se.Series(coeffs=(1, 2))
+        with pytest.raises(AttributeError):
+            s.coeffs = (3, 4)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        with pytest.raises(AttributeError):
+            del s.coeffs
+        assert s.coeffs == (1, 2)
+
+    def test_equality_and_hash_by_coeffs(self):
+        a, b = se.Series((1, 2, 3)), se.from_terms({0: 1, 1: 2, 2: 3}, 2)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != se.Series((1, 2, 4)) and a != se.Series((1, 2))
+
+    def test_not_equal_to_its_tuple(self):
+        a = se.Series((1, 2, 3))
+        assert a != (1, 2, 3) and (1, 2, 3) != a
+        assert a.__eq__((1, 2, 3)) is NotImplemented
+
+    def test_repr(self):
+        assert repr(se.Series((1, -2, 3))) == "Series([1, -2, 3], N=2)"
+        assert repr(se.one(9)) == "Series([1, 0, 0, 0, 0, 0, 0, 0, ...], N=9)"
 
 
 def test_one_ring_interface():

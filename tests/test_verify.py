@@ -31,6 +31,31 @@ def cold_caches():
 
 
 class TestReport:
+    def test_reports_do_not_share_metrics(self):
+        a = vf.VerifyReport("a", vf.PASS, "n <= 1")
+        b = vf.VerifyReport(check_name="b", status=vf.PASS, range_checked="n <= 1")
+        a.metrics["x"] = 1
+        assert b.metrics == {} and a.metrics is not b.metrics
+        assert a.first_failure is b.first_failure is None
+
+    @pytest.mark.parametrize("first_failure, metrics, expected", [
+        (None, None, '{"check_name": "demo", "status": "FAIL", "range_checked": "n <= 5"}'),
+        ((3, 4, 5), None, '{"check_name": "demo", "status": "FAIL", "range_checked": "n <= 5",'
+         ' "first_failure": [3, 4, 5]}'),
+        ((3, 4, 5), {"x": 0.5}, '{"check_name": "demo", "status": "FAIL",'
+         ' "range_checked": "n <= 5", "first_failure": [3, 4, 5], "metrics": {"x": 0.5}}'),
+        (None, {}, '{"check_name": "demo", "status": "FAIL", "range_checked": "n <= 5"}'),
+    ], ids=["bare", "first_failure", "both", "empty_metrics"])
+    def test_to_dict_keys_in_order(self, first_failure, metrics, expected):
+        r = vf.VerifyReport("demo", vf.FAIL, "n <= 5", first_failure, metrics)
+        assert json.dumps(r.to_dict()) == expected
+        assert not r.passed
+
+    def test_mutable(self):
+        r = vf.VerifyReport("demo", vf.FAIL, "n <= 5")
+        r.status = vf.PASS
+        assert r.passed
+
     def test_json_schema(self):
         r = vf.VerifyReport("demo", vf.PASS, "n <= 5", metrics={"density": 0.5})
         d = json.loads(json.dumps(r.to_dict()))

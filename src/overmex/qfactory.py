@@ -2,10 +2,10 @@
 series, the overpartition generating function P-bar = 1/theta(-q),
 Ramanujan's sigma series, the collapsed 1phi1 sum, the three sigma-mex
 generating functions, the non-overlined one a quotient of pentagonal
-cubes, and their per-m count series, each the cached P-bar with a few
-binomial factors swapped.  The defining forms the checks compare these
-with, the Pochhammer products and the 1phi1 defining sum, are folds of
-binomial factors (1 +- q^e), each multiplied or divided in explicitly:
+cubes, and their per-m count series, each a prefix of the cached P-bar
+times binomial factors (1 - q^e).  The defining forms the checks compare
+these with, the Pochhammer products and the 1phi1 defining sum, are folds
+of binomial factors (1 +- q^e), each multiplied or divided in explicitly:
 the Pochhammer products by the rings' binomial_product, and the 1phi1
 sum with each term cut to the coefficients that reach q^N.
 
@@ -15,10 +15,10 @@ The same rule bounds every sum with a leading q^(m choose 2) or
 q^(m+1 choose 2) factor.  The sums over 1/(-q;q)_m run by Horner's rule,
 one polynomial numerator and one division by (1 + q^(m+1)) per step, on
 only the tail of the running sum from the numerator's lowest exponent
-up: each step divides the tail and places the numerator under it with
-concat.  sigma(q) also has a Z-only form with no series kernel, the
-Andrews-Dyson-Hickerson double sum, that the Horner sum is checked
-against.
+up: each step divides the tail, adds a numerator term that falls inside
+it with add_terms and places the others under it with concat.  sigma(q)
+also has a Z-only form with no series kernel, the Andrews-Dyson-Hickerson
+double sum, that the Horner sum is checked against.
 
 Builders with a `ring` keyword build over Z by default (ring=series) or
 mod 2 (ring=series.GF2) from one body, and are cached at the largest
@@ -136,7 +136,8 @@ def _negq_sum(N: int, ring, terms):
     kept: step m divides step m + 1's tail by (1 + q^(m+1)) and places the
     numerator's terms below L_(m+1) under it with one concat.  A term at
     or past L_(m+1) (the second monomial of a two-term numerator, or any
-    term when L_(m+1) = L_m) is added into the tail instead."""
+    term when L_(m+1) = L_m) is added into the tail instead, by
+    add_terms: no pass of additions over the tail."""
     top = 0
     while min(terms(top + 1)) <= N:
         top += 1
@@ -148,7 +149,7 @@ def _negq_sum(N: int, ring, terms):
         tail = ring.div_binomial(tail, +1, m + 1)
         overlap = {e - above: c for e, c in numerator.items() if e >= above}
         if overlap:
-            tail = ring.add(tail, ring.from_terms(overlap, N - above))
+            tail = ring.add_terms(tail, overlap)
         if low < above:
             head = {e - low: c for e, c in numerator.items() if e < above}
             tail = ring.concat(ring.from_terms(head, above - low - 1), tail)
@@ -264,7 +265,14 @@ def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:
     multiplies that of m by 1/(1+q^m), 1-q^m or (1-q^m)/(1+q^m).  With
     k = (m choose 2), the quotient is built on the first N - k + 1
     coefficients of the cached P-bar, the only ones that reach q^N once
-    placed at q^k: about m (N - k) work, not m N.
+    placed at q^k.  1/(-q;q)_m is applied with its even factors cancelled,
+
+        (q;q)_m / (q^2;q^2)_m
+            = prod_{odd j<=m} (1 - q^j) / prod_{m/2<j<=m} (1 - q^(2j)):
+
+    about m factors (1 - q^e), each one C-level pass with one big-int
+    operation per coefficient, so about m (N - k) operations, half those
+    of m divisions by (1 + q^j).
     """
     if m < 1:
         raise ValueError("mex value m must be >= 1")
@@ -273,8 +281,10 @@ def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:
         return series.from_terms({}, N)
     acc = Series(overpartition_gf(N).coeffs[: N - k + 1])
     if variant is not MexVariant.NON_OVERLINED:
-        for j in range(1, m + 1):
-            acc = series.div_binomial(acc, +1, j)
+        for j in range(1, m + 1, 2):
+            acc = series.mul_binomial(acc, -1, j)
+        for j in range(m // 2 + 1, m + 1):
+            acc = series.div_binomial(acc, -1, 2 * j)
     if variant is not MexVariant.OVERLINED:
         acc = series.mul_binomial(acc, -1, m)
     weight = 2 ** (m - 1) if variant is MexVariant.ALL else 1

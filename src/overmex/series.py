@@ -8,8 +8,8 @@ common case never loses information.
 
 This module is the Z ring the q-series builders are written against.
 Both rings share one interface, the kernels every builder calls: one,
-from_terms, add, concat, mul, div, mul_binomial, div_binomial and
-binomial_product.  GF2
+from_terms, add, add_terms, concat, mul, div, mul_binomial, div_binomial
+and binomial_product.  GF2
 is the same interface mod 2, on Python-int bitmasks, and neither ring
 adds anything to it.  A monomial c q^k is from_terms({k: c}, N), so a
 shift or a scaling is a product with one; concat(head, tail) places a
@@ -78,6 +78,19 @@ class Series:
 def add(a: Series, b: Series) -> Series:
     n = min(a.trunc_order, b.trunc_order)
     return Series(tuple(map(operator.add, a.coeffs[: n + 1], b.coeffs[: n + 1])))
+
+
+def add_terms(a: Series, terms: dict) -> Series:
+    """a + sum c q^e over the (e, c) items of terms, exponents past a's
+    order dropped: a's coefficients copied and only the terms' own added
+    in, where add(a, from_terms(terms, N)) would make every one anew."""
+    if min(terms, default=0) < 0:
+        raise ValueError("exponents must be non-negative")
+    coeffs = list(a.coeffs)
+    for e, c in terms.items():
+        if e < len(coeffs):
+            coeffs[e] += c
+    return Series(tuple(coeffs))
 
 
 def concat(head: Series, tail: Series) -> Series:
@@ -272,6 +285,9 @@ class _GF2Ring:
 
     def add(self, a: GF2Series, b: GF2Series) -> GF2Series:
         return GF2Series(a.bits ^ b.bits, min(a.trunc_order, b.trunc_order))
+
+    def add_terms(self, a: GF2Series, terms: dict) -> GF2Series:
+        return self.add(a, self.from_terms(terms, a.trunc_order))
 
     def concat(self, head: GF2Series, tail: GF2Series) -> GF2Series:
         n = head.trunc_order + 1

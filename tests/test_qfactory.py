@@ -365,7 +365,8 @@ class TestMexCountGf:
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_weighted_counts_sum_to_sigma(self, variant):
-        N = 20
+        # Every feasible m up to 25, odd and even, against all three sigma builders.
+        N = 300
         total = se.from_terms({}, N)
         for m in qf.feasible_mex_values(N):
             weighted = se.mul(qf.mex_count_gf(variant, m, N), se.from_terms({0: m}, N))
@@ -402,6 +403,14 @@ class TestMexCountGf:
                 got = qf.mex_count_gf(variant, m, N)
                 assert got == _count_gf_by_factors(variant, m, N), (N, m)
 
+    @pytest.mark.parametrize("variant", [MexVariant.OVERLINED, MexVariant.ALL])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 300])
+    def test_every_m_matches_the_plus_one_chain(self, variant, N):
+        # 1/(-q;q)_m as (q;q)_m / (q^2;q^2)_m, odd and even m alike, against
+        # the m divisions by (1 + q^j) it cancels.
+        for m in qf.feasible_mex_values(N):
+            assert qf.mex_count_gf(variant, m, N) == _count_gf_at_full_order(variant, m, N), m
+
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_largest_m_at_order_2000(self, variant):
         # The three largest m leave 171, 110 and 48 coefficients below q^N.
@@ -412,8 +421,9 @@ class TestMexCountGf:
 
 def _count_gf_at_full_order(variant, m, N):
     """The closed form of mex_count_gf with every factor applied to the
-    whole P-bar at order N, then shifted to q^(m choose 2) and truncated:
-    the reference for building the quotient on a prefix of P-bar."""
+    whole P-bar at order N, 1/(-q;q)_m as m divisions by (1 + q^j), then
+    shifted to q^(m choose 2) and truncated: the reference for building
+    the quotient on a prefix of P-bar, in its cancelled form."""
     acc = qf.overpartition_gf(N)
     if variant is not MexVariant.NON_OVERLINED:
         for j in range(1, m + 1):

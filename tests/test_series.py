@@ -285,6 +285,27 @@ class TestAddSub:
         assert se.add(S([1], 5), S([1], 2)).trunc_order == 2
 
 
+class TestAddTerms:
+    @pytest.mark.parametrize("N", [0, 1, 7, 64, 300])
+    def test_matches_add_of_from_terms(self, N):
+        rng = random.Random(N)
+        a = random_series(rng, N, -(2**100), 2**100)
+        for terms in (
+            {}, {0: -3}, {N: 2**90}, {N + 1: 5, 2 * N + 3: -1},
+            {rng.randint(0, N): rng.randint(-9, 9) for _ in range(4)} | {N + 2: 1},
+        ):
+            got = se.add_terms(a, terms)
+            assert got == se.add(a, se.from_terms(terms, N)), terms
+            gf2 = se.GF2.add_terms(to_gf2(a), terms)
+            assert gf2.trunc_order == N
+            assert gf2.bits == to_gf2(got).bits, terms
+
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    def test_negative_exponent_raises(self, ring):
+        with pytest.raises(ValueError):
+            ring.add_terms(ring.one(5), {-1: 1})
+
+
 class TestMul:
     def test_difference_of_squares(self):
         assert se.mul(S([1, 1], 4), S([1, -1], 4)).coeffs == (1, 0, -1, 0, 0)

@@ -6,8 +6,8 @@ cubes, and their per-m count series, each a prefix of the cached P-bar
 times binomial factors (1 - q^e).  The defining forms the checks compare
 these with, the Pochhammer products and the 1phi1 defining sum, are folds
 of binomial factors (1 +- q^e), each multiplied or divided in explicitly:
-the Pochhammer products by the rings' binomial_product, and the 1phi1
-sum with each term cut to the coefficients that reach q^N.
+the Pochhammer products by series.binomial_product, over Z only, and the
+1phi1 sum with each term cut to the coefficients that reach q^N.
 
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
@@ -21,8 +21,8 @@ also has a Z-only form with no series kernel, the Andrews-Dyson-Hickerson
 double sum, that the Horner sum is checked against.
 
 Builders with a `ring` keyword build over Z by default (ring=series) or
-mod 2 (ring=series.GF2) from one body, and are cached at the largest
-order built: a smaller order is served as a prefix.
+mod 2 (ring=series.GF2) from one body, pochhammer over Z only, and are
+cached at the largest order built: a smaller order is served as a prefix.
 """
 
 from __future__ import annotations
@@ -80,14 +80,10 @@ def _cached(builder):
 
 @_cached
 def pochhammer(sign: int, N: int, *, ring=series):
-    """prod_{k>=1} (1 + sign q^k) to order N, one binomial factor at a
-    time: sign=-1 gives (q;q)_inf and sign=+1 (-q;q)_inf.  Every factor
-    up to q^N is applied by the ring's binomial_product, from the largest
-    down on the coefficients it can still move."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if N < 0:
-        raise ValueError("truncation order must be non-negative")
+    """prod_{k>=1} (1 + sign q^k) to order N, over Z: sign=-1 gives
+    (q;q)_inf and sign=+1 (-q;q)_inf, by binomial_product.  The ring
+    keyword is the cache's: series.GF2 has no binomial_product, so a
+    mod-2 call raises AttributeError and caches nothing."""
     return ring.binomial_product(sign, N)
 
 

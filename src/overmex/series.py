@@ -6,28 +6,14 @@ else.  Binary operations silently truncate to the smaller of the two
 operands' orders; callers build every factor at one global N, so the
 common case never loses information.
 
-This module is the Z ring the q-series builders are written against.
-Both rings share one interface, the kernels every builder calls: one,
-from_terms, add, add_terms, concat, mul, div, mul_binomial, div_binomial
-and binomial_product.  GF2
-is the same interface mod 2, on Python-int bitmasks, and neither ring
-adds anything to it.  A monomial c q^k is from_terms({k: c}, N), so a
-shift or a scaling is a product with one; concat(head, tail) places a
-tail right above a head, the one kernel that returns a higher order
-than its operands.  Z `mul` by a single term c q^k is one C-level pass,
-c times the other operand's first N + 1 - k coefficients placed at q^k;
-any other Z product walks the pairs of nonzero terms, so two
-theta-like series of about sqrt(N) terms multiply in O(N), and a
-sparse by a dense one in O(N * nnz).  GF(2) `mul` reads the exponents
-of the sparser operand's set bits up to q^N in one pass over its binary
-digits and XORs one shift of the other operand per exponent; GF(2)
-`div` doubles the divisor's exponents from factor to factor.  Z `div`
-walks only the divisor's nonzero terms, O(N * nnz(d)), and sums the
-terms of a repeated coefficient before its one multiplication.  The
-binomial kernels take the factor (1 +- q^e), coefficient +1 or -1 and
-nothing else, on both rings; over Z each is a few C-level passes (map,
-accumulate) over slices of the coefficients, with no Python loop per
-coefficient.
+This module is the Z ring the q-series builders are written against:
+one, from_terms, add, add_terms, concat, mul, div, mul_binomial,
+div_binomial and binomial_product.  GF2 is the part of it that a check
+runs mod 2, on Python-int bitmasks: all of it but mul_binomial and
+binomial_product.  A monomial c q^k is from_terms({k: c}, N), so a shift
+or a scaling is a product with one; concat(head, tail) places a tail
+right above a head, the one kernel that returns a higher order than its
+operands.  Each kernel's docstring gives its cost.
 
 Values are immutable; all operations are pure functions returning new
 values.
@@ -100,15 +86,11 @@ def concat(head: Series, tail: Series) -> Series:
 
 
 def from_terms(terms: dict, trunc_order: int) -> Series:
-    """The series sum c q^e over the (e, c) items of terms; exponents past
-    the truncation order are dropped."""
-    if trunc_order < 0 or min(terms, default=0) < 0:
-        raise ValueError("truncation order and exponents must be non-negative")
-    coeffs = [0] * (trunc_order + 1)
-    for e, c in terms.items():
-        if e <= trunc_order:
-            coeffs[e] += c
-    return Series(tuple(coeffs))
+    """The series sum c q^e over the (e, c) items of terms, the terms
+    added to zero: exponents past the truncation order are dropped."""
+    if trunc_order < 0:
+        raise ValueError("truncation order must be non-negative")
+    return add_terms(Series((0,) * (trunc_order + 1)), terms)
 
 
 def one(trunc_order: int) -> Series:
@@ -116,19 +98,16 @@ def one(trunc_order: int) -> Series:
 
 
 def mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to the smaller order N, exact arithmetic.
-    Let x be the operand with fewer nonzero terms and y the other.  A
-    single term c q^k of x gives c times y's first N + 1 - k coefficients,
-    placed at q^k: one C-level map.  Otherwise the nonzero pairs with
-    exponents summing to at most N are walked: O(nnz(x) * nnz(y))."""
+    """Cauchy product truncated to the smaller order N, exact arithmetic:
+    the nonzero pairs with exponents summing to at most N are walked from
+    the operand with fewer nonzero terms, O(nnz(a) * nnz(b)).  Two
+    theta-like series of about sqrt(N) terms multiply in O(N), a sparse
+    by a dense one in O(N * nnz), and a monomial shifts and scales."""
     n = min(a.trunc_order, b.trunc_order)
     x, y = a.coeffs[: n + 1], b.coeffs[: n + 1]
     kx, ky = list(compress(range(n + 1), x)), list(compress(range(n + 1), y))
     if len(ky) < len(kx):
         x, y, kx, ky = y, x, ky, kx
-    if len(kx) == 1:
-        [k] = kx
-        return Series((0,) * k + tuple(map(x[k].__mul__, y[: n + 1 - k])))
     # One C-level map over y per term of x would not be faster: at N = 300
     # to 4000 (2-core Xeon, Python 3.11) it won by at most 11%, with both
     # operands fully dense, and lost by up to 3x once y is half zero.
@@ -267,9 +246,10 @@ def _shifted_sum(bits: int, exponents) -> int:
 
 
 class _GF2Ring:
-    """The ring interface of this module, mod 2 and on GF2Series values.
-    The binomial kernels take coefficient +-1 and refuse any other, as
-    over Z; mod 2, (1 - q^k) and (1 + q^k) coincide."""
+    """The part of this module's ring interface that a check runs mod 2,
+    on GF2Series values: every kernel but mul_binomial and
+    binomial_product.  div_binomial takes coefficient +-1 and refuses any
+    other, as over Z; mod 2, (1 - q^k) and (1 + q^k) coincide."""
 
     def one(self, trunc_order: int) -> GF2Series:
         return self.from_terms({0: 1}, trunc_order)
@@ -317,21 +297,6 @@ class _GF2Ring:
             out = _shifted_sum(out, exponents) & mask
             exponents = [2 * e for e in exponents[: bisect_right(exponents, n // 2)]]
         return GF2Series(out, n)
-
-    def mul_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
-        _check_binomial(coefficient, exponent)
-        return GF2Series(a.bits ^ (a.bits << exponent), a.trunc_order)
-
-    def binomial_product(self, sign: int, trunc_order: int) -> GF2Series:
-        """As over Z, from e = N down: factor e XORs the bits from q^(e+1)
-        up in at q^(2e+1) and sets bit e."""
-        _check_binomial(sign, 1)
-        p = self.one(trunc_order).bits
-        mask = (1 << (trunc_order + 1)) - 1
-        for e in range(trunc_order, 0, -1):
-            p ^= ((p >> (e + 1)) << (2 * e + 1)) & mask
-            p |= 1 << e
-        return GF2Series(p, trunc_order)
 
     def div_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
         """a / (1 + q^k) via 1/(1 + x) = prod_i (1 + x^(2^i))."""

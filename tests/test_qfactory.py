@@ -19,8 +19,6 @@ SIGMA_NON = [1, 3, 6, 13, 24, 42, 73, 120, 192, 302, 465]
 # Every builder written once over the ring interface: (builder, args), with
 # the truncation order left off args.
 RING_GENERIC = [
-    (qf.pochhammer, (-1,)),
-    (qf.pochhammer, (+1,)),
     (qf.theta_neg, ()),
     (qf.pentagonal, (1,)),
     (qf.pentagonal, (2,)),
@@ -30,6 +28,16 @@ RING_GENERIC = [
     (qf.overlined_mex_weighted_sum, ()),
     (qf.all_mex_raw_sum, ()),
 ] + [(qf.sigma_mex_gf, (v,)) for v in MexVariant]
+# The cached builders that build over Z only.
+Z_ONLY = [(qf.pochhammer, (-1,)), (qf.pochhammer, (+1,))]
+
+
+def _mul_binomial(ring, a, sign, e):
+    """a (1 + sign q^e) in either ring; series.GF2 has no mul_binomial,
+    and mod 2 the factor is a + q^e a whatever the sign."""
+    if ring is se.GF2:
+        return se.GF2Series(a.bits ^ (a.bits << e), a.trunc_order)
+    return se.mul_binomial(a, sign, e)
 
 
 class TestRings:
@@ -42,6 +50,11 @@ class TestRings:
             assert [g[n] for n in range(N + 1)] == [c % 2 for c in z.coeffs], (
                 builder.__name__, args,
             )
+        # Mod 2, (q;q)_inf and (-q;q)_inf are both the pentagonal series.
+        p1 = qf.pentagonal(1, N, ring=se.GF2)
+        for builder, args in Z_ONLY:
+            z = builder(*args, N)
+            assert [p1[n] for n in range(N + 1)] == [c % 2 for c in z.coeffs], args
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("N", [0, 1, 2, 50, 300])
@@ -49,11 +62,13 @@ class TestRings:
         def values(s):
             return [s[n] for n in range(N + 1)]
 
-        q_q = qf.pochhammer(-1, N, ring=ring)
-        negq_q = qf.pochhammer(+1, N, ring=ring)
-        q2_q2 = ring.one(N)  # (q^2;q^2)_inf, one factor (1 - q^e) at a time
-        for e in range(2, N + 1, 2):
-            q2_q2 = ring.mul_binomial(q2_q2, -1, e)
+        def product(sign, step=1):  # prod_{k>=1} (1 + sign q^(step k)), factor by factor
+            acc = ring.one(N)
+            for e in range(step, N + 1, step):
+                acc = _mul_binomial(ring, acc, sign, e)
+            return acc
+
+        q_q, negq_q, q2_q2 = product(-1), product(+1), product(-1, step=2)
         p1, p2 = qf.pentagonal(1, N, ring=ring), qf.pentagonal(2, N, ring=ring)
         assert values(p1) == values(q_q)
         assert values(p2) == values(q2_q2)
@@ -98,7 +113,7 @@ class TestRings:
         # f(N) after f(M) is f(M)'s first N + 1 coefficients: it must equal
         # f(N) built afresh, and counts as a hit, not a new entry.
         M = 50
-        for builder, args in RING_GENERIC:
+        for builder, args in RING_GENERIC + (Z_ONLY if ring is se else []):
             builder.cache_clear()
             big = builder(*args, M, ring=ring)
             for N in (0, M - 1, M):
@@ -162,7 +177,7 @@ def _negq_sum_by_running_inverse(N, ring, weight, lead, one_minus_qm):
         if m > 0:
             inv = ring.div_binomial(inv, +1, m)
         if weight(m):
-            term = ring.mul_binomial(inv, -1, m) if one_minus_qm else inv
+            term = _mul_binomial(ring, inv, -1, m) if one_minus_qm else inv
             acc = ring.add(acc, ring.mul(term, ring.from_terms({lead(m): weight(m)}, N)))
         m += 1
     return acc
@@ -177,12 +192,24 @@ class TestPochhammer:
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 7, 50, 301, 2000])
     def test_matches_ascending_fold(self, ring, sign, N):
-        acc = ring.one(N)  # the defining fold from the smallest factor up
+        # The defining fold from the smallest factor up, in either ring;
+        # pochhammer builds over Z only, so the GF(2) fold reads it mod 2.
+        acc = ring.one(N)
         for e in range(1, N + 1):
-            acc = ring.mul_binomial(acc, sign, e)
-        got = qf.pochhammer(sign, N, ring=ring)
+            acc = _mul_binomial(ring, acc, sign, e)
+        got = qf.pochhammer(sign, N)
         assert got.trunc_order == N
-        assert [got[n] for n in range(N + 1)] == [acc[n] for n in range(N + 1)]
+        read = (lambda c: c % 2) if ring is se.GF2 else (lambda c: c)
+        assert [read(got[n]) for n in range(N + 1)] == [acc[n] for n in range(N + 1)]
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_gf2_build_refused_and_not_cached(self, sign):
+        # series.GF2 has no binomial_product: the call raises before the
+        # cache stores anything under the GF(2) key.
+        before = qf.pochhammer.cache_info().currsize
+        with pytest.raises(AttributeError):
+            qf.pochhammer(sign, 20, ring=se.GF2)
+        assert qf.pochhammer.cache_info().currsize == before
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -253,7 +280,7 @@ class TestPhi11:
 
 def _phi11_untrimmed(N):
     """The 1phi1 defining sum with every running term at the full order N,
-    placed by a single-term product: the reference for phi11, which cuts
+    placed by a product with a monomial: the reference for phi11, which cuts
     term n to the coefficients below q^(N - (n+1 choose 2))."""
     acc = se.from_terms({}, N)
     term = se.one(N)

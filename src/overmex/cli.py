@@ -95,26 +95,22 @@ def cmd_table(args) -> int:
     if use_oracle and _above_oracle_limit(args):
         return EXIT_USAGE
     with _output(args.out) as out:
-        gf = qfactory.sigma_mex_gf(variant, n_max) if use_series else None
-        hists = combinat.mex_histograms(n_max) if use_oracle else None
-        rows = []
-        mismatch = False
-        for n in range(n_max + 1):
-            if args.method == "both":
-                s = gf[n]
-                o = combinat.mex_sum(hists[n][variant])
-                match = s == o
-                mismatch = mismatch or not match
-                rows.append((n, str(s), str(o), "match" if match else "MISMATCH"))
-            elif args.method == "series":
-                rows.append((n, str(gf[n]), "series"))
-            else:
-                rows.append((n, str(combinat.mex_sum(hists[n][variant])), "oracle"))
-        header = (
-            ("n", "series", "oracle", "match")
-            if args.method == "both"
-            else ("n", "value", "method")
-        )
+        values = {}  # method -> its sigma-mex value for each n <= n_max
+        if use_series:
+            values["series"] = list(qfactory.sigma_mex_gf(variant, n_max).coeffs)
+        if use_oracle:
+            hists = combinat.mex_histograms(n_max)
+            values["oracle"] = [combinat.mex_sum(h[variant]) for h in hists]
+        mismatch = len(values) == 2 and values["series"] != values["oracle"]
+        if args.method == "both":
+            header = ("n", "series", "oracle", "match")
+            rows = [
+                (n, str(s), str(o), "match" if s == o else "MISMATCH")
+                for n, (s, o) in enumerate(zip(values["series"], values["oracle"]))
+            ]
+        else:
+            header = ("n", "value", "method")
+            rows = [(n, str(v), args.method) for n, v in enumerate(values[args.method])]
         _emit_rows(rows, header, args.format, out)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 

@@ -4,14 +4,14 @@ parity sweeps, density measurements, and asymptotic ratio tables.
 Each check returns a VerifyReport; failures carry a concrete witness, and
 nothing here raises on a mathematical mismatch.  Each check is one fixed
 experiment: its tolerances, grids and orders are module constants, and it
-takes only what its callers vary.  Parity sweeps read the qfactory series
-built over GF(2) (series.GF2), which keeps n_max = 10^4 cheap; each GF(2)
-series a sweep reads is built once and first compared, coefficient by
-coefficient to order 1000, with its integer series reduced mod 2; past
-that, each read is checked against a closed form (even, pentagonal or
-triangular).  Each sweep is a few whole-int bit operations on the
-bitmask, a FAIL's n is the lowest set bit of the mismatch, and no Python
-step is taken per n.
+takes only what its callers vary.  The three parity checks are one sweep,
+_parity_sweep, over series built over GF(2) (series.GF2).  Each read is
+built once, compared to order 1000 with its integer series mod 2, then at
+every n <= n_max, q^0 included, with the closed-form bitmask of the n
+where it is odd (q^0 only, the generalized pentagonal or the triangular
+numbers): whole-int bit operations, no Python step per n.  A FAIL's n is
+the lowest set bit of the mismatch, and its where names the read that
+differs, as mod2:<read> in the integer comparison.
 The float checks sum and divide exact integers, rounding to a float only
 at the end, so they report at any order: a value past the float range is
 inf.
@@ -244,13 +244,22 @@ MOD2_CHECK_ORDER = 1000  # GF(2) series are compared with Z mod 2 up to here
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # parity bytes to base-2 digits
 
 
-def _gf2_reads(name: str, rng_desc: str, n_max: int, builds) -> tuple:
-    """(failure, reads): reads lists (where, GF(2) series to n_max) for
-    each build (where, builder, args), the order N left off args, after
-    comparing it up to MOD2_CHECK_ORDER with its integer series mod 2;
-    failure is a FAIL report at the first n where they differ, else None.
-    The integer series' parities are packed into a bitmask, highest
-    power first, by C-level passes, and the comparison is one XOR."""
+def _lowest(bits: int) -> int:
+    """The exponent of the lowest set bit of bits > 0."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _parity_sweep(name: str, n_max: int, builds, odd: int) -> tuple:
+    """(report, reads) for the claim that each build (where, builder, args),
+    the order N left off args, is odd up to n_max exactly at the set bits
+    of the closed-form bitmask odd, q^0 included; reads lists (where, GF(2)
+    series) for each build made.  Each GF(2) series is first compared up to
+    MOD2_CHECK_ORDER with its integer series mod 2, packed highest power
+    first into a bitmask by C-level passes; a FAIL there is (n, integer
+    bit, GF(2) bit) with where "mod2:<where>".  Then each read is XORed
+    with odd; a FAIL is (n, closed-form bit, read bit) at the lowest n any
+    read differs, with where the first read that differs there."""
+    rng_desc = f"1 <= n <= {n_max}"
     m = min(MOD2_CHECK_ORDER, n_max)
     reads = []
     for where, builder, args in builds:
@@ -259,13 +268,21 @@ def _gf2_reads(name: str, rng_desc: str, n_max: int, builds) -> tuple:
         digits = bytes(map((1).__and__, reversed(full.coeffs))).translate(_BIT_DIGITS)
         diff = (int(digits, 2) ^ bits.bits) & ((1 << (m + 1)) - 1)
         if diff:
-            n = (diff & -diff).bit_length() - 1
+            n = _lowest(diff)
             return VerifyReport(
                 name, FAIL, rng_desc, first_failure=(n, full[n] % 2, bits[n]),
                 metrics={"where": f"mod2:{where}"},
             ), reads
         reads.append((where, bits))
-    return None, reads
+    diff = reduce(operator.or_, (bits.bits ^ odd for _, bits in reads))
+    if diff:
+        n = _lowest(diff)
+        where, bits = next((w, b) for w, b in reads if b[n] != odd >> n & 1)
+        return VerifyReport(
+            name, FAIL, rng_desc, first_failure=(n, odd >> n & 1, bits[n]),
+            metrics={"where": where},
+        ), reads
+    return VerifyReport(name, PASS, rng_desc), reads
 
 
 def check_parity_all_even(n_max: int) -> VerifyReport:
@@ -273,22 +290,10 @@ def check_parity_all_even(n_max: int) -> VerifyReport:
     1 <= n <= n_max; computed mod 2."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    name = "parity_all_even"
-    rng_desc = f"1 <= n <= {n_max}"
-    failure, reads = _gf2_reads(name, rng_desc, n_max, [
+    return _parity_sweep("parity_all_even", n_max, [
         ("overpartition_number", qfactory.overpartition_gf, ()),
         ("sigma_mex_all", qfactory.sigma_mex_gf, (MexVariant.ALL,)),
-    ])
-    if failure is not None:
-        return failure
-    odd = reduce(operator.or_, (bits.bits for _, bits in reads)) & ~1
-    if odd:  # the smallest odd n >= 1, named by the first read odd there
-        n = (odd & -odd).bit_length() - 1
-        where = next(where for where, bits in reads if bits[n])
-        return VerifyReport(
-            name, FAIL, rng_desc, first_failure=(n, 0, 1), metrics={"where": where}
-        )
-    return VerifyReport(name, PASS, rng_desc)
+    ], 1)[0]
 
 
 DENSITY_FLOOR = 0.85  # least even-density over [1, n_max]
@@ -327,45 +332,20 @@ def check_parity_density(n_max: int) -> VerifyReport:
     if n_max < 100:
         raise ValueError("n_max must be >= 100 for a meaningful density")
     name = "parity_density"
-    rng_desc = f"1 <= n <= {n_max}"
-    failure, reads = _gf2_reads(name, rng_desc, n_max, [
+    report, reads = _parity_sweep(name, n_max, [
         ("sigma_mex_overlined", qfactory.sigma_mex_gf, (MexVariant.OVERLINED,)),
-    ])
-    if failure is not None:
-        return failure
-    [(_, odd)] = reads
-    pentagonal = qfactory.pentagonal(1, n_max, ring=series.GF2).bits
-    diff = odd.bits ^ pentagonal
-    if diff:
-        n = (diff & -diff).bit_length() - 1
-        return VerifyReport(
-            name, FAIL, rng_desc, first_failure=(n, pentagonal >> n & 1, odd[n]),
-            metrics={"where": "pentagonal"},
-        )
-    return _density_report(name, odd.bits, n_max)
+    ], qfactory.pentagonal(1, n_max, ring=series.GF2).bits)
+    return _density_report(name, reads[0][1].bits, n_max) if report.passed else report
 
 
 def check_triangular_parity(n_max: int) -> VerifyReport:
-    """The non-overlined sigma-mex is odd exactly at triangular n."""
+    """The non-overlined sigma-mex is odd exactly at n = j(j+1)/2, j >= 0."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    name = "triangular_parity"
-    rng_desc = f"1 <= n <= {n_max}"
-    failure, reads = _gf2_reads(name, rng_desc, n_max, [
-        ("sigma_mex_nonoverlined", qfactory.sigma_mex_gf, (MexVariant.NON_OVERLINED,)),
-    ])
-    if failure is not None:
-        return failure
-    [(_, bits)] = reads
     j_max = (math.isqrt(8 * n_max + 1) - 1) // 2  # the last j(j+1)/2 <= n_max
-    triangular = sum(1 << j * (j + 1) // 2 for j in range(1, j_max + 1))
-    diff = (bits.bits ^ triangular) & ~1  # q^0 is 1 by convention, not checked
-    if diff:
-        n = (diff & -diff).bit_length() - 1
-        return VerifyReport(
-            name, FAIL, rng_desc, first_failure=(n, triangular >> n & 1, bits[n])
-        )
-    return VerifyReport(name, PASS, rng_desc)
+    return _parity_sweep("triangular_parity", n_max, [
+        ("sigma_mex_nonoverlined", qfactory.sigma_mex_gf, (MexVariant.NON_OVERLINED,)),
+    ], sum(1 << j * (j + 1) // 2 for j in range(j_max + 1)))[0]
 
 
 ASYM_REGIME_MIN = 100  # asym_ratio judges only points from here on

@@ -400,7 +400,7 @@ class TestParity:
         r = vf.check_parity_density(10000)
         assert r.status == vf.FAIL
         assert r.first_failure == (1001, 1, 0)
-        assert r.metrics == {"where": "pentagonal"}
+        assert r.metrics == {"where": "sigma_mex_overlined"}
 
     @pytest.mark.parametrize("flip,witness", [
         (1500, (1500, 0, 1)),  # not a generalized pentagonal number, read odd
@@ -412,7 +412,7 @@ class TestParity:
         r = vf.check_parity_density(2000)
         assert r.status == vf.FAIL
         assert r.first_failure == witness
-        assert r.metrics == {"where": "pentagonal"}
+        assert r.metrics == {"where": "sigma_mex_overlined"}
 
     def test_triangular(self):
         assert vf.check_triangular_parity(500).passed
@@ -493,7 +493,28 @@ class TestParity:
         r = vf.check_triangular_parity(2000)
         assert r.status == vf.FAIL
         assert r.first_failure == witness
-        assert r.metrics == {}
+        assert r.metrics == {"where": "sigma_mex_nonoverlined"}
+
+    @pytest.mark.parametrize("check,where", [
+        (vf.check_parity_all_even, "overpartition_number"),
+        (vf.check_parity_density, "sigma_mex_overlined"),
+        (vf.check_triangular_parity, "sigma_mex_nonoverlined"),
+    ], ids=["all_even", "density", "triangular"])
+    def test_even_constant_term_fails(self, check, where, monkeypatch):
+        # q^0 = 1 in every read.  With q^0 even in both rings the mod-2
+        # guard agrees, and only the closed-form comparison at q^0 sees it.
+        seen_by_verify = types.SimpleNamespace(**vars(qf))
+        for builder in ("overpartition_gf", "sigma_mex_gf"):
+            def even_at_zero(*args, ring=se, original=getattr(qf, builder)):
+                s = original(*args, ring=ring)
+                return ring.add(s, ring.from_terms({0: 1}, s.trunc_order))
+
+            setattr(seen_by_verify, builder, even_at_zero)
+        monkeypatch.setattr(vf, "qfactory", seen_by_verify)
+        r = check(2000)
+        assert r.status == vf.FAIL
+        assert r.first_failure == (0, 1, 0)
+        assert r.metrics == {"where": where}
 
     # Inside the window the mod-2 guard reads every bit: of two bad bits
     # the lower is the witness, and MOD2_CHECK_ORDER itself is inside.

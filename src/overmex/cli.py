@@ -3,7 +3,9 @@ deterministic overpartition listings.
 
 Exit codes: 0 success, 1 verification/mismatch failure, 2 usage error,
 141 (128 + SIGPIPE) when the reader of stdout goes away, say `| head`;
-that exit is silent, as for a tool the closed pipe killed.
+that exit is silent, as for a tool the closed pipe killed.  Every
+refusal of a value is a ValueError raised before --out is opened, and
+main alone reports it: one stderr line and exit 2.
 """
 
 from __future__ import annotations
@@ -65,35 +67,29 @@ def _emit_rows(rows, header, fmt: str, out) -> None:
     out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
-def _above_oracle_limit(args) -> bool:
-    """True, after saying why on stderr, if --max-n exceeds --oracle-limit."""
-    if args.max_n <= args.oracle_limit:
-        return False
-    print(
-        f"--max-n {args.max_n} exceeds the oracle limit {args.oracle_limit}; "
-        "raise --oracle-limit to override",
-        file=sys.stderr,
-    )
-    return True
+def _check_oracle_limit(args) -> None:
+    """Refuse a --max-n above --oracle-limit."""
+    if args.max_n > args.oracle_limit:
+        raise ValueError(
+            f"--max-n {args.max_n} exceeds the oracle limit {args.oracle_limit}; "
+            "raise --oracle-limit to override"
+        )
 
 
-def _above_max_order(order: int, flag: str) -> bool:
-    """True, after saying why on stderr, if order exceeds MAX_ORDER."""
-    if order <= MAX_ORDER:
-        return False
-    print(f"{flag} {order} exceeds the largest order {MAX_ORDER}", file=sys.stderr)
-    return True
+def _check_max_order(order: int, flag: str) -> None:
+    """Refuse an order above MAX_ORDER."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{flag} {order} exceeds the largest order {MAX_ORDER}")
 
 
 def cmd_table(args) -> int:
     variant = MexVariant(args.variant)
     n_max = args.max_n
-    if _above_max_order(n_max, "--max-n"):
-        return EXIT_USAGE
+    _check_max_order(n_max, "--max-n")
     use_series = args.method in ("series", "both")
     use_oracle = args.method in ("oracle", "both")
-    if use_oracle and _above_oracle_limit(args):
-        return EXIT_USAGE
+    if use_oracle:
+        _check_oracle_limit(args)
     with _output(args.out) as out:
         values = {}  # method -> its sigma-mex value for each n <= n_max
         if use_series:
@@ -116,17 +112,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if _above_oracle_limit(args) or _above_max_order(args.order, "--order"):
-        return EXIT_USAGE
+    if args.only is None or args.only.startswith("gf_vs_oracle:"):
+        _check_oracle_limit(args)  # only the gf_vs_oracle checks run the oracle
+    _check_max_order(args.order, "--order")
     if args.order < 1:
-        print(f"--order {args.order} is below the smallest order 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--order {args.order} is below the smallest order 1")
     if args.only is not None and args.only not in verify.CHECKS:
-        print(
-            f"unknown check {args.only!r}; choose from {sorted(verify.CHECKS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"unknown check {args.only!r}; choose from {sorted(verify.CHECKS)}")
     passed = True
     with _output(args.out) as out:
         # Each report is written, with its progress line, as its check finishes.
@@ -150,8 +142,7 @@ def _enum_row(pi, fmt: str) -> tuple:
 
 def cmd_enum(args) -> int:
     n = args.max_n
-    if _above_oracle_limit(args):
-        return EXIT_USAGE
+    _check_oracle_limit(args)
     with _output(args.out) as out:
         if args.by_class:
             rows = (
@@ -222,11 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.max_n < 0:
-        parser.error("--max-n must be non-negative")
+    args = build_parser().parse_args(argv)
     try:
+        if args.max_n < 0:
+            raise ValueError("--max-n must be non-negative")
         return args.func(args)
     except BrokenPipeError:
         # stdout now points at devnull, so the interpreter's final flush of

@@ -223,11 +223,7 @@ def class_decomposition(n: int) -> list:
     structural reason the all-parts sigma-mex is even."""
     rows = []
     for groups in _classes(n):
-        mex = 1  # one past the run 1, 2, ..., r of smallest parts
-        for part, _ in reversed(groups):
-            if part != mex:
-                break
-            mex += 1
+        pi = Overpartition(tuple((part, count, False) for part, count in groups))
         partition = tuple(p for p, count in groups for _ in range(count))
-        rows.append((partition, 1 << len(groups), mex))
+        rows.append((partition, 1 << len(groups), mex_statistic(pi, MexVariant.ALL)))
     return rows

@@ -21,8 +21,9 @@ also has a Z-only form with no series kernel, the Andrews-Dyson-Hickerson
 double sum, that the Horner sum is checked against.
 
 Builders with a `ring` keyword build over Z by default (ring=series) or
-mod 2 (ring=series.GF2) from one body, pochhammer over Z only, and are
-cached at the largest order built: a smaller order is served as a prefix.
+mod 2 (ring=series.GF2) from one body, pochhammer over Z only.  _cached,
+the one cache, serves an order as a prefix of the largest built; it sits
+only on builders whose series some run reads twice.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter, namedtuple
-from functools import lru_cache, wraps
+from functools import wraps
 from math import comb
 
 from . import series
@@ -53,7 +54,8 @@ def _cached(builder):
     per leading arguments and ring.  f(M) returns the cached value and
     f(N) for N < M its first N + 1 coefficients, every builder being exact
     mod q^(N+1).  cache_info() reads (hits, misses, currsize) and
-    cache_clear() empties the cache."""
+    cache_clear() empties the cache.  Worth its memory only on a series
+    that some run reads more than once."""
     built = {}  # (leading args, ring) -> f(M)
     stats = Counter()
 
@@ -176,7 +178,6 @@ def sigma_adh(N: int) -> Series:
     return Series(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
 def phi11(N: int) -> Series:
     """The basic hypergeometric specialization 1phi1(q; -q; q, -2q),
     computed term by term from the defining sum
@@ -212,7 +213,6 @@ def phi11_simplified(N: int, *, ring=series):
     return _negq_sum(N, ring, lambda n: {comb(n + 1, 2): 2**n})
 
 
-@_cached
 def overlined_mex_weighted_sum(N: int, *, ring=series):
     """sum_{m>=1} m q^(m choose 2) / (-q;q)_m: the pre-telescoping form
     whose product with the overpartition series gives the overlined
@@ -220,7 +220,6 @@ def overlined_mex_weighted_sum(N: int, *, ring=series):
     return _negq_sum(N, ring, lambda m: {comb(m, 2): m})
 
 
-@_cached
 def all_mex_raw_sum(N: int, *, ring=series):
     """sum_{m>=1} m 2^(m-1) q^(m choose 2) (1 - q^m) / (-q;q)_m: the raw
     derivative of the all-parts double series, before simplification."""

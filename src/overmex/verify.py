@@ -71,16 +71,14 @@ def _compare_series(name: str, a: Series, b: Series, range_desc: str) -> VerifyR
 
 
 def _merge(name: str, range_desc: str, parts: Sequence[VerifyReport]) -> VerifyReport:
+    """The first failing part's witness; parts (_compare_series) carry no metrics."""
     for p in parts:
         if not p.passed:
             return VerifyReport(
                 name, FAIL, range_desc, first_failure=p.first_failure,
-                metrics={"failed_subcheck": p.check_name, **p.metrics},
+                metrics={"failed_subcheck": p.check_name},
             )
-    merged = {}
-    for p in parts:
-        merged.update(p.metrics)
-    return VerifyReport(name, PASS, range_desc, metrics=merged)
+    return VerifyReport(name, PASS, range_desc)
 
 
 FIXED_POINT_BITS = 128  # fraction bits of _evaluate's running sum

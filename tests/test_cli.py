@@ -105,6 +105,16 @@ class TestTable:
 
 
 class TestVerify:
+    def test_oracle_limit_only_for_oracle_checks(self, capsys):
+        # No gf_vs_oracle check runs, so --max-n above the limit is unused.
+        code, out, err = run(
+            ["verify", "--only", "euler", "--order", "50", "--max-n", "46"], capsys
+        )
+        assert code == 0
+        [line] = out.splitlines()
+        assert json.loads(line)["status"] == "PASS"
+        assert err.startswith("[PASS] euler_identity (")
+
     def test_single_check(self, capsys):
         code, out, err = run(
             ["verify", "--only", "euler", "--order", "200"], capsys
@@ -364,10 +374,14 @@ class TestRefusals:
          "No such file or directory"),
         (["enum", "--max-n", "2", "--out", "/"], "Is a directory"),
         (["verify", "--only", "bogus"], "unknown check 'bogus'"),
+        (["table", "--max-n", "-1"], "--max-n must be non-negative"),
+        (["verify", "--max-n", "-1"], "--max-n must be non-negative"),
+        (["enum", "--max-n", "-1"], "--max-n must be non-negative"),
     ], ids=["table_oracle", "table_both", "verify", "enum", "enum_by_class",
             "table_order", "verify_order", "verify_order_zero",
             "identities_order_zero", "euler_order_negative", "verify_out",
-            "table_out", "enum_out", "verify_only"])
+            "table_out", "enum_out", "verify_only", "table_max_n_negative",
+            "verify_max_n_negative", "enum_max_n_negative"])
     def test_refused_before_any_work(self, argv, message, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("work started")
@@ -389,7 +403,8 @@ _CHECKS = (
 )
 # Each subcommand's options, plus --order for table, which table does not
 # accept.  Every accepted run is small: a --max-n above 8 is refused before
-# work, except that a series-only table builds its series at 46.
+# any oracle work, a series-only table builds its series at 46, and a verify
+# run with no gf_vs_oracle check does not read --max-n.
 _FLAGS = {
     "table": ("--variant", "--method", "--format", "--max-n", "--oracle-limit",
               "--order"),

@@ -30,6 +30,11 @@ RING_GENERIC = [
 ] + [(qf.sigma_mex_gf, (v,)) for v in MexVariant]
 # The cached builders that build over Z only.
 Z_ONLY = [(qf.pochhammer, (-1,)), (qf.pochhammer, (+1,))]
+# The builders behind _cached: those whose series some run reads twice.
+CACHED = {
+    "pochhammer", "theta_neg", "pentagonal", "overpartition_gf",
+    "ramanujan_sigma", "phi11_simplified", "sigma_mex_gf",
+}
 
 
 def _mul_binomial(ring, a, sign, e):
@@ -113,7 +118,10 @@ class TestRings:
         # f(N) after f(M) is f(M)'s first N + 1 coefficients: it must equal
         # f(N) built afresh, and counts as a hit, not a new entry.
         M = 50
+        assert {name for name, f in vars(qf).items() if hasattr(f, "cache_info")} == CACHED
         for builder, args in RING_GENERIC + (Z_ONLY if ring is se else []):
+            if builder.__name__ not in CACHED:
+                continue
             builder.cache_clear()
             big = builder(*args, M, ring=ring)
             for N in (0, M - 1, M):

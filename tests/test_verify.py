@@ -552,6 +552,15 @@ class TestParity:
         assert r.metrics == {"where": "mod2:overpartition_number"}
         assert r.first_failure == (700, 1, 0)
 
+    @pytest.mark.parametrize("check,n_max", [
+        (vf.check_parity_all_even, 0),
+        (vf.check_triangular_parity, 0),
+        (vf.check_parity_density, 99),
+    ], ids=["all_even", "triangular", "density"])
+    def test_n_max_below_the_smallest_refused(self, check, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= "):
+            check(n_max)
+
 
 class TestGf2Arithmetic:
     def test_mul_matches_integer_mul(self):

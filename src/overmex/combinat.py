@@ -7,12 +7,14 @@ mex_histograms counts the masks of every class per mex value, for all
 three variants and every n <= N at once, in one walk that adds parts in
 ascending order and visits each ordinary partition of each n <= N
 exactly once; sigma_mex_oracle reads it.
-enumerate_overpartitions is the literal defining form: it builds every
-overpartition, walking the ordinary partitions of n in descending
-lexicographic order and the masks of each in ascending order (mask bit
-i, least significant first, flags the i-th largest distinct part).  That
-order, which class_decomposition keeps too, is deterministic and matches
-the worked tables used as fixtures.  Both walks grow like e^(c sqrt(n));
+enumerate_overpartitions builds every overpartition, walking the
+ordinary partitions of n in descending lexicographic order and the masks
+of each in ascending order (mask bit i, least significant first, flags
+the i-th largest distinct part).  That order, which class_decomposition
+and literal_mex_histograms keep too, is deterministic and matches the
+worked tables used as fixtures.  literal_mex_histograms is the literal
+defining form: each overpartition's part sets, taken one by one, as
+bitmasks, and one mex per set.  Both walks grow like e^(c sqrt(n));
 which n is affordable is the caller's choice.
 """
 
@@ -203,16 +205,33 @@ def sigma_mex_oracle(n: int, variant: MexVariant) -> int:
     return mex_sum(mex_histograms(n)[n][variant])
 
 
+def _mex(bits: int) -> int:
+    """Least positive integer absent from a part set held as a bitmask
+    (bit p for part p, bit 0 set): its lowest clear bit."""
+    return (~bits & (bits + 1)).bit_length() - 1
+
+
 @lru_cache(maxsize=None)
 def literal_mex_histograms(n: int) -> dict:
-    """{variant: Counter of mex values} over every overpartition of n, each
-    built by enumerate_overpartitions: the defining form that
-    mex_histograms must reproduce.  Cached on n: callers read the result
-    and must not change it."""
+    """{variant: Counter of mex values} over every overpartition of n, in
+    enumerate_overpartitions order, from each overpartition's part sets,
+    taken one by one, as bitmasks: the defining form that mex_histograms
+    must reproduce.  Cached on n: callers read the result and must not
+    change it.  Per class, over[mask] is the overlined part set of the
+    overpartition with that overline mask."""
     hists = {v: Counter() for v in MexVariant}
-    for pi in enumerate_overpartitions(n):
-        for v, hist in hists.items():
-            hist[mex_statistic(pi, v)] += 1
+    for groups in _classes(n):
+        over, repeated, once = [1], 1, 0
+        for part, count in groups:
+            bit = 1 << part
+            over += [o | bit for o in over]
+            if count == 1:
+                once |= bit
+            else:
+                repeated |= bit
+        hists[MexVariant.OVERLINED].update(map(_mex, over))
+        hists[MexVariant.NON_OVERLINED].update(_mex(repeated | once & ~o) for o in over)
+        hists[MexVariant.ALL].update(map(_mex, [repeated | once] * len(over)))
     return hists
 
 
@@ -223,7 +242,7 @@ def class_decomposition(n: int) -> list:
     structural reason the all-parts sigma-mex is even."""
     rows = []
     for groups in _classes(n):
-        pi = Overpartition(tuple((part, count, False) for part, count in groups))
+        every = 1 + sum(1 << part for part, _ in groups)
         partition = tuple(p for p, count in groups for _ in range(count))
-        rows.append((partition, 1 << len(groups), mex_statistic(pi, MexVariant.ALL)))
+        rows.append((partition, 1 << len(groups), _mex(every)))
     return rows

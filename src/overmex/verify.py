@@ -123,8 +123,8 @@ def check_gf_vs_oracle(
     the mex histograms of one walk over every ordinary partition of every
     n <= max(n_max, count_n_max), which the three variants' checks share;
     the smallest failing n is reported.  For n <= LITERAL_CHECK_N each
-    histogram is first compared with the literal one, from every
-    enumerated overpartition."""
+    histogram is first compared with the literal one, from each
+    overpartition's part sets, taken one by one, as bitmasks."""
     if count_n_max is None:
         count_n_max = n_max
     name = f"gf_vs_oracle:{variant.value}"

@@ -189,6 +189,10 @@ class TestClassCounting:
         for v, hist in literal_histograms(n).items():
             assert cb.mex_histograms(n)[n][v] == dict(hist), v
 
+    @pytest.mark.parametrize("n", range(17))
+    def test_bitmask_literal_pass_matches_objects(self, n):
+        assert cb.literal_mex_histograms(n) == literal_histograms(n)
+
     def test_walk_matches_descending_lex_reference(self):
         hists = cb.mex_histograms(30)
         assert len(hists) == 31

@@ -144,17 +144,17 @@ class TestGfVsOracle:
 
     @pytest.fixture
     def enumerated_n(self, monkeypatch):
-        """The n of every enumerate_overpartitions call, in order, from
-        cold literal histograms."""
+        """The n of every _classes call, in order, from cold literal
+        histograms."""
         cb.literal_mex_histograms.cache_clear()
         calls = []
-        enumerate_overpartitions = cb.enumerate_overpartitions
+        classes = cb._classes
 
-        def counted(n, *args):
+        def counted(n):
             calls.append(n)
-            return enumerate_overpartitions(n, *args)
+            return classes(n)
 
-        monkeypatch.setattr(cb, "enumerate_overpartitions", counted)
+        monkeypatch.setattr(cb, "_classes", counted)
         return calls
 
     def test_enumerates_each_n_once(self, enumerated_n):
@@ -182,6 +182,32 @@ class TestGfVsOracle:
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_wrong_class_count_fails(self, variant, class_count_off_at):
         class_count_off_at(9)
+        r = vf.check_gf_vs_oracle(variant, 10)
+        assert r.status == vf.FAIL
+        assert r.metrics["where"] == "literal"
+        assert r.first_failure[0] == 9
+
+    @pytest.fixture
+    def literal_class_dropped_at_9(self, monkeypatch):
+        """Make the literal pass skip the first class of n = 9; the literal
+        cache is cleared before and after, so only the test using this
+        sees the faulted histogram."""
+        classes = cb._classes
+
+        def dropped(n):
+            walk = classes(n)
+            if n == 9:
+                next(walk)
+            return walk
+
+        monkeypatch.setattr(cb, "_classes", dropped)
+        cb.literal_mex_histograms.cache_clear()
+        yield
+        cb.literal_mex_histograms.cache_clear()
+
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    @pytest.mark.usefixtures("literal_class_dropped_at_9")
+    def test_dropped_literal_class_fails(self, variant):
         r = vf.check_gf_vs_oracle(variant, 10)
         assert r.status == vf.FAIL
         assert r.metrics["where"] == "literal"

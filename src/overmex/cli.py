@@ -36,7 +36,7 @@ MAX_ORDER = 100_000
 #: for all three variants: 0.12 s, and 1.3-1.5 s for n <= 60, while
 #: `verify --only gf_vs_oracle:V --max-n 45` takes about 0.2 s in all
 #: (Python 3.11 on a shared 2-core machine).  enum --by-class lists the
-#: p(n) classes of one n, 89,134 at n=45; enum builds all p-bar(n)
+#: p(n) classes of one n, 89,134 at n=45; enum lists all p-bar(n)
 #: overpartitions, 3,759,240 at n=45.  All grow like e^(c sqrt(n)).
 DEFAULT_ORACLE_LIMIT = 45
 
@@ -130,14 +130,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
-def _enum_row(pi, fmt: str) -> tuple:
+def _enum_row(row, fmt: str) -> tuple:
     """An overpartition and its three mex values.  JSON spells the overline
-    out as a boolean per group; the ~ marker is the CSV-only encoding."""
-    shown = (
-        [{"part": p, "count": c, "overlined": o} for p, c, o in pi.groups]
-        if fmt == "json" else pi.display()
-    )
-    return (shown, *(combinat.mex_statistic(pi, v) for v in MexVariant))
+    out as a boolean per group; CSV marks it with a trailing ~ on the first
+    copy of the value, e.g. 3~+1, and shows n = 0 as (empty)."""
+    groups, *mexes = row
+    if fmt == "json":
+        shown = [{"part": p, "count": c, "overlined": o} for p, c, o in groups]
+    else:
+        shown = "+".join(
+            f"{p}~" if o and k == 0 else str(p) for p, c, o in groups for k in range(c)
+        ) or "(empty)"
+    return (shown, *mexes)
 
 
 def cmd_enum(args) -> int:
@@ -152,7 +156,7 @@ def cmd_enum(args) -> int:
             header = ("underlying", "class_size", "mex_all")
         else:
             # Each row is written as its overpartition is enumerated.
-            rows = (_enum_row(pi, args.format) for pi in combinat.enumerate_overpartitions(n))
+            rows = (_enum_row(row, args.format) for row in combinat.overpartitions(n))
             shown = "groups" if args.format == "json" else "overpartition"
             header = (shown, "mex_nonoverlined", "mex_overlined", "mex_all")
         _emit_rows(rows, header, args.format, out)

@@ -7,15 +7,18 @@ mex_histograms counts the masks of every class per mex value, for all
 three variants and every n <= N at once, in one walk that adds parts in
 ascending order and visits each ordinary partition of each n <= N
 exactly once; sigma_mex_oracle reads it.
-enumerate_overpartitions builds every overpartition, walking the
-ordinary partitions of n in descending lexicographic order and the masks
-of each in ascending order (mask bit i, least significant first, flags
-the i-th largest distinct part).  That order, which class_decomposition
-and literal_mex_histograms keep too, is deterministic and matches the
-worked tables used as fixtures.  literal_mex_histograms is the literal
-defining form: each overpartition's part sets, taken one by one, as
-bitmasks, and one mex per set.  Both walks grow like e^(c sqrt(n));
-which n is affordable is the caller's choice.
+The other passes take the classes from _classes, the ordinary partitions
+of n in descending lexicographic order, and the masks of each in
+ascending order (mask bit i, least significant first, flags the i-th
+largest distinct part); that order is deterministic and matches the
+worked tables used as fixtures.  _class_sets holds a class's part sets
+as bitmasks, one overlined set per mask, and _mex reads a set's mex as
+its lowest clear bit.  overpartitions lists every overpartition with its
+three mex values from those sets; literal_mex_histograms tallies the
+same values, the literal defining form: each overpartition's part sets,
+taken one by one, and one mex per set.  class_decomposition gives one
+row per class.  Every walk grows like e^(c sqrt(n)); which n is
+affordable is the caller's choice.
 """
 
 from __future__ import annotations
@@ -25,58 +28,6 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .qfactory import MexVariant
-
-
-class Overpartition:
-    """Canonical overpartition: per distinct part value, its multiplicity
-    and whether the first copy is overlined; parts strictly decreasing.  Immutable."""
-
-    __slots__ = ("groups",)  # of (part, count, overlined)
-
-    def __init__(self, groups: tuple):
-        prev = None
-        for part, count, _ in groups:
-            if part < 1 or count < 1:
-                raise ValueError(f"invalid group in {groups}")
-            if prev is not None and part >= prev:
-                raise ValueError("parts must be strictly decreasing across groups")
-            prev = part
-        object.__setattr__(self, "groups", groups)
-
-    def __setattr__(self, *args):
-        raise AttributeError("an Overpartition is immutable")
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.groups == other.groups if isinstance(other, Overpartition) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.groups)
-
-    def __repr__(self) -> str:
-        return f"Overpartition(groups={self.groups!r})"
-
-    def part_values(self, variant: MexVariant) -> set:
-        if variant is MexVariant.OVERLINED:
-            return {p for p, _, over in self.groups if over}
-        if variant is MexVariant.NON_OVERLINED:
-            # A group with a lone overlined copy contributes no
-            # non-overlined part.
-            return {p for p, count, over in self.groups if count > (1 if over else 0)}
-        return {p for p, _, _ in self.groups}
-
-    def display(self) -> str:
-        """Plain-text rendering; an overline prints as a trailing ~ on the
-        first copy of the value, e.g. 3~+1."""
-        if not self.groups:
-            return "(empty)"
-        pieces = []
-        for part, count, over in self.groups:
-            if over:
-                pieces.append(f"{part}~")
-                count -= 1
-            pieces.extend([str(part)] * count)
-        return "+".join(pieces)
 
 
 def _partition_groups(n: int, cap: int) -> Iterator[tuple]:
@@ -98,32 +49,6 @@ def _classes(n: int) -> Iterator[tuple]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return _partition_groups(n, n)
-
-
-def _overline_masks(groups: tuple) -> Iterator[Overpartition]:
-    """All overpartitions over one underlying partition, mask-ascending."""
-    for mask in range(1 << len(groups)):
-        yield Overpartition(tuple(
-            (part, count, bool(mask >> i & 1))
-            for i, (part, count) in enumerate(groups)
-        ))
-
-
-def enumerate_overpartitions(n: int) -> Iterator[Overpartition]:
-    """Every overpartition of n exactly once, deterministic order:
-    descending-lex on the underlying partition, then ascending overline
-    mask."""
-    for groups in _classes(n):
-        yield from _overline_masks(groups)
-
-
-def mex_statistic(pi: Overpartition, variant: MexVariant) -> int:
-    """Least positive integer absent from the variant's part set."""
-    present = pi.part_values(variant)
-    m = 1
-    while m in present:
-        m += 1
-    return m
 
 
 @lru_cache(maxsize=None)
@@ -211,24 +136,49 @@ def _mex(bits: int) -> int:
     return (~bits & (bits + 1)).bit_length() - 1
 
 
+def _class_sets(groups: tuple) -> tuple:
+    """(over, repeated, once) for one class, given as its (part,
+    multiplicity) groups: over[mask] is the overlined part set of the
+    overpartition with that overline mask; repeated and once are the parts
+    with multiplicity > 1 and 1.  Every set is a bitmask, bit 0 set in
+    over and repeated, so the non-overlined set is repeated | once & ~o
+    and the all-parts set repeated | once."""
+    over, repeated, once = [1], 1, 0
+    for part, count in groups:
+        bit = 1 << part
+        over += [o | bit for o in over]
+        if count == 1:
+            once |= bit
+        else:
+            repeated |= bit
+    return over, repeated, once
+
+
+def overpartitions(n: int) -> Iterator[tuple]:
+    """Every overpartition of n exactly once, as (groups, mex_nonoverlined,
+    mex_overlined, mex_all) with groups ((part, count, overlined), ...),
+    parts strictly decreasing and the overline on the first copy: the
+    classes of n in descending-lex order, the masks of each ascending."""
+    for groups in _classes(n):
+        over, repeated, once = _class_sets(groups)
+        mex_all = _mex(repeated | once)
+        for mask, o in enumerate(over):
+            yield (
+                tuple((p, c, bool(mask >> i & 1)) for i, (p, c) in enumerate(groups)),
+                _mex(repeated | once & ~o), _mex(o), mex_all,
+            )
+
+
 @lru_cache(maxsize=None)
 def literal_mex_histograms(n: int) -> dict:
     """{variant: Counter of mex values} over every overpartition of n, in
-    enumerate_overpartitions order, from each overpartition's part sets,
-    taken one by one, as bitmasks: the defining form that mex_histograms
-    must reproduce.  Cached on n: callers read the result and must not
-    change it.  Per class, over[mask] is the overlined part set of the
-    overpartition with that overline mask."""
+    overpartitions order, from each overpartition's part sets, taken one
+    by one, as bitmasks: the defining form that mex_histograms must
+    reproduce.  Cached on n: callers read the result and must not change
+    it."""
     hists = {v: Counter() for v in MexVariant}
     for groups in _classes(n):
-        over, repeated, once = [1], 1, 0
-        for part, count in groups:
-            bit = 1 << part
-            over += [o | bit for o in over]
-            if count == 1:
-                once |= bit
-            else:
-                repeated |= bit
+        over, repeated, once = _class_sets(groups)
         hists[MexVariant.OVERLINED].update(map(_mex, over))
         hists[MexVariant.NON_OVERLINED].update(_mex(repeated | once & ~o) for o in over)
         hists[MexVariant.ALL].update(map(_mex, [repeated | once] * len(over)))

@@ -106,21 +106,19 @@ def test_criterion_8_power_of_two_classes():
         for partition, size, _ in cb.class_decomposition(n):
             assert size == 2 ** len(set(partition)), (n, partition)
     ops = [
-        pi for pi in cb.enumerate_overpartitions(18)
-        if tuple((p, count) for p, count, _ in pi.groups) == ((5, 1), (3, 3), (2, 2))
+        groups for groups, *_ in cb.overpartitions(18)
+        if tuple((p, count) for p, count, _ in groups) == ((5, 1), (3, 3), (2, 2))
     ]
     assert len(ops) == 8
-    assert all(sum(p * count for p, count, _ in pi.groups) == 18 for pi in ops)
+    assert all(sum(p * count for p, count, _ in groups) == 18 for groups in ops)
 
 
 def test_criterion_9_property_suite():
     """Mex subset-monotonicity, per-m count totals, and series algebra
     laws on randomized inputs, all exact."""
     for n in range(21):
-        for pi in cb.enumerate_overpartitions(n):
-            m_all = cb.mex_statistic(pi, MexVariant.ALL)
-            assert cb.mex_statistic(pi, MexVariant.OVERLINED) <= m_all
-            assert cb.mex_statistic(pi, MexVariant.NON_OVERLINED) <= m_all
+        for _, m_non, m_over, m_all in cb.overpartitions(n):
+            assert m_over <= m_all and m_non <= m_all
 
     for variant in MexVariant:
         gf = qf.sigma_mex_gf(variant, 20)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -222,7 +223,32 @@ class TestVerify:
             assert json.loads(out.strip())["status"] == "PASS"
 
 
+# sha256 of the stdout of `overmex enum --max-n N` with the given format or
+# --by-class: any change to the listing order or the row format moves it.
+ENUM_SHA256 = {
+    (0, "csv"): "6ecfaa74e4bae239bf2eb383eb62f25dbb3760a8fad5e36d1678fb4476cc59f9",
+    (0, "json"): "337b9069f01cc8be5441a119180f9aa27184164fe19f2c580dd4b895e2325e3b",
+    (0, "by-class"): "81f537774f1223684f495cd8199b52b97118d4117db71bab34dbfb6fdade4e3a",
+    (3, "csv"): "27ccfcc12398d1cd1f566b28e31447b1ebdc4e890f77b3352abe1eb949cbd04e",
+    (3, "json"): "e4dcf7276d37fc8d9fbba2e7e915b22e461ea44b3f380d62a17d771e98b1fe31",
+    (3, "by-class"): "9e514a1dbd922452579cb559cfd204125723a53359a3e99218fa161f3919dc86",
+    (8, "csv"): "b69670db859a43b7f092df717b5db4de6f729bb003276080dbb603798f32c080",
+    (8, "json"): "f6b1ec2465f37ab5f1b08c369d1919df793381939577a66a59dc8767b32e2a6e",
+    (8, "by-class"): "cd100e3b5ffb82c078eba7c28b96b20f666501f5925987048718aa7a3a918cb6",
+    (12, "csv"): "a0582d2cc91c2d4d3cef7cf92d1be5fe14c6d65cdb58d92e100cfbbf3ce4b815",
+    (12, "json"): "adaf0eb27a3f01953563ddd6e720417ddb437411bcef11310660d9c04b9535e5",
+    (12, "by-class"): "68049043944237c518a79c23b69914269ba3e73611bb6dce3b0262e8997cccc9",
+}
+
+
 class TestEnum:
+    @pytest.mark.parametrize("n, flag", sorted(ENUM_SHA256))
+    def test_output_pinned(self, n, flag, capsys):
+        extra = ["--by-class"] if flag == "by-class" else ["--format", flag]
+        code, out, _ = run(["enum", "--max-n", str(n), *extra], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUM_SHA256[n, flag]
+
     def test_n3_table(self, capsys):
         code, out, _ = run(["enum", "--max-n", "3"], capsys)
         assert code == 0
@@ -254,6 +280,14 @@ class TestEnum:
             ["1+1+1+1", "2", "2"],
         ]
 
+    def test_display_overline_on_first_copy(self):
+        assert cli._enum_row((((2, 1, False), (1, 2, True)), 1, 2, 3), "csv") == \
+            ("2+1~+1", 1, 2, 3)
+        assert cli._enum_row((((1, 2, True),), 2, 2, 2), "csv")[0] == "1~+1"
+
+    def test_empty_display(self):
+        assert cli._enum_row(((), 1, 1, 1), "csv") == ("(empty)", 1, 1, 1)
+
     def test_limit_guard(self, capsys):
         code, _, err = run(["enum", "--max-n", "100"], capsys)
         assert code == 2
@@ -277,17 +311,17 @@ class TestEnum:
         # it are already written: no listing of all of them is held.
         _, expected, _ = run(["enum", "--max-n", "6", "--format", fmt], capsys)
         stdout = io.StringIO()
-        enumerate_all = combinat.enumerate_overpartitions
+        enumerate_all = combinat.overpartitions
         rows = {"csv": lambda: stdout.getvalue().count("\n") - 1,
                 "json": lambda: stdout.getvalue().count('"mex_all"')}[fmt]
 
         def watched(n):
-            for k, pi in enumerate(enumerate_all(n), 1):
+            for k, row in enumerate(enumerate_all(n), 1):
                 if k == 20:
                     assert rows() == 19
-                yield pi
+                yield row
 
-        monkeypatch.setattr(combinat, "enumerate_overpartitions", watched)
+        monkeypatch.setattr(combinat, "overpartitions", watched)
         with redirect_stdout(stdout):
             assert cli.main(["enum", "--max-n", "6", "--format", fmt]) == 0
         assert stdout.getvalue() == expected

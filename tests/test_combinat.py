@@ -3,7 +3,6 @@ from collections import Counter
 import pytest
 
 from overmex import combinat as cb
-from overmex.combinat import Overpartition
 from overmex.qfactory import MexVariant
 
 # The two worked tables for n = 3: (display, overlined-mex, all-mex).
@@ -19,98 +18,114 @@ N3_TABLE = [
 ]
 
 
-def op(*groups):
-    return Overpartition(tuple(groups))
+# The slow reference: every overpartition built as its groups from the
+# classes of n, its part sets as Python sets and its mex by counting up.
+# It shares no code with combinat's bitmask sets.
+
+def reference_overpartitions(n):
+    """Every overpartition of n as ((part, count, overlined), ...), parts
+    decreasing: the classes of n in descending-lex order, then the masks of
+    each ascending, mask bit i flagging the i-th largest part."""
+    for groups in cb._classes(n):
+        for mask in range(1 << len(groups)):
+            yield tuple(
+                (part, count, bool(mask >> i & 1))
+                for i, (part, count) in enumerate(groups)
+            )
 
 
-class TestOverpartitionType:
-    def test_display_overline_on_first_copy(self):
-        assert op((2, 1, False), (1, 2, True)).display() == "2+1~+1"
+def part_values(groups, variant):
+    if variant is MexVariant.OVERLINED:
+        return {p for p, _, over in groups if over}
+    if variant is MexVariant.NON_OVERLINED:
+        # A group with a lone overlined copy contributes no non-overlined part.
+        return {p for p, count, over in groups if count > (1 if over else 0)}
+    return {p for p, _, _ in groups}
 
-    def test_empty_display(self):
-        assert op().display() == "(empty)"
 
-    def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
-            op((1, 1, False), (2, 1, False))
+def mex_statistic(groups, variant):
+    """Least positive integer absent from the variant's part set."""
+    present = part_values(groups, variant)
+    m = 1
+    while m in present:
+        m += 1
+    return m
 
-    def test_invalid_group_rejected(self):
-        with pytest.raises(ValueError):
-            op((0, 1, False))
 
-    def test_immutable(self):
-        pi = op((2, 1, True))
-        with pytest.raises(AttributeError):
-            pi.groups = ()
-        with pytest.raises(AttributeError):
-            pi.extra = 1
-        with pytest.raises(AttributeError):
-            del pi.groups
-        assert pi.groups == ((2, 1, True),)
-
-    def test_equal_groups_equal_and_hash_alike(self):
-        a, b = op((3, 1, True), (1, 2, False)), op((3, 1, True), (1, 2, False))
-        assert a == b and a is not b and hash(a) == hash(b)
-        assert a != op((3, 1, False), (1, 2, False)) and a != a.groups
-        pis = list(cb.enumerate_overpartitions(4))
-        assert len(set(pis + [op(*pi.groups) for pi in pis])) == 14  # copies collapse
-
-    def test_repr(self):
-        pi = op((2, 1, True), (1, 1, False))
-        assert repr(pi) == "Overpartition(groups=((2, 1, True), (1, 1, False)))"
-        assert eval(repr(pi), {"Overpartition": Overpartition}) == pi
+def display(groups):
+    """The worked tables' notation: a trailing ~ on the first copy of an
+    overlined value."""
+    pieces = []
+    for part, count, over in groups:
+        if over:
+            pieces.append(f"{part}~")
+            count -= 1
+        pieces.extend([str(part)] * count)
+    return "+".join(pieces)
 
 
 class TestEnumeration:
     def test_n3_matches_worked_table(self):
-        listed = list(cb.enumerate_overpartitions(3))
-        assert [pi.display() for pi in listed] == [row[0] for row in N3_TABLE]
+        listed = list(cb.overpartitions(3))
+        assert [groups for groups, *_ in listed] == list(reference_overpartitions(3))
+        assert [display(groups) for groups, *_ in listed] == [row[0] for row in N3_TABLE]
 
     def test_n0_single_empty(self):
-        listed = list(cb.enumerate_overpartitions(0))
-        assert len(listed) == 1
-        assert listed[0].groups == ()
+        assert list(cb.overpartitions(0)) == [((), 1, 1, 1)]
 
     def test_counts(self):
         for n in range(12):
-            assert sum(1 for _ in cb.enumerate_overpartitions(n)) == \
+            assert sum(1 for _ in cb.overpartitions(n)) == \
                 sum(size for _, size, _ in cb.class_decomposition(n))
 
     def test_n4_count(self):
-        assert sum(1 for _ in cb.enumerate_overpartitions(4)) == 14
+        assert sum(1 for _ in cb.overpartitions(4)) == 14
 
     def test_no_duplicates(self):
         for n in range(10):
-            listed = list(cb.enumerate_overpartitions(n))
+            listed = [groups for groups, *_ in cb.overpartitions(n)]
             assert len(set(listed)) == len(listed)
 
     def test_deterministic(self):
-        a = [pi.display() for pi in cb.enumerate_overpartitions(8)]
-        b = [pi.display() for pi in cb.enumerate_overpartitions(8)]
-        assert a == b
+        assert list(cb.overpartitions(8)) == list(cb.overpartitions(8))
 
 
 class TestMexStatistic:
     def test_table_values(self):
-        for pi, (display, over, all_) in zip(cb.enumerate_overpartitions(3), N3_TABLE):
-            assert pi.display() == display
-            assert cb.mex_statistic(pi, MexVariant.OVERLINED) == over
-            assert cb.mex_statistic(pi, MexVariant.ALL) == all_
+        for row, (shown, over, all_) in zip(reference_overpartitions(3), N3_TABLE):
+            assert display(row) == shown
+            assert mex_statistic(row, MexVariant.OVERLINED) == over
+            assert mex_statistic(row, MexVariant.ALL) == all_
+        assert [(over, all_) for _, _, over, all_ in cb.overpartitions(3)] == \
+            [(over, all_) for _, over, all_ in N3_TABLE]
 
     def test_non_overlined_variant(self):
+        mexes = {groups: non for n in (1, 3) for groups, non, _, _ in cb.overpartitions(n)}
         # 1~+1+1: the non-overlined copies are {1,1}, so the mex is 2.
-        pi = op((1, 3, True))
-        assert cb.mex_statistic(pi, MexVariant.NON_OVERLINED) == 2
+        assert mexes[(1, 3, True),] == 2
         # A lone overlined copy leaves no non-overlined part behind.
-        assert cb.mex_statistic(op((1, 1, True)), MexVariant.NON_OVERLINED) == 1
+        assert mexes[(1, 1, True),] == 1
 
     def test_subset_monotonicity(self):
         # Overlined and non-overlined parts are subsets of all parts.
         for n in range(13):
-            for pi in cb.enumerate_overpartitions(n):
-                m_all = cb.mex_statistic(pi, MexVariant.ALL)
-                assert cb.mex_statistic(pi, MexVariant.OVERLINED) <= m_all
-                assert cb.mex_statistic(pi, MexVariant.NON_OVERLINED) <= m_all
+            for _, m_non, m_over, m_all in cb.overpartitions(n):
+                assert m_over <= m_all and m_non <= m_all
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_listed_mex_values_match_reference(self, n):
+        expected = [
+            (groups, *(mex_statistic(groups, v) for v in MexVariant))
+            for groups in reference_overpartitions(n)
+        ]
+        assert list(cb.overpartitions(n)) == expected
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_listed_mex_tallies_match_walk(self, n):
+        # Each mex column of the listing, tallied, is the class walk's histogram.
+        columns = zip(*(mexes for _, *mexes in cb.overpartitions(n)))
+        for v, column in zip(MexVariant, columns):
+            assert dict(Counter(column)) == cb.mex_histograms(n)[n][v], v
 
 
 class TestSigmaOracle:
@@ -137,16 +152,16 @@ class TestSigmaOracle:
                 total = sum(
                     cb.mex_histograms(n)[n][v].get(m, 0) for m in range(1, n + 2)
                 )
-                assert total == sum(1 for _ in cb.enumerate_overpartitions(n))
+                assert total == sum(1 for _ in reference_overpartitions(n))
 
 
 def literal_histograms(n):
-    """{variant: Counter of mex values} over every enumerated overpartition
+    """{variant: Counter of mex values} over every reference overpartition
     of n: the defining form that class counting must reproduce."""
     hists = {v: Counter() for v in MexVariant}
-    for pi in cb.enumerate_overpartitions(n):
+    for groups in reference_overpartitions(n):
         for v, hist in hists.items():
-            hist[cb.mex_statistic(pi, v)] += 1
+            hist[mex_statistic(groups, v)] += 1
     return hists
 
 
@@ -206,12 +221,12 @@ class TestClassCounting:
 
 
 def with_multiset(parts):
-    """The enumerated overpartitions whose parts, overlines erased, are the
+    """The reference overpartitions whose parts, overlines erased, are the
     given multiset."""
     groups = tuple(Counter(parts).items())
     return [
-        pi for pi in cb.enumerate_overpartitions(sum(parts))
-        if tuple((p, count) for p, count, _ in pi.groups) == groups
+        pi for pi in reference_overpartitions(sum(parts))
+        if tuple((p, count) for p, count, _ in pi) == groups
     ]
 
 
@@ -219,12 +234,12 @@ class TestMultiset:
     def test_worked_example(self):
         ops = with_multiset([5, 3, 3, 3, 2, 2])
         assert len(ops) == 8
-        assert all(sum(p * count for p, count, _ in pi.groups) == 18 for pi in ops)
+        assert all(sum(p * count for p, count, _ in pi) == 18 for pi in ops)
         assert len(set(ops)) == 8
 
     def test_single_value(self):
         ops = with_multiset([7])
-        assert [pi.display() for pi in ops] == ["7", "7~"]
+        assert [display(pi) for pi in ops] == ["7", "7~"]
 
     def test_repeated_value(self):
         assert len(with_multiset([1, 1, 1, 1])) == 2

@@ -236,7 +236,7 @@ class TestOverpartitionGf:
     def test_matches_oracle(self):
         gf = qf.overpartition_gf(20)
         for n in range(21):
-            assert gf[n] == sum(1 for _ in cb.enumerate_overpartitions(n))
+            assert gf[n] == sum(1 for _ in cb.overpartitions(n))
 
 
 class TestRamanujanSigma:

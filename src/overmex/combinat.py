@@ -16,9 +16,9 @@ as bitmasks, one overlined set per mask, and _mex reads a set's mex as
 its lowest clear bit.  overpartitions lists every overpartition with its
 three mex values from those sets; literal_mex_histograms tallies the
 same values, the literal defining form: each overpartition's part sets,
-taken one by one, and one mex per set.  class_decomposition gives one
-row per class.  Every walk grows like e^(c sqrt(n)); which n is
-affordable is the caller's choice.
+taken one by one, and one mex per set.  class_decomposition yields one
+row per class as the walk reaches it.  Every walk grows like
+e^(c sqrt(n)); which n is affordable is the caller's choice.
 """
 
 from __future__ import annotations
@@ -185,14 +185,12 @@ def literal_mex_histograms(n: int) -> dict:
     return hists
 
 
-def class_decomposition(n: int) -> list:
-    """Overpartitions of n grouped by overline erasure: one row
+def class_decomposition(n: int) -> Iterator[tuple]:
+    """Overpartitions of n grouped by overline erasure: yields one row
     (underlying_partition, class_size, mex_all_value) per class, in
     enumeration order.  Every class has even size for n >= 1, which is the
     structural reason the all-parts sigma-mex is even."""
-    rows = []
     for groups in _classes(n):
         every = 1 + sum(1 << part for part, _ in groups)
         partition = tuple(p for p, count in groups for _ in range(count))
-        rows.append((partition, 1 << len(groups), _mex(every)))
-    return rows
+        yield partition, 1 << len(groups), _mex(every)

@@ -2,16 +2,19 @@
 parity sweeps, density measurements, and asymptotic ratio tables.
 
 Each check returns a VerifyReport; failures carry a concrete witness, and
-nothing here raises on a mathematical mismatch.  Each check is one fixed
-experiment: its tolerances, grids and orders are module constants, and it
-takes only what its callers vary.  The three parity checks are one sweep,
-_parity_sweep, over series built over GF(2) (series.GF2).  Each read is
-built once, compared to order 1000 with its integer series mod 2, then at
-every n <= n_max, q^0 included, with the closed-form bitmask of the n
-where it is odd (q^0 only, the generalized pentagonal or the triangular
-numbers): whole-int bit operations, no Python step per n.  A FAIL's n is
-the lowest set bit of the mismatch, and its where names the read that
-differs, as mod2:<read> in the integer comparison.
+nothing here raises on a mathematical mismatch.  The identity checks and
+gf_vs_oracle are each a table of comparisons in a fixed order, and the
+first failing row is reported: its witness and, in the metrics, its
+name.  Each check is one fixed experiment: its tolerances, grids and
+orders are module constants, and it takes only what its callers vary.
+The three parity checks are one sweep, _parity_sweep, over series built
+over GF(2) (series.GF2).  Each read is built once, compared to order
+1000 with its integer series mod 2, then at every n <= n_max, q^0
+included, with the closed-form bitmask of the n where it is odd (q^0
+only, the generalized pentagonal or the triangular numbers): whole-int
+bit operations, no Python step per n.  A FAIL's n is the lowest set bit
+of the mismatch, and its where names the read that differs, as
+mod2:<read> in the integer comparison.
 The float checks sum and divide exact integers, rounding to a float only
 at the end, so they report at any order: a value past the float range is
 inf.
@@ -61,22 +64,18 @@ class VerifyReport:
 # Shared helpers
 
 
-def _compare_series(name: str, a: Series, b: Series, range_desc: str) -> VerifyReport:
-    n = min(a.trunc_order, b.trunc_order)
-    x, y = a.coeffs[: n + 1], b.coeffs[: n + 1]
-    if x == y:
-        return VerifyReport(name, PASS, range_desc)
-    i = list(map(operator.ne, x, y)).index(True)
-    return VerifyReport(name, FAIL, range_desc, first_failure=(i, x[i], y[i]))
-
-
-def _merge(name: str, range_desc: str, parts: Sequence[VerifyReport]) -> VerifyReport:
-    """The first failing part's witness; parts (_compare_series) carry no metrics."""
-    for p in parts:
-        if not p.passed:
+def _compare_series(name: str, range_desc: str, parts: Sequence[tuple]) -> VerifyReport:
+    """The first (subcheck, a, b) row of parts whose series differ up to
+    the smaller order, as a FAIL with witness (n, a[n], b[n]) at its lowest
+    such n and failed_subcheck the row's name; PASS if no row differs."""
+    for subcheck, a, b in parts:
+        n = min(a.trunc_order, b.trunc_order)
+        x, y = a.coeffs[: n + 1], b.coeffs[: n + 1]
+        if x != y:
+            i = list(map(operator.ne, x, y)).index(True)
             return VerifyReport(
-                name, FAIL, range_desc, first_failure=p.first_failure,
-                metrics={"failed_subcheck": p.check_name},
+                name, FAIL, range_desc, first_failure=(i, x[i], y[i]),
+                metrics={"failed_subcheck": subcheck},
             )
     return VerifyReport(name, PASS, range_desc)
 
@@ -136,29 +135,20 @@ def check_gf_vs_oracle(
     }
     for n, hists in enumerate(combinat.mex_histograms(max(n_max, count_n_max))):
         counts = hists[variant]
+        rows = []  # (metrics, expected, got), in the order they are judged
         if n <= LITERAL_CHECK_N:
             literal = combinat.literal_mex_histograms(n)[variant]
-            for m in sorted(literal.keys() | counts.keys()):
-                if literal[m] != counts.get(m, 0):
-                    return VerifyReport(
-                        name, FAIL, rng,
-                        first_failure=(n, literal[m], counts.get(m, 0)),
-                        metrics={"where": "literal", "m": m},
-                    )
-        expected = combinat.mex_sum(counts)
-        if n <= n_max and gf[n] != expected:
-            return VerifyReport(
-                name, FAIL, rng, first_failure=(n, expected, gf[n]),
-                metrics={"where": "sigma"},
-            )
-        if n > count_n_max:
-            continue
-        for m, gf_m in count_gfs.items():
-            if gf_m[n] != counts.get(m, 0):
+            rows += [({"where": "literal", "m": m}, literal[m], counts.get(m, 0))
+                     for m in sorted(literal.keys() | counts.keys())]
+        if n <= n_max:
+            rows.append(({"where": "sigma"}, combinat.mex_sum(counts), gf[n]))
+        if n <= count_n_max:
+            rows += [({"where": "count", "m": m}, counts.get(m, 0), gf_m[n])
+                     for m, gf_m in count_gfs.items()]
+        for metrics, expected, got in rows:
+            if expected != got:
                 return VerifyReport(
-                    name, FAIL, rng,
-                    first_failure=(n, counts.get(m, 0), gf_m[n]),
-                    metrics={"where": "count", "m": m},
+                    name, FAIL, rng, first_failure=(n, expected, got), metrics=metrics
                 )
     return VerifyReport(name, PASS, rng)
 
@@ -167,7 +157,6 @@ def check_euler_identity(N: int) -> VerifyReport:
     """(-q;q)_inf = 1/(q;q^2)_inf = (q^2;q^2)_inf / (q;q)_inf to order N."""
     if N < 1:
         raise ValueError("order must be >= 1")
-    rng = f"order <= {N}"
     a = qfactory.pochhammer(+1, N)
     # 1/(q;q^2)_inf, one factor 1/(1 - q^k) at a time from the largest odd
     # k <= N down: prod_{odd j>=k} 1/(1 - q^j) = 1 + q^k U_k with U_k of
@@ -180,14 +169,10 @@ def check_euler_identity(N: int) -> VerifyReport:
     q_q = qfactory.pochhammer(-1, N)
     # (q^2;q^2)_inf is (q;q)_inf at q^2: its coefficients at even exponents.
     q2_q2 = series.from_terms(dict(zip(range(0, N + 1, 2), q_q.coeffs)), N)
-    c = series.div(q2_q2, q_q)
-    return _merge(
-        "euler_identity", rng,
-        [
-            _compare_series("euler:neg_vs_odd_inverse", a, b, rng),
-            _compare_series("euler:neg_vs_even_over_full", a, c, rng),
-        ],
-    )
+    return _compare_series("euler_identity", f"order <= {N}", [
+        ("euler:neg_vs_odd_inverse", a, b),
+        ("euler:neg_vs_even_over_full", a, series.div(q2_q2, q_q)),
+    ])
 
 
 def check_identity_suite(N: int) -> VerifyReport:
@@ -203,37 +188,20 @@ def check_identity_suite(N: int) -> VerifyReport:
     (-q;q)_inf (the euler check builds the same products).  Last, the
     Horner sum for sigma against the Andrews-Dyson-Hickerson double sum,
     the one witness for sigma that shares no series kernel with it."""
-    rng = f"order <= {N}"
-    parts = [
-        _compare_series(
-            "identity:phi11_defining_vs_simplified",
-            qfactory.phi11(N), qfactory.phi11_simplified(N), rng,
-        ),
-        _compare_series(
-            "identity:all_raw_vs_simplified",
-            qfactory.all_mex_raw_sum(N), qfactory.phi11_simplified(N), rng,
-        ),
-        _compare_series(
-            "identity:overlined_telescoped",
-            qfactory.overlined_mex_weighted_sum(N), qfactory.ramanujan_sigma(N), rng,
-        ),
-        _compare_series(
-            "identity:pbar_theta",
-            qfactory.overpartition_gf(N),
-            series.div(qfactory.pochhammer(+1, N), qfactory.pochhammer(-1, N)),
-            rng,
-        ),
-        _compare_series(
-            "identity:pentagonal",
-            series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)),
-            qfactory.pochhammer(+1, N), rng,
-        ),
-        _compare_series(
-            "identity:sigma_adh",
-            qfactory.ramanujan_sigma(N), qfactory.sigma_adh(N), rng,
-        ),
-    ]
-    return _merge("identity_suite", rng, parts)
+    return _compare_series("identity_suite", f"order <= {N}", [
+        ("identity:phi11_defining_vs_simplified",
+         qfactory.phi11(N), qfactory.phi11_simplified(N)),
+        ("identity:all_raw_vs_simplified",
+         qfactory.all_mex_raw_sum(N), qfactory.phi11_simplified(N)),
+        ("identity:overlined_telescoped",
+         qfactory.overlined_mex_weighted_sum(N), qfactory.ramanujan_sigma(N)),
+        ("identity:pbar_theta", qfactory.overpartition_gf(N),
+         series.div(qfactory.pochhammer(+1, N), qfactory.pochhammer(-1, N))),
+        ("identity:pentagonal",
+         series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)),
+         qfactory.pochhammer(+1, N)),
+        ("identity:sigma_adh", qfactory.ramanujan_sigma(N), qfactory.sigma_adh(N)),
+    ])
 
 
 MOD2_CHECK_ORDER = 1000  # GF(2) series are compared with Z mod 2 up to here
@@ -296,6 +264,7 @@ def check_parity_all_even(n_max: int) -> VerifyReport:
 
 DENSITY_FLOOR = 0.85  # least even-density over [1, n_max]
 DENSITY_TREND_SLACK = 0.01  # how far it may lie below that over [1, n_max/4]
+DENSITY_MIN_N = 107  # below it even the proven pentagonal bits miss DENSITY_FLOOR
 
 
 def _density_report(name: str, odd_bits: int, n_max: int) -> VerifyReport:
@@ -327,8 +296,8 @@ def check_parity_density(n_max: int) -> VerifyReport:
     Andrews-Dyson-Hickerson sum for sigma the j and -j terms cancel mod 2,
     so sigma = (q;q)_inf mod 2, and with P-bar = 1 mod 2 the overlined
     sigma-mex is odd exactly at the generalized pentagonal numbers."""
-    if n_max < 100:
-        raise ValueError("n_max must be >= 100 for a meaningful density")
+    if n_max < DENSITY_MIN_N:
+        raise ValueError(f"n_max must be >= {DENSITY_MIN_N} for a meaningful density")
     name = "parity_density"
     report, reads = _parity_sweep(name, n_max, [
         ("sigma_mex_overlined", qfactory.sigma_mex_gf, (MexVariant.OVERLINED,)),

@@ -326,6 +326,29 @@ class TestEnum:
             assert cli.main(["enum", "--max-n", "6", "--format", fmt]) == 0
         assert stdout.getvalue() == expected
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_class_rows_streamed_as_enumerated(self, fmt, monkeypatch, capsys):
+        # The same for --by-class, watched at the class walk itself: n = 8
+        # has 22 classes, and when the 20th is about to be walked the 19
+        # before it are already written.
+        argv = ["enum", "--max-n", "8", "--by-class", "--format", fmt]
+        _, expected, _ = run(argv, capsys)
+        stdout = io.StringIO()
+        walk = combinat._classes
+        rows = {"csv": lambda: stdout.getvalue().count("\n") - 1,
+                "json": lambda: stdout.getvalue().count('"mex_all"')}[fmt]
+
+        def watched(n):
+            for k, groups in enumerate(walk(n), 1):
+                if k == 20:
+                    assert rows() == 19
+                yield groups
+
+        monkeypatch.setattr(combinat, "_classes", watched)
+        with redirect_stdout(stdout):
+            assert cli.main(argv) == 0
+        assert stdout.getvalue() == expected
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

@@ -75,7 +75,7 @@ class TestReport:
     def test_failure_carries_witness(self, a_terms, a_order, b_terms, b_order, witness):
         a = se.from_terms(a_terms, a_order)
         b = se.from_terms(b_terms, b_order)
-        r = vf._compare_series("demo", a, b, "n <= 4")
+        r = vf._compare_series("demo", "n <= 4", [("demo:a_vs_b", a, b)])
         assert r.passed == (witness is None)
         assert r.first_failure == witness
 
@@ -131,6 +131,18 @@ class TestGfVsOracle:
         assert r.status == vf.FAIL
         assert r.metrics == {"where": "sigma"}
         assert r.first_failure[0] == 5
+
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    def test_sigma_judged_before_counts(self, variant, monkeypatch):
+        sigma_gf, count_gf = qf.sigma_mex_gf, qf.mex_count_gf
+        monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 7))
+        monkeypatch.setattr(
+            qf, "mex_count_gf", lambda v, m, N: _bump(count_gf(v, m, N), 7)
+        )
+        r = vf.check_gf_vs_oracle(variant, 10)
+        assert r.status == vf.FAIL
+        assert r.metrics == {"where": "sigma"}
+        assert r.first_failure[0] == 7
 
     def test_counts_checked_past_sigma_range(self, monkeypatch):
         count_gf = qf.mex_count_gf
@@ -214,6 +226,16 @@ class TestGfVsOracle:
         assert r.first_failure[0] == 9
 
     @pytest.mark.parametrize("variant", list(MexVariant))
+    @pytest.mark.usefixtures("literal_class_dropped_at_9")
+    def test_literal_judged_before_sigma(self, variant, monkeypatch):
+        sigma_gf = qf.sigma_mex_gf
+        monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 9))
+        r = vf.check_gf_vs_oracle(variant, 10)
+        assert r.status == vf.FAIL
+        assert r.metrics["where"] == "literal"
+        assert r.first_failure[0] == 9
+
+    @pytest.mark.parametrize("variant", list(MexVariant))
     def test_wrong_class_count_past_literal_range_fails(self, variant, class_count_off_at):
         class_count_off_at(15)  # past LITERAL_CHECK_N
         r = vf.check_gf_vs_oracle(variant, 20)
@@ -253,7 +275,7 @@ class TestEuler:
     def test_perturbed_fails_with_witness(self):
         a = qf.pochhammer(+1, 50)
         bad = se.add(a, se.from_terms({7: 1}, 50))
-        r = vf._compare_series("euler:perturbed", a, bad, "n <= 50")
+        r = vf._compare_series("euler", "n <= 50", [("euler:perturbed", a, bad)])
         assert not r.passed
         assert r.first_failure[0] == 7
 
@@ -261,9 +283,9 @@ class TestEuler:
     def test_odd_fold_matches_ascending_fold(self, monkeypatch, N):
         seen, compare = {}, vf._compare_series
 
-        def record(name, a, b, rng):
-            seen[name] = b
-            return compare(name, a, b, rng)
+        def record(name, rng, parts):
+            seen.update((subcheck, b) for subcheck, _, b in parts)
+            return compare(name, rng, parts)
 
         monkeypatch.setattr(vf, "_compare_series", record)
         vf.check_euler_identity(N)
@@ -368,6 +390,21 @@ class TestIdentitySuite:
         assert r.metrics["failed_subcheck"] == "identity:sigma_adh"
         assert r.first_failure == (123, qf.ramanujan_sigma(300)[123], adh(300)[123] + 1)
 
+    def test_first_differing_row_reported(self, monkeypatch):
+        # sigma is read by two rows; a fault in it alone shows in both, and
+        # the earlier row, identity:overlined_telescoped, is the one reported.
+        sigma = qf.ramanujan_sigma
+        seen_by_verify = types.SimpleNamespace(**vars(qf))
+        seen_by_verify.ramanujan_sigma = lambda N: _bump(sigma(N), 50)
+        monkeypatch.setattr(vf, "qfactory", seen_by_verify)
+        bumped = seen_by_verify.ramanujan_sigma(300)
+        assert bumped[50] != qf.overlined_mex_weighted_sum(300)[50]
+        assert bumped[50] != qf.sigma_adh(300)[50]
+        r = vf.check_identity_suite(300)
+        assert r.status == vf.FAIL
+        assert r.metrics == {"failed_subcheck": "identity:overlined_telescoped"}
+        assert r.first_failure == (50, qf.overlined_mex_weighted_sum(300)[50], bumped[50])
+
     def test_perturbed_horner_sigma_fails(self, monkeypatch):
         # The same fault in both Horner sums of the overlined chain is
         # invisible to identity:overlined_telescoped, which compares them
@@ -402,6 +439,13 @@ class TestParity:
         r = vf.check_parity_density(1000)
         assert r.passed
         assert r.metrics["density"] >= 0.85
+
+    def test_density_from_its_least_n_max(self):
+        # Below n_max = 107 the generalized pentagonal numbers alone, the
+        # proven odd positions, bring the density under DENSITY_FLOOR.
+        assert vf.check_parity_density(107).passed
+        with pytest.raises(ValueError, match="n_max must be >= 107"):
+            vf.check_parity_density(106)
 
     def test_density_negative_control(self):
         # A constant-odd parity sequence has even-density zero.
@@ -581,7 +625,7 @@ class TestParity:
     @pytest.mark.parametrize("check,n_max", [
         (vf.check_parity_all_even, 0),
         (vf.check_triangular_parity, 0),
-        (vf.check_parity_density, 99),
+        (vf.check_parity_density, 106),
     ], ids=["all_even", "triangular", "density"])
     def test_n_max_below_the_smallest_refused(self, check, n_max):
         with pytest.raises(ValueError, match="n_max must be >= "):

@@ -6,7 +6,8 @@ overpartitions, one per overline mask (its overline-erasure class).
 mex_histograms counts the masks of every class per mex value, for all
 three variants and every n <= N at once, in one walk that adds parts in
 ascending order and visits each ordinary partition of each n <= N
-exactly once; sigma_mex_oracle reads it.
+exactly once; check_gf_vs_oracle, `table` and sigma_mex_oracle, which
+only bench/ and the tests call, read it.
 The other passes take the classes from _classes, the ordinary partitions
 of n in descending lexicographic order, and the masks of each in
 ascending order (mask bit i, least significant first, flags the i-th

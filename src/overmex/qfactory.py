@@ -89,31 +89,30 @@ def pochhammer(sign: int, N: int, *, ring=series):
     return ring.binomial_product(sign, N)
 
 
-@_cached
-def theta_neg(N: int, *, ring=series):
-    """theta(-q) = sum_{k in Z} (-1)^k q^(k^2) = 1 + 2 sum_{k>=1} (-1)^k q^(k^2),
-    about sqrt(N) terms."""
-    terms = {0: 1}
-    k = 1
-    while k * k <= N:
-        terms[k * k] = 2 * (-1) ** k
+def _theta_type(N: int, ring, exponent):
+    """sum_{k in Z} (-1)^k q^(exponent(k)) to order N, exponent(k) <=
+    exponent(-k) increasing in k >= 1: k's and -k's terms in one Counter."""
+    terms, k = Counter({0: 1}), 1
+    while exponent(k) <= N:
+        terms[exponent(k)] += (-1) ** k
+        terms[exponent(-k)] += (-1) ** k
         k += 1
     return ring.from_terms(terms, N)
+
+
+@_cached
+def theta_neg(N: int, *, ring=series):
+    """theta(-q) = sum_{k in Z} (-1)^k q^(k^2) = 1 + 2 sum_{k>=1} (-1)^k q^(k^2)."""
+    return _theta_type(N, ring, lambda k: k * k)
 
 
 @_cached
 def pentagonal(step: int, N: int, *, ring=series):
     """(q^s;q^s)_inf for s = step, by Euler's pentagonal theorem:
-    sum_{k in Z} (-1)^k q^(s k(3k-1)/2), about sqrt(N) terms."""
+    sum_{k in Z} (-1)^k q^(s k(3k-1)/2)."""
     if step < 1:
         raise ValueError("step must be positive")
-    terms = {0: 1}
-    k = 1
-    while step * k * (3 * k - 1) // 2 <= N:
-        terms[step * k * (3 * k - 1) // 2] = (-1) ** k
-        terms[step * k * (3 * k + 1) // 2] = (-1) ** k
-        k += 1
-    return ring.from_terms(terms, N)
+    return _theta_type(N, ring, lambda k: step * k * (3 * k - 1) // 2)
 
 
 @_cached
@@ -135,7 +134,8 @@ def _negq_sum(N: int, ring, terms):
     numerator's terms below L_(m+1) under it with one concat.  A term at
     or past L_(m+1) (the second monomial of a two-term numerator, or any
     term when L_(m+1) = L_m) is added into the tail instead, by
-    add_terms: no pass of additions over the tail."""
+    add_terms: no pass of additions over the tail.  Over Z each division
+    makes two big-int operations per coefficient, one on the block walk."""
     top = 0
     while min(terms(top + 1)) <= N:
         top += 1
@@ -266,8 +266,8 @@ def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:
             = prod_{odd j<=m} (1 - q^j) / prod_{m/2<j<=m} (1 - q^(2j)):
 
     about m factors (1 - q^e), each one C-level pass with one big-int
-    operation per coefficient, so about m (N - k) operations, half those
-    of m divisions by (1 + q^j).
+    operation per coefficient, so about m (N - k) operations, half the
+    2m (N - k) of m divisions by (1 + q^j) on div_binomial's class walk.
     """
     if m < 1:
         raise ValueError("mex value m must be >= 1")

@@ -171,26 +171,20 @@ def mul_binomial(a: Series, coefficient: int, exponent: int) -> Series:
 
 
 def div_binomial(a: Series, coefficient: int, exponent: int) -> Series:
-    """a / (1 +- q^e): out_i = a_i -+ out_(i-e), a running (alternating)
-    sum along each residue class mod e.  One accumulate per class while
-    e^2 < N + 1, else each e-block combined with the block before it:
-    about min(e, N/e) C-level passes, and each output int made once."""
+    """a / (1 +- q^e): out_i = a_i -+ out_(i-e).  While e^2 < N + 1, one
+    accumulate per residue class mod e; for +1, as 1/(1 + q^e) =
+    (1 - q^e)/(1 - q^(2e)), one C-level pass by (1 - q^e) first and then
+    classes mod 2e, two big-int operations per coefficient.  Else each
+    e-block is combined with the block before it: one per coefficient."""
     _check_binomial(coefficient, exponent)
     out = list(a.coeffs)
     n, e = len(out), exponent
     if e * e < n:
+        if coefficient > 0:
+            out[e:] = map(operator.sub, out[e:], out)
+            e *= 2
         for r in range(e):
-            cls = out[r::e]
-            if coefficient > 0:
-                # o_j = a_j - o_(j-1), so (-1)^j o_j = (-1)^j a_j
-                # + (-1)^(j-1) o_(j-1): a running sum of the class with
-                # every odd position negated, negated back after.
-                cls[1::2] = map(operator.neg, cls[1::2])
-                cls = list(accumulate(cls))
-                cls[1::2] = map(operator.neg, cls[1::2])
-                out[r::e] = cls
-            else:
-                out[r::e] = accumulate(cls)
+            out[r::e] = accumulate(out[r::e])
     else:
         op = operator.sub if coefficient > 0 else operator.add
         for s in range(e, n, e):

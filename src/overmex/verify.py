@@ -26,6 +26,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from functools import reduce
+from itertools import accumulate, count, takewhile
 
 from . import combinat, qfactory, series
 from .qfactory import MexVariant
@@ -224,7 +225,10 @@ def _parity_sweep(name: str, n_max: int, builds, odd: int) -> tuple:
     first into a bitmask by C-level passes; a FAIL there is (n, integer
     bit, GF(2) bit) with where "mod2:<where>".  Then each read is XORed
     with odd; a FAIL is (n, closed-form bit, read bit) at the lowest n any
-    read differs, with where the first read that differs there."""
+    read differs, with where the first read that differs there.  Refuses
+    n_max < 1 before any build."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     rng_desc = f"1 <= n <= {n_max}"
     m = min(MOD2_CHECK_ORDER, n_max)
     reads = []
@@ -254,8 +258,6 @@ def _parity_sweep(name: str, n_max: int, builds, odd: int) -> tuple:
 def check_parity_all_even(n_max: int) -> VerifyReport:
     """All-parts sigma-mex and the overpartition numbers are even for every
     1 <= n <= n_max; computed mod 2."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     return _parity_sweep("parity_all_even", n_max, [
         ("overpartition_number", qfactory.overpartition_gf, ()),
         ("sigma_mex_all", qfactory.sigma_mex_gf, (MexVariant.ALL,)),
@@ -307,12 +309,10 @@ def check_parity_density(n_max: int) -> VerifyReport:
 
 def check_triangular_parity(n_max: int) -> VerifyReport:
     """The non-overlined sigma-mex is odd exactly at n = j(j+1)/2, j >= 0."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    j_max = (math.isqrt(8 * n_max + 1) - 1) // 2  # the last j(j+1)/2 <= n_max
+    triangular = takewhile(n_max.__ge__, accumulate(count()))  # 0, 1, 3, 6, ... <= n_max
     return _parity_sweep("triangular_parity", n_max, [
         ("sigma_mex_nonoverlined", qfactory.sigma_mex_gf, (MexVariant.NON_OVERLINED,)),
-    ], sum(1 << j * (j + 1) // 2 for j in range(j_max + 1)))[0]
+    ], sum(1 << t for t in triangular))[0]
 
 
 ASYM_REGIME_MIN = 100  # asym_ratio judges only points from here on

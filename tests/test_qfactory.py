@@ -453,6 +453,19 @@ class TestMexCountGf:
         for m in qf.feasible_mex_values(N)[-3:]:
             assert qf.mex_count_gf(variant, m, N) == _count_gf_at_full_order(variant, m, N), m
 
+    def test_all_parts_mex_dominates(self):
+        # Each overpartition's all-parts set contains its overlined and its
+        # non-overlined set, so #{mex_all >= m} >= #{mex_v >= m} at every n.
+        N = 300
+        tails = {}  # variant -> m -> #{mex >= m} as a series
+        for variant in MexVariant:
+            tail, tails[variant] = se.from_terms({}, N), {}
+            for m in reversed(qf.feasible_mex_values(N)):
+                tail = tails[variant][m] = se.add(tail, qf.mex_count_gf(variant, m, N))
+        for variant in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED):
+            for m, tail in tails[variant].items():
+                assert all(map(int.__ge__, tails[MexVariant.ALL][m].coeffs, tail.coeffs)), (variant, m)
+
 
 def _count_gf_at_full_order(variant, m, N):
     """The closed form of mex_count_gf with every factor applied to the

@@ -171,14 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_variant=False, need_format=True):
-        if need_variant:
-            p.add_argument(
-                "--variant", choices=sorted(v.value for v in MexVariant),
-                default="overlined",
-            )
-        if need_format:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument(
             "--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
@@ -190,7 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--method", choices=("series", "oracle", "both"), default="series"
     )
-    common(p_table, need_variant=True)
+    p_table.add_argument(
+        "--variant", choices=sorted(v.value for v in MexVariant), default="overlined"
+    )
+    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the theorem checks")
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="oracle cross-check range for the gf-vs-oracle checks",
     )
     p_verify.add_argument("--only", default=None, help="run a single named check")
-    common(p_verify, need_format=False)  # always JSON lines
+    common(p_verify)  # always JSON lines
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enum", help="list all overpartitions of n")
@@ -211,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--by-class", action="store_true",
         help="group by overline erasure instead of listing members",
     )
+    p_enum.add_argument("--format", choices=("csv", "json"), default="csv")
     common(p_enum)
     p_enum.set_defaults(func=cmd_enum)
     return parser

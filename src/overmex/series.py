@@ -163,7 +163,7 @@ def _check_binomial(coefficient: int, exponent: int) -> None:
 
 def mul_binomial(a: Series, coefficient: int, exponent: int) -> Series:
     """a * (1 +- q^e): c_i +- c_(i-e), one C-level map over the
-    coefficients -- the Pochhammer workhorse."""
+    coefficients: phi11's numerator and mex_count_gf's (1 - q^j) factors."""
     _check_binomial(coefficient, exponent)
     op = operator.add if coefficient > 0 else operator.sub
     c = a.coeffs

@@ -216,17 +216,17 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _parity_sweep(name: str, n_max: int, builds, odd: int) -> tuple:
-    """(report, reads) for the claim that each build (where, builder, args),
-    the order N left off args, is odd up to n_max exactly at the set bits
-    of the closed-form bitmask odd, q^0 included; reads lists (where, GF(2)
-    series) for each build made.  Each GF(2) series is first compared up to
-    MOD2_CHECK_ORDER with its integer series mod 2, packed highest power
-    first into a bitmask by C-level passes; a FAIL there is (n, integer
-    bit, GF(2) bit) with where "mod2:<where>".  Then each read is XORed
-    with odd; a FAIL is (n, closed-form bit, read bit) at the lowest n any
-    read differs, with where the first read that differs there.  Refuses
-    n_max < 1 before any build."""
+def _parity_sweep(name: str, n_max: int, builds, odd: int) -> VerifyReport:
+    """The report on the claim that each build (where, builder, args), the
+    order N left off args, is odd up to n_max exactly at the set bits of
+    the closed-form bitmask odd, q^0 included, so a PASS means every read
+    equals odd in all n_max + 1 bits.  Each GF(2) series is first compared
+    up to MOD2_CHECK_ORDER with its integer series mod 2, packed highest
+    power first into a bitmask by C-level passes; a FAIL there is (n,
+    integer bit, GF(2) bit) with where "mod2:<where>".  Then each read is
+    XORed with odd; a FAIL is (n, closed-form bit, read bit) at the lowest
+    n any read differs, with where the first read that differs there.
+    Refuses n_max < 1 before any build."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rng_desc = f"1 <= n <= {n_max}"
@@ -242,7 +242,7 @@ def _parity_sweep(name: str, n_max: int, builds, odd: int) -> tuple:
             return VerifyReport(
                 name, FAIL, rng_desc, first_failure=(n, full[n] % 2, bits[n]),
                 metrics={"where": f"mod2:{where}"},
-            ), reads
+            )
         reads.append((where, bits))
     diff = reduce(operator.or_, (bits.bits ^ odd for _, bits in reads))
     if diff:
@@ -251,8 +251,8 @@ def _parity_sweep(name: str, n_max: int, builds, odd: int) -> tuple:
         return VerifyReport(
             name, FAIL, rng_desc, first_failure=(n, odd >> n & 1, bits[n]),
             metrics={"where": where},
-        ), reads
-    return VerifyReport(name, PASS, rng_desc), reads
+        )
+    return VerifyReport(name, PASS, rng_desc)
 
 
 def check_parity_all_even(n_max: int) -> VerifyReport:
@@ -261,7 +261,7 @@ def check_parity_all_even(n_max: int) -> VerifyReport:
     return _parity_sweep("parity_all_even", n_max, [
         ("overpartition_number", qfactory.overpartition_gf, ()),
         ("sigma_mex_all", qfactory.sigma_mex_gf, (MexVariant.ALL,)),
-    ], 1)[0]
+    ], 1)
 
 
 DENSITY_FLOOR = 0.85  # least even-density over [1, n_max]
@@ -297,14 +297,16 @@ def check_parity_density(n_max: int) -> VerifyReport:
     bit read is first checked against its closed form: in the
     Andrews-Dyson-Hickerson sum for sigma the j and -j terms cancel mod 2,
     so sigma = (q;q)_inf mod 2, and with P-bar = 1 mod 2 the overlined
-    sigma-mex is odd exactly at the generalized pentagonal numbers."""
+    sigma-mex is odd exactly at the generalized pentagonal numbers.  On a
+    PASS the read equals those bits, so the density is measured on them."""
     if n_max < DENSITY_MIN_N:
         raise ValueError(f"n_max must be >= {DENSITY_MIN_N} for a meaningful density")
     name = "parity_density"
-    report, reads = _parity_sweep(name, n_max, [
+    odd = qfactory.pentagonal(1, n_max, ring=series.GF2).bits
+    report = _parity_sweep(name, n_max, [
         ("sigma_mex_overlined", qfactory.sigma_mex_gf, (MexVariant.OVERLINED,)),
-    ], qfactory.pentagonal(1, n_max, ring=series.GF2).bits)
-    return _density_report(name, reads[0][1].bits, n_max) if report.passed else report
+    ], odd)
+    return _density_report(name, odd, n_max) if report.passed else report
 
 
 def check_triangular_parity(n_max: int) -> VerifyReport:
@@ -312,7 +314,7 @@ def check_triangular_parity(n_max: int) -> VerifyReport:
     triangular = takewhile(n_max.__ge__, accumulate(count()))  # 0, 1, 3, 6, ... <= n_max
     return _parity_sweep("triangular_parity", n_max, [
         ("sigma_mex_nonoverlined", qfactory.sigma_mex_gf, (MexVariant.NON_OVERLINED,)),
-    ], sum(1 << t for t in triangular))[0]
+    ], sum(1 << t for t in triangular))
 
 
 ASYM_REGIME_MIN = 100  # asym_ratio judges only points from here on
@@ -389,11 +391,6 @@ def check_sigma_taylor() -> VerifyReport:
 INGHAM_T = (0.30, 0.25, 0.20)  # the points t, in the order they are judged
 
 
-def _ingham_scaled(gf: Series, t: float) -> float:
-    a = _evaluate(gf, math.exp(-t))
-    return a * math.sqrt(math.pi) / math.sqrt(t) * math.exp(-math.pi**2 / (4 * t))
-
-
 def check_ingham_scaling(gf: Series) -> VerifyReport:
     """The overlined sigma-mex series gf at q = e^-t, rescaled by the
     Tauberian growth sqrt(t)/sqrt(pi) * e^(pi^2/(4t)), approaches 1
@@ -414,7 +411,8 @@ def check_ingham_scaling(gf: Series) -> VerifyReport:
             name, FAIL, rng_desc, first_failure=(n, c[n], c[n + 1]),
             metrics={"where": "weakly_increasing"},
         )
-    scaled = [_ingham_scaled(gf, t) for t in INGHAM_T]
+    scaled = [_evaluate(gf, math.exp(-t)) * math.sqrt(math.pi) / math.sqrt(t)
+              * math.exp(-math.pi**2 / (4 * t)) for t in INGHAM_T]
     metrics = {f"scaled_at_t={t}": s for t, s in zip(INGHAM_T, scaled)}
     devs = [abs(s - 1.0) for s in scaled]
     ok = all(map(math.isfinite, scaled)) and all(

@@ -266,6 +266,45 @@ class TestSigmaAdh:
         ]
 
 
+def _distinct_part_tallies(N):
+    """For each n <= N, over the partitions of n into distinct parts (the
+    empty one at n = 0, of rank 0): sum (-1)^rank, sum 2^length (-1)^rank
+    and their number Q(n), rank = largest part - number of parts.  A
+    literal walk, parts in decreasing order, that calls no series kernel."""
+    sigma, phi11, q = [0] * (N + 1), [0] * (N + 1), [0] * (N + 1)
+
+    def walk(n, length, largest, bound):
+        sign = (-1) ** (largest - length)
+        sigma[n] += sign
+        phi11[n] += 2**length * sign
+        q[n] += 1
+        for part in range(min(bound - 1, N - n), 0, -1):
+            walk(n + part, length + 1, largest or part, part)
+
+    walk(0, 0, 0, N + 1)
+    return sigma, phi11, q
+
+
+class TestDistinctPartWitness:
+    """1/(-q;q)_m sums (-1)^(number of parts) over the partitions into parts
+    <= m.  Conjugated, padded to m parts and plus the staircase m, ..., 1,
+    such a partition becomes one into m distinct parts, whose rank is the
+    number of parts it had.  So sum_m z^m q^(m+1 choose 2) / (-q;q)_m sums
+    z^length (-1)^rank over the distinct-part partitions: at z = 1
+    Ramanujan's sigma, as Andrews, Dyson and Hickerson define it, and at
+    z = 2 the collapsed 1phi1.  The non-overlined sigma-mex series
+    (-q;q)_inf^3 counts triples of them: Q * Q * Q."""
+
+    def test_builders_match_the_walk(self):
+        N = 60
+        sigma, phi11, q = _distinct_part_tallies(N)
+        q2 = [sum(q[i] * q[n - i] for i in range(n + 1)) for n in range(N + 1)]
+        q3 = [sum(q[i] * q2[n - i] for i in range(n + 1)) for n in range(N + 1)]
+        assert list(qf.ramanujan_sigma(N).coeffs) == sigma
+        assert list(qf.phi11_simplified(N).coeffs) == phi11
+        assert list(qf.sigma_mex_gf(MexVariant.NON_OVERLINED, N).coeffs) == q3
+
+
 class TestPhi11:
     def test_constant_term(self):
         assert qf.phi11(10)[0] == 1

@@ -455,6 +455,15 @@ class TestParity:
         assert not r.passed
         assert r.metrics["density"] == 0.0
 
+    @pytest.mark.parametrize("n_max", [107, 400, 2000])
+    def test_density_measures_the_read(self, n_max):
+        # A PASS matched the read to the pentagonal bits, so measuring
+        # those gives the metrics that measuring the read itself gives.
+        read = qf.sigma_mex_gf(MexVariant.OVERLINED, n_max, ring=se.GF2).bits
+        r = vf.check_parity_density(n_max)
+        assert r.passed
+        assert r.metrics == vf._density_report("parity_density", read, n_max).metrics
+
     def test_density_reads_every_bit_past_mod2_window(self, monkeypatch, cold_caches):
         # A GF(2) div that loses every bit past the mod-2 window leaves the
         # density above its floor (0.995 at 10^4); the pentagonal closed

@@ -317,39 +317,33 @@ def check_triangular_parity(n_max: int) -> VerifyReport:
     ], sum(1 << t for t in triangular))
 
 
-ASYM_REGIME_MIN = 100  # asym_ratio judges only points from here on
+# The grid starts at 100: e^(pi sqrt(n))/(4n) is judged only in its regime.
+DEFAULT_ASYM_POINTS = (100, 400, 900, 1600, 2500)
 ASYM_FINAL_DEV = 0.25
 ASYM_STEP_SLACK = 1.02
 
 
-def asym_ratio_table(points: Sequence[int], gf: Series) -> VerifyReport:
+def asym_ratio_table(gf: Series) -> VerifyReport:
     """Exact overlined sigma-mex, read from gf, against e^(pi sqrt(n))/(4n).
 
     Passes iff |ratio - 1| is non-increasing (up to ASYM_STEP_SLACK) across
-    the given points that are >= ASYM_REGIME_MIN, and the deviation at the
-    largest point is below ASYM_FINAL_DEV; smaller points are in the range
-    but not judged.  With e^(pi sqrt(n)) = 2^x, each ratio is the integer
+    DEFAULT_ASYM_POINTS, and the deviation at the largest point is below
+    ASYM_FINAL_DEV.  With e^(pi sqrt(n)) = 2^x, each ratio is the integer
     quotient 4n gf[n] / 2^int(x), divided by 2^(x - int(x)).
     """
-    if not points:
-        raise ValueError("points must be non-empty")
-    pts = sorted(points)
-    if pts[0] < 1:
-        raise ValueError("points must be >= 1")
     name = "asym_ratio"
-    rng_desc = f"points {pts}"
-    if gf.trunc_order < pts[-1]:
+    rng_desc = f"points {list(DEFAULT_ASYM_POINTS)}"
+    if gf.trunc_order < DEFAULT_ASYM_POINTS[-1]:
         raise ValueError(
-            f"gf has order {gf.trunc_order}, below the largest point {pts[-1]}"
+            f"gf has order {gf.trunc_order}, below the largest point {DEFAULT_ASYM_POINTS[-1]}"
         )
     devs = []
-    for n in pts:
-        if n >= ASYM_REGIME_MIN:
-            x = math.pi * math.sqrt(n) / math.log(2)
-            ratio = _quotient(4 * n * gf[n], 1 << int(x)) / 2 ** (x - int(x))
-            devs.append((n, abs(ratio - 1.0)))
+    for n in DEFAULT_ASYM_POINTS:
+        x = math.pi * math.sqrt(n) / math.log(2)
+        ratio = _quotient(4 * n * gf[n], 1 << int(x)) / 2 ** (x - int(x))
+        devs.append((n, abs(ratio - 1.0)))
     metrics = {f"dev_at_{n}": d for n, d in devs}
-    ok = bool(devs) and devs[-1][1] < ASYM_FINAL_DEV
+    ok = devs[-1][1] < ASYM_FINAL_DEV
     for (n0, d0), (n1, d1) in zip(devs, devs[1:]):
         if d1 > d0 * ASYM_STEP_SLACK:
             ok = False
@@ -424,9 +418,6 @@ def check_ingham_scaling(gf: Series) -> VerifyReport:
 # --------------------------------------------------------------------------
 # Aggregate runner (fixed order, used by the CLI)
 
-DEFAULT_ASYM_POINTS = (100, 400, 900, 1600, 2500)
-
-
 def _overlined(order: int) -> Series:  # read by asym_ratio and ingham_scaling
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
     return qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n)
@@ -443,9 +434,7 @@ CHECKS = {
     "parity_all_even": lambda order, n: check_parity_all_even(10000),
     "parity_density": lambda order, n: check_parity_density(10000),
     "triangular_parity": lambda order, n: check_triangular_parity(5000),
-    "asym_ratio": lambda order, n: asym_ratio_table(
-        DEFAULT_ASYM_POINTS, _overlined(order)
-    ),
+    "asym_ratio": lambda order, n: asym_ratio_table(_overlined(order)),
     "sigma_taylor": lambda order, n: check_sigma_taylor(),
     "ingham_scaling": lambda order, n: check_ingham_scaling(_overlined(order)),
 }

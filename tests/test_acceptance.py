@@ -86,7 +86,8 @@ def test_criterion_6_asymptotics(overlined_gf_2500):
     """|exact/predicted - 1| shrinks across {100,...,2500} with 2% slack
     per step and ends below 0.25."""
     assert (vf.ASYM_FINAL_DEV, vf.ASYM_STEP_SLACK) == (0.25, 1.02)
-    report = vf.asym_ratio_table((100, 400, 900, 1600, 2500), overlined_gf_2500)
+    assert vf.DEFAULT_ASYM_POINTS == (100, 400, 900, 1600, 2500)
+    report = vf.asym_ratio_table(overlined_gf_2500)
     assert report.passed, report.to_dict()
     assert report.metrics["dev_at_2500"] < 0.25
 

@@ -563,3 +563,45 @@ class TestIdentityChains:
             ms = qf.feasible_mex_values(n)
             assert all(comb(m, 2) <= n for m in ms)
             assert comb(ms[-1] + 1, 2) > n
+
+
+class TestArithmeticLaws:
+    """Laws that hold for every n, read from the sigma-mex series at order N."""
+
+    N = 2000
+
+    def test_all_parts_mod_4(self):
+        """sigma_all(n) = 0 mod 4 when n >= 1 is a square and 2 otherwise.
+        The 2^d overpartitions of a class with d distinct parts share one
+        mex_all, so a class with d >= 2 adds 2^d mex_all = 0 mod 4.  The
+        d = 1 classes are k^(n/k) for k | n: mex_all is 2 for k = 1, adding
+        4, and 1 for k >= 2, adding 2; so 2(tau(n) + 1) in all, and tau(n)
+        is odd exactly at squares."""
+        def law(n):
+            return 0 if math.isqrt(n) ** 2 == n else 2
+
+        sigma = qf.sigma_mex_gf(MexVariant.ALL, self.N)
+        assert [n for n in range(1, self.N + 1) if sigma[n] % 4 != law(n)] == []
+        hists = cb.mex_histograms(25)
+        oracle = {n: cb.mex_sum(hists[n][MexVariant.ALL]) for n in range(1, 26)}
+        assert [n for n, s in oracle.items() if s % 4 != law(n)] == []
+
+    def test_nonoverlined_mod_3(self):
+        """sigma_no(n) = 0 mod 3 when 3 does not divide n, and sigma_no(3m)
+        = Q(m) mod 3, Q the partitions into distinct parts: the series is
+        (-q;q)_inf^3, and (1 + x)^3 = 1 + x^3 mod 3.  Q is read from the
+        defining product (-q;q)_inf, not from the pentagonal quotient the
+        series is built from."""
+        sigma = qf.sigma_mex_gf(MexVariant.NON_OVERLINED, self.N)
+        distinct = qf.pochhammer(+1, self.N // 3)
+        assert [n for n in range(self.N + 1)
+                if sigma[n] % 3 != (0 if n % 3 else distinct[n // 3] % 3)] == []
+
+    def test_summed_mex_dominance(self):
+        """sigma_all(n) >= sigma_ov(n) and >= sigma_no(n): each
+        overpartition's all-parts set contains its overlined and its
+        non-overlined set, so mex_all >= max(mex_ov, mex_no)."""
+        sigma_all = qf.sigma_mex_gf(MexVariant.ALL, self.N)
+        for variant in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED):
+            sigma = qf.sigma_mex_gf(variant, self.N)
+            assert [n for n in range(self.N + 1) if sigma_all[n] < sigma[n]] == [], variant

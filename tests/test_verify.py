@@ -724,33 +724,23 @@ class TestEvaluate:
 
 
 class TestAsymptotics:
-    def test_table_shape(self):
+    def test_table_shape(self, monkeypatch):
+        monkeypatch.setattr(vf, "DEFAULT_ASYM_POINTS", (100, 400))
         gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 400)
-        report = vf.asym_ratio_table((100, 400), gf)
+        report = vf.asym_ratio_table(gf)
         assert report.range_checked == "points [100, 400]"
         assert report.metrics.keys() == {"dev_at_100", "dev_at_400"}
         assert all(0 < d < 1 for d in report.metrics.values())
 
-    def test_prediction_formula(self):
+    def test_prediction_formula(self, monkeypatch):
         # gf[100] is e^(10 pi) / 400, about 1.1e11, rounded to an integer
         # and computed without the power-of-two split the check uses.
+        monkeypatch.setattr(vf, "DEFAULT_ASYM_POINTS", (100,))
         gf = se.from_terms({100: round(math.exp(math.pi * 10) / 400)}, 100)
-        report = vf.asym_ratio_table((100,), gf)
+        report = vf.asym_ratio_table(gf)
         assert report.metrics["dev_at_100"] == pytest.approx(0, abs=1e-10)
 
-    def test_small_points_recorded_but_not_judged(self):
-        gf = qf.sigma_mex_gf(MexVariant.OVERLINED, 400)
-        report = vf.asym_ratio_table((4, 100, 400), gf)
-        assert report.range_checked == "points [4, 100, 400]"
-        assert "dev_at_4" not in report.metrics
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(ValueError):
-            vf.asym_ratio_table((), se.one(100))
-        with pytest.raises(ValueError):
-            vf.asym_ratio_table((0, 100), se.one(100))
-
-    def test_past_float_range(self):
+    def test_past_float_range(self, monkeypatch):
         # Exact values equal to the prediction, which passes 2^1000 near
         # n = 50400 and leaves the float range near n = 52800.
         def growth(n):
@@ -759,19 +749,20 @@ class TestAsymptotics:
             return mantissa << shift if shift >= 0 else mantissa >> -shift
 
         pts = (100, 52000, 60000)
+        monkeypatch.setattr(vf, "DEFAULT_ASYM_POINTS", pts)
         gf = se.from_terms({n: growth(n) for n in pts}, 60000)
-        report = vf.asym_ratio_table(pts, gf)
+        report = vf.asym_ratio_table(gf)
         assert report.passed
         for n in pts:
             assert report.metrics[f"dev_at_{n}"] == pytest.approx(0, abs=1e-8)
 
     def test_short_gf_rejected(self):
         with pytest.raises(ValueError, match="gf has order 50, below"):
-            vf.asym_ratio_table((100,), se.one(50))
+            vf.asym_ratio_table(se.one(50))
 
     def test_huge_coefficients_report(self):
         gf = se.Series((10**400,) * 2501)
-        report = vf.asym_ratio_table(vf.DEFAULT_ASYM_POINTS, gf)
+        report = vf.asym_ratio_table(gf)
         assert report.status == vf.FAIL
         assert report.metrics["dev_at_2500"] == math.inf
         json.loads(json.dumps(report.to_dict()))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from functools import reduce
 from itertools import accumulate, count, takewhile
 
@@ -416,7 +416,7 @@ def check_ingham_scaling(gf: Series) -> VerifyReport:
 
 
 # --------------------------------------------------------------------------
-# Aggregate runner (fixed order, used by the CLI)
+# The checks the CLI runs, in a fixed order
 
 def _overlined(order: int) -> Series:  # read by asym_ratio and ingham_scaling
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
@@ -438,10 +438,3 @@ CHECKS = {
     "sigma_taylor": lambda order, n: check_sigma_taylor(),
     "ingham_scaling": lambda order, n: check_ingham_scaling(_overlined(order)),
 }
-
-
-def run_all(order: int, oracle_n_max: int, only: str | None = None) -> Iterator:
-    """Run every check in CHECKS (or the one named by `only`) in order, each
-    as the iterator reaches it; an unknown `only` is a KeyError up front."""
-    checks = CHECKS.values() if only is None else [CHECKS[only]]
-    return (check(order, oracle_n_max) for check in checks)

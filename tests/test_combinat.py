@@ -122,10 +122,30 @@ class TestMexStatistic:
 
     @pytest.mark.parametrize("n", range(17))
     def test_listed_mex_tallies_match_walk(self, n):
-        # Each mex column of the listing, tallied, is the class walk's histogram.
+        assert listing_breaks([n], [n]) == []
+
+    def test_broken_listing_is_named(self, monkeypatch):
+        # A walk with no overlined overpartitions differs from both listings.
+        built = cb.mex_histograms
+        monkeypatch.setattr(cb, "mex_histograms", lambda N: [
+            {**hist, MexVariant.OVERLINED: {}} for hist in built(N)])
+        assert listing_breaks(range(2), [2]) == [
+            "literal overlined at n = 0", "literal overlined at n = 1", "enum overlined at n = 2"]
+
+
+def listing_breaks(literal_ns, enum_ns):
+    """Each n and variant at which a listing of the overpartitions of n,
+    its mex values tallied, differs from the class walk's histogram: the
+    literal bitmask pass at every n in literal_ns, and the three mex
+    columns that `enum` lists at every n in enum_ns."""
+    walk = cb.mex_histograms(max([*literal_ns, *enum_ns]))
+    breaks = [f"literal {v.value} at n = {n}" for n in literal_ns for v in MexVariant
+              if cb.literal_mex_histograms(n)[v] != walk[n][v]]
+    for n in enum_ns:
         columns = zip(*(mexes for _, *mexes in cb.overpartitions(n)))
-        for v, column in zip(MexVariant, columns):
-            assert dict(Counter(column)) == cb.mex_histograms(n)[n][v], v
+        breaks += [f"enum {v.value} at n = {n}" for v, column in zip(MexVariant, columns)
+                   if Counter(column) != walk[n][v]]
+    return breaks
 
 
 class TestSigmaOracle:

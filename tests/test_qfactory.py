@@ -420,6 +420,30 @@ def _negq_cubed_dense(N, ring):
     return mul(mul(negq, negq), negq)
 
 
+def count_series_breaks(N):
+    """Each break, at order N, of three laws on the per-m count series:
+    for each variant, the counts sum to P-bar and the m-weighted counts to
+    the sigma-mex series; and each overpartition's all-parts set contains
+    its overlined and its non-overlined set, so the tail sums #{mex >= m}
+    of the all-parts counts bound those of the other two at every n and m.
+    The weighted sum is read from the tails, as sum_m m c_m = sum_m
+    #{mex >= m}."""
+    breaks, tails = [], {}
+    for v in MexVariant:
+        tail, tails[v] = [0] * (N + 1), {}
+        for m in reversed(qf.feasible_mex_values(N)):
+            tail = tails[v][m] = list(map(int.__add__, tail, qf.mex_count_gf(v, m, N).coeffs))
+        if tail != list(qf.overpartition_gf(N).coeffs):  # #{mex >= 1}
+            breaks.append(f"{v.value}: counts do not sum to P-bar")
+        if list(map(sum, zip(*tails[v].values()))) != list(qf.sigma_mex_gf(v, N).coeffs):
+            breaks.append(f"{v.value}: weighted counts do not sum to sigma")
+    for v in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED):
+        breaks += [f"#(mex_all >= {m}) < #(mex_{v.value} >= {m})"
+                   for m, tail in tails[v].items()
+                   if any(map(int.__lt__, tails[MexVariant.ALL][m], tail))]
+    return breaks
+
+
 class TestMexCountGf:
     def test_table_rows(self):
         assert qf.mex_count_gf(MexVariant.OVERLINED, 2, 5)[3] == 2
@@ -429,23 +453,31 @@ class TestMexCountGf:
         with pytest.raises(ValueError):
             qf.mex_count_gf(MexVariant.ALL, 0, 5)
 
+    # Each law's breaks at order 300, read from the one body above.
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_counts_sum_to_overpartition_numbers(self, variant):
-        N = 300
-        total = se.from_terms({}, N)
-        for m in qf.feasible_mex_values(N):
-            total = se.add(total, qf.mex_count_gf(variant, m, N))
-        assert total.coeffs == qf.overpartition_gf(N).coeffs
+        assert f"{variant.value}: counts do not sum to P-bar" not in count_series_breaks(300)
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_weighted_counts_sum_to_sigma(self, variant):
         # Every feasible m up to 25, odd and even, against all three sigma builders.
-        N = 300
-        total = se.from_terms({}, N)
-        for m in qf.feasible_mex_values(N):
-            weighted = se.mul(qf.mex_count_gf(variant, m, N), se.from_terms({0: m}, N))
-            total = se.add(total, weighted)
-        assert total.coeffs == qf.sigma_mex_gf(variant, N).coeffs
+        assert f"{variant.value}: weighted counts do not sum to sigma" not in (
+            count_series_breaks(300))
+
+    def test_all_parts_mex_dominates(self):
+        assert [b for b in count_series_breaks(300) if b.startswith("#(mex_all >= ")] == []
+
+    def test_broken_count_series_is_named(self, monkeypatch):
+        # The all-parts counts at m = 25, the largest m at order 300,
+        # dropped: both sums miss them, and the all-parts tails fall below
+        # the others at m = 25 and at m = 1, where all three are P-bar.
+        built = qf.mex_count_gf
+        monkeypatch.setattr(qf, "mex_count_gf", lambda v, m, N: (
+            se.from_terms({}, N) if (v, m) == (MexVariant.ALL, 25) else built(v, m, N)))
+        assert count_series_breaks(300) == [
+            "all: counts do not sum to P-bar", "all: weighted counts do not sum to sigma",
+            *(f"#(mex_all >= {m}) < #(mex_{v} >= {m})"
+              for v in ("overlined", "nonoverlined") for m in (25, 1))]
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_counts_match_oracle(self, variant):
@@ -491,19 +523,6 @@ class TestMexCountGf:
         N = 2000
         for m in qf.feasible_mex_values(N)[-3:]:
             assert qf.mex_count_gf(variant, m, N) == _count_gf_at_full_order(variant, m, N), m
-
-    def test_all_parts_mex_dominates(self):
-        # Each overpartition's all-parts set contains its overlined and its
-        # non-overlined set, so #{mex_all >= m} >= #{mex_v >= m} at every n.
-        N = 300
-        tails = {}  # variant -> m -> #{mex >= m} as a series
-        for variant in MexVariant:
-            tail, tails[variant] = se.from_terms({}, N), {}
-            for m in reversed(qf.feasible_mex_values(N)):
-                tail = tails[variant][m] = se.add(tail, qf.mex_count_gf(variant, m, N))
-        for variant in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED):
-            for m, tail in tails[variant].items():
-                assert all(map(int.__ge__, tails[MexVariant.ALL][m].coeffs, tail.coeffs)), (variant, m)
 
 
 def _count_gf_at_full_order(variant, m, N):
@@ -565,43 +584,60 @@ class TestIdentityChains:
             assert comb(ms[-1] + 1, 2) > n
 
 
-class TestArithmeticLaws:
-    """Laws that hold for every n, read from the sigma-mex series at order N."""
+def _sigma_all_mod_4(n):
+    """sigma_all(n) mod 4 for n >= 1: 0 at squares, 2 elsewhere."""
+    return 0 if math.isqrt(n) ** 2 == n else 2
 
-    N = 2000
+
+def arithmetic_law_breaks(N):
+    """Each n <= N that breaks one of three laws on the sigma-mex series.
+
+    sigma_all(n) = 0 mod 4 when n >= 1 is a square and 2 otherwise.  The
+    2^d overpartitions of a class with d distinct parts share one mex_all,
+    so a class with d >= 2 adds 2^d mex_all = 0 mod 4.  The d = 1 classes
+    are k^(n/k) for k | n: mex_all is 2 for k = 1, adding 4, and 1 for
+    k >= 2, adding 2; so 2(tau(n) + 1) in all, and tau(n) is odd exactly at
+    squares.
+
+    sigma_no(n) = 0 mod 3 when 3 does not divide n, and sigma_no(3m) =
+    Q(m) mod 3, Q the partitions into distinct parts: the series is
+    (-q;q)_inf^3, and (1 + x)^3 = 1 + x^3 mod 3.  Q is read from the
+    defining product (-q;q)_inf, not from the pentagonal quotient the
+    series is built from.
+
+    sigma_all(n) >= sigma_ov(n) and >= sigma_no(n): each overpartition's
+    all-parts set contains its overlined and its non-overlined set, so
+    mex_all >= max(mex_ov, mex_no)."""
+    s = {v.value: qf.sigma_mex_gf(v, N).coeffs for v in MexVariant}
+    distinct = qf.pochhammer(+1, N // 3).coeffs
+    breaks = [f"sigma_all({n}) mod 4" for n in range(1, N + 1)
+              if s["all"][n] % 4 != _sigma_all_mod_4(n)]
+    breaks += [f"sigma_nonoverlined({n}) mod 3" for n in range(N + 1)
+               if s["nonoverlined"][n] % 3 != (0 if n % 3 else distinct[n // 3] % 3)]
+    breaks += [f"sigma_all({n}) < sigma_{v}({n})" for v in ("overlined", "nonoverlined")
+               for n in range(N + 1) if s["all"][n] < s[v][n]]
+    return breaks
+
+
+class TestArithmeticLaws:
+    """Each law's breaks at order 2000, read from the one body above."""
+
+    def test_broken_law_is_named(self, monkeypatch):
+        built = qf.sigma_mex_gf
+        monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: (
+            se.add(built(v, N), se.from_terms({1000: 2}, N)) if v is MexVariant.ALL
+            else built(v, N)))
+        assert arithmetic_law_breaks(2000) == ["sigma_all(1000) mod 4"]
 
     def test_all_parts_mod_4(self):
-        """sigma_all(n) = 0 mod 4 when n >= 1 is a square and 2 otherwise.
-        The 2^d overpartitions of a class with d distinct parts share one
-        mex_all, so a class with d >= 2 adds 2^d mex_all = 0 mod 4.  The
-        d = 1 classes are k^(n/k) for k | n: mex_all is 2 for k = 1, adding
-        4, and 1 for k >= 2, adding 2; so 2(tau(n) + 1) in all, and tau(n)
-        is odd exactly at squares."""
-        def law(n):
-            return 0 if math.isqrt(n) ** 2 == n else 2
-
-        sigma = qf.sigma_mex_gf(MexVariant.ALL, self.N)
-        assert [n for n in range(1, self.N + 1) if sigma[n] % 4 != law(n)] == []
+        assert [b for b in arithmetic_law_breaks(2000) if b.endswith(" mod 4")] == []
+        # The same law on the oracle side, from the class walk.
         hists = cb.mex_histograms(25)
         oracle = {n: cb.mex_sum(hists[n][MexVariant.ALL]) for n in range(1, 26)}
-        assert [n for n, s in oracle.items() if s % 4 != law(n)] == []
+        assert [n for n, s in oracle.items() if s % 4 != _sigma_all_mod_4(n)] == []
 
     def test_nonoverlined_mod_3(self):
-        """sigma_no(n) = 0 mod 3 when 3 does not divide n, and sigma_no(3m)
-        = Q(m) mod 3, Q the partitions into distinct parts: the series is
-        (-q;q)_inf^3, and (1 + x)^3 = 1 + x^3 mod 3.  Q is read from the
-        defining product (-q;q)_inf, not from the pentagonal quotient the
-        series is built from."""
-        sigma = qf.sigma_mex_gf(MexVariant.NON_OVERLINED, self.N)
-        distinct = qf.pochhammer(+1, self.N // 3)
-        assert [n for n in range(self.N + 1)
-                if sigma[n] % 3 != (0 if n % 3 else distinct[n // 3] % 3)] == []
+        assert [b for b in arithmetic_law_breaks(2000) if b.endswith(" mod 3")] == []
 
     def test_summed_mex_dominance(self):
-        """sigma_all(n) >= sigma_ov(n) and >= sigma_no(n): each
-        overpartition's all-parts set contains its overlined and its
-        non-overlined set, so mex_all >= max(mex_ov, mex_no)."""
-        sigma_all = qf.sigma_mex_gf(MexVariant.ALL, self.N)
-        for variant in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED):
-            sigma = qf.sigma_mex_gf(variant, self.N)
-            assert [n for n in range(self.N + 1) if sigma_all[n] < sigma[n]] == [], variant
+        assert [b for b in arithmetic_law_breaks(2000) if " < " in b] == []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from overmex import qfactory as qf
 from overmex import series as se
+from test_qfactory import _mul_binomial
 
 
 def S(values, N):
@@ -51,14 +52,6 @@ def _div_binomial_by_index(a, coefficient, exponent):
 
 def to_gf2(a):
     return se.GF2Series(sum((c % 2) << n for n, c in enumerate(a.coeffs)), a.trunc_order)
-
-
-def _mul_binomial(ring, a, sign, e):
-    """a (1 + sign q^e) in either ring; series.GF2 has no mul_binomial,
-    and mod 2 the factor is a + q^e a whatever the sign."""
-    if ring is se.GF2:
-        return se.GF2Series(a.bits ^ (a.bits << e), a.trunc_order)
-    return se.mul_binomial(a, sign, e)
 
 
 def _gf2_mul_by_low_bits(a, b):

@@ -640,6 +640,11 @@ class TestParity:
         with pytest.raises(ValueError, match="n_max must be >= "):
             check(n_max)
 
+    def test_reports_deterministic(self):
+        a = vf.check_parity_density(400)
+        b = vf.check_parity_density(400)
+        assert a.to_dict() == b.to_dict()
+
 
 class TestGf2Arithmetic:
     def test_mul_matches_integer_mul(self):
@@ -805,19 +810,3 @@ class TestInghamScaling:
         assert not r.passed
         assert r.metrics["where"] == "weakly_increasing"
         assert r.first_failure == (2099, 2100, 2099)
-
-
-class TestRunAll:
-    def test_single_check_selection(self):
-        reports = list(vf.run_all(100, 5, only="euler"))
-        assert len(reports) == 1
-        assert reports[0].check_name == "euler_identity"
-
-    def test_unknown_check(self):
-        with pytest.raises(KeyError):
-            vf.run_all(100, 5, only="nope")
-
-    def test_reports_deterministic(self):
-        a = vf.check_parity_density(400)
-        b = vf.check_parity_density(400)
-        assert a.to_dict() == b.to_dict()

@@ -1,9 +1,9 @@
 """Builders for the named q-series: the sparse theta(-q) and pentagonal
 series, the overpartition generating function P-bar = 1/theta(-q),
 Ramanujan's sigma series, the collapsed 1phi1 sum, the three sigma-mex
-generating functions, the non-overlined one a quotient of pentagonal
-cubes, and their per-m count series, each a prefix of the cached P-bar
-times binomial factors (1 - q^e).  The defining forms the checks compare
+generating functions, each one of these or Gauss's psi(q) over theta(-q),
+and their per-m count series, each a prefix of the cached P-bar times
+binomial factors (1 - q^e).  The defining forms the checks compare
 these with, the Pochhammer products and the 1phi1 defining sum, are folds
 of binomial factors (1 +- q^e), each multiplied or divided in explicitly:
 the Pochhammer products by series.binomial_product, over Z only, and the
@@ -235,16 +235,19 @@ def all_mex_raw_sum(N: int, *, ring=series):
 def sigma_mex_gf(variant: MexVariant, N: int, *, ring=series):
     """Generating function of the chosen sigma-mex statistic; the q^0
     coefficient is 1 under the value-1-at-zero convention in all three
-    variants.  Overlined and all parts are P-bar times sigma and times the
-    collapsed 1phi1, computed as divisions by theta(-q) = 1 / P-bar."""
+    variants.  Each is P-bar times one q-series, computed as that series
+    divided by theta(-q) = 1 / P-bar: sigma (overlined), the collapsed
+    1phi1 (all parts) and Gauss's psi(q) (non-overlined)."""
     if variant is MexVariant.OVERLINED:
-        return ring.div(ramanujan_sigma(N, ring=ring), theta_neg(N, ring=ring))
-    if variant is MexVariant.ALL:
-        return ring.div(phi11_simplified(N, ring=ring), theta_neg(N, ring=ring))
-    # Non-overlined: distinct parts in three colors, (-q;q)_inf^3, as
-    # (q^2;q^2)_inf^3 / (q;q)_inf^3; each product walks a sparse operand.
-    p2, p1 = pentagonal(2, N, ring=ring), pentagonal(1, N, ring=ring)
-    return ring.div(ring.mul(ring.mul(p2, p2), p2), ring.mul(ring.mul(p1, p1), p1))
+        numerator = ramanujan_sigma(N, ring=ring)
+    elif variant is MexVariant.ALL:
+        numerator = phi11_simplified(N, ring=ring)
+    else:
+        # Distinct parts in three colors: (-q;q)_inf^3 = psi(q) / theta(-q),
+        # psi(q) = (q^2;q^2)_inf^2 / (q;q)_inf, from two pentagonal series.
+        p2, p1 = pentagonal(2, N, ring=ring), pentagonal(1, N, ring=ring)
+        numerator = ring.div(ring.mul(p2, p2), p1)
+    return ring.div(numerator, theta_neg(N, ring=ring))
 
 
 def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from collections import Counter
 from functools import reduce
 from itertools import accumulate, compress
 
@@ -122,7 +121,7 @@ def mul(a: Series, b: Series) -> Series:
 def div(a: Series, d: Series) -> Series:
     """a / d truncated to the smaller order; d's constant term must be +1
     or -1.  The recurrence walks only d's nonzero terms, O(N * nnz(d)),
-    each joining the walk when i reaches its exponent; a repeated
+    each joining the walk when i reaches its exponent; each distinct
     coefficient multiplies the sum of its terms once (+-1 not at all)."""
     d0 = d.coeffs[0]
     if d0 not in (1, -1):
@@ -131,23 +130,18 @@ def div(a: Series, d: Series) -> Series:
         )
     n = min(a.trunc_order, d.trunc_order)
     nz = [(k, dk) for k, dk in enumerate(d.coeffs[1 : n + 1], 1) if dk]
-    counts = Counter(dk for _, dk in nz)
-    groups = {dk: [] for dk, c in counts.items() if c > 1}  # dk -> exponents joined
-    pairs = []  # the joined (k, dk) whose dk occurs once
-    joins = {k: (groups[dk], k) if dk in groups else (pairs, (k, dk)) for k, dk in nz}
+    groups = {dk: [] for _, dk in nz}  # dk -> its exponents joined so far
+    joins = {k: groups[dk] for k, dk in nz}
     b = list(a.coeffs[: n + 1])
     for i in range(n + 1):
-        join = joins.get(i)
-        if join:
-            join[0].append(join[1])
+        if i in joins:
+            joins[i].append(i)
         s = b[i]
         for dk, ks in groups.items():
             t = 0
             for k in ks:
                 t += b[i - k]
             s -= t if dk == 1 else -t if dk == -1 else dk * t
-        for k, dk in pairs:
-            s -= dk * b[i - k]
         b[i] = d0 * s
     return Series(tuple(b))
 

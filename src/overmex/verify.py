@@ -185,10 +185,11 @@ def check_identity_suite(N: int) -> VerifyReport:
     A and B do, first differing at the same n.  Then each sparse fast
     path against its defining product: P-bar = 1/theta(-q) against
     (-q;q)_inf / (q;q)_inf, and the pentagonal quotient (q^2;q^2)_inf /
-    (q;q)_inf, whose cube is the non-overlined sigma-mex series, against
-    (-q;q)_inf (the euler check builds the same products).  Last, the
-    Horner sum for sigma against the Andrews-Dyson-Hickerson double sum,
-    the one witness for sigma that shares no series kernel with it."""
+    (q;q)_inf, whose two series build psi(q) and so the non-overlined
+    sigma-mex series psi(q) / theta(-q), against (-q;q)_inf (the euler
+    check builds the same products).  Last, the Horner sum for sigma
+    against the Andrews-Dyson-Hickerson double sum, the one witness for
+    sigma that shares no series kernel with it."""
     return _compare_series("identity_suite", f"order <= {N}", [
         ("identity:phi11_defining_vs_simplified",
          qfactory.phi11(N), qfactory.phi11_simplified(N)),

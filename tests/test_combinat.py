@@ -106,12 +106,6 @@ class TestMexStatistic:
         # A lone overlined copy leaves no non-overlined part behind.
         assert mexes[(1, 1, True),] == 1
 
-    def test_subset_monotonicity(self):
-        # Overlined and non-overlined parts are subsets of all parts.
-        for n in range(13):
-            for _, m_non, m_over, m_all in cb.overpartitions(n):
-                assert m_over <= m_all and m_non <= m_all
-
     @pytest.mark.parametrize("n", range(17))
     def test_listed_mex_values_match_reference(self, n):
         expected = [
@@ -165,14 +159,6 @@ class TestSigmaOracle:
         for v in MexVariant:
             assert n3[v].get(5, 0) == 0
             assert cb.mex_histograms(0)[0][v] == {1: 1}
-
-    def test_counts_partition_pbar(self):
-        for n in range(10):
-            for v in MexVariant:
-                total = sum(
-                    cb.mex_histograms(n)[n][v].get(m, 0) for m in range(1, n + 2)
-                )
-                assert total == sum(1 for _ in reference_overpartitions(n))
 
 
 def literal_histograms(n):

@@ -414,7 +414,7 @@ def _kronecker_mul(a, b):
 def _negq_cubed_dense(N, ring):
     """(-q;q)_inf^3 as the dense series (q^2;q^2)_inf / (q;q)_inf cubed by
     dense products: Kronecker substitution over Z, carry-less over GF(2).
-    The reference for the quotient of pentagonal cubes."""
+    The reference for the build psi(q) / theta(-q)."""
     negq = ring.div(qf.pentagonal(2, N, ring=ring), qf.pentagonal(1, N, ring=ring))
     mul = _kronecker_mul if ring is se else ring.mul
     return mul(mul(negq, negq), negq)
@@ -602,8 +602,8 @@ def arithmetic_law_breaks(N):
     sigma_no(n) = 0 mod 3 when 3 does not divide n, and sigma_no(3m) =
     Q(m) mod 3, Q the partitions into distinct parts: the series is
     (-q;q)_inf^3, and (1 + x)^3 = 1 + x^3 mod 3.  Q is read from the
-    defining product (-q;q)_inf, not from the pentagonal quotient the
-    series is built from.
+    defining product (-q;q)_inf, not from the pentagonal series that
+    psi(q) / theta(-q), the series' build, starts from.
 
     sigma_all(n) >= sigma_ov(n) and >= sigma_no(n): each overpartition's
     all-parts set contains its overlined and its non-overlined set, so

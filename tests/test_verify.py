@@ -13,6 +13,8 @@ from overmex import qfactory as qf
 from overmex import series as se
 from overmex import verify as vf
 from overmex.qfactory import MexVariant
+from test_qfactory import _mul_binomial
+from test_series import to_gf2
 
 
 @pytest.fixture
@@ -650,24 +652,19 @@ class TestGf2Arithmetic:
     def test_mul_matches_integer_mul(self):
         a = qf.pochhammer(+1, 40)
         b = qf.overpartition_gf(40)
-        prod = se.mul(a, b)
-        bits_a = se.GF2Series(sum((c % 2) << n for n, c in enumerate(a.coeffs)), 40)
-        bits_b = se.GF2Series(sum((c % 2) << n for n, c in enumerate(b.coeffs)), 40)
-        got = se.GF2.mul(bits_a, bits_b).bits
-        assert got == sum((c % 2) << n for n, c in enumerate(prod.coeffs))
+        assert se.GF2.mul(to_gf2(a), to_gf2(b)).bits == to_gf2(se.mul(a, b)).bits
 
     def test_div_binomial_roundtrip(self):
         x = se.GF2Series(0b1011011101, 30)
         for k in (1, 2, 5):
             y = se.GF2.div_binomial(x, 1, k)
-            assert se.GF2Series(y.bits ^ (y.bits << k), 30).bits == x.bits  # y (1 + q^k)
+            assert _mul_binomial(se.GF2, y, 1, k).bits == x.bits
 
     def test_binomial_identity_mod_two(self):
         # (q^2;q^2)_inf and (q;q)_inf^2 agree coefficientwise mod 2.
         N = 500
         even = qf.pentagonal(2, N, ring=se.GF2)
-        full = qf.pochhammer(-1, N)  # built over Z only; read mod 2
-        full = se.GF2Series(sum((c % 2) << n for n, c in enumerate(full.coeffs)), N)
+        full = to_gf2(qf.pochhammer(-1, N))  # built over Z only; read mod 2
         assert even.bits == se.GF2.mul(full, full).bits
 
 

@@ -8,9 +8,12 @@ common case never loses information.
 
 This module is the Z ring the q-series builders are written against:
 one, from_terms, add, add_terms, concat, mul, div, mul_binomial,
-div_binomial and binomial_product.  GF2 is the part of it that a check
-runs mod 2, on Python-int bitmasks: all of it but mul_binomial and
-binomial_product.  A monomial c q^k is from_terms({k: c}, N), so a shift
+div_binomial and binomial_product.  GF2 is the part of it that the
+builders with a `ring` keyword call mod 2, on Python-int bitmasks: all of
+it but mul_binomial and binomial_product.  The parity checks run every
+GF2 kernel but add_terms, which only the two identity-only sums
+overlined_mex_weighted_sum and all_mex_raw_sum call, and only the tests
+build those mod 2.  A monomial c q^k is from_terms({k: c}, N), so a shift
 or a scaling is a product with one; concat(head, tail) places a tail
 right above a head, the one kernel that returns a higher order than its
 operands.  Each kernel's docstring gives its cost.
@@ -234,10 +237,11 @@ def _shifted_sum(bits: int, exponents) -> int:
 
 
 class _GF2Ring:
-    """The part of this module's ring interface that a check runs mod 2,
-    on GF2Series values: every kernel but mul_binomial and
-    binomial_product.  div_binomial takes coefficient +-1 and refuses any
-    other, as over Z; mod 2, (1 - q^k) and (1 + q^k) coincide."""
+    """The part of this module's ring interface that the ring-generic
+    builders call mod 2, on GF2Series values: every kernel but
+    mul_binomial and binomial_product.  div_binomial takes coefficient
+    +-1 and refuses any other, as over Z; mod 2, (1 - q^k) and (1 + q^k)
+    coincide."""
 
     def one(self, trunc_order: int) -> GF2Series:
         return self.from_terms({0: 1}, trunc_order)

@@ -187,9 +187,18 @@ def check_identity_suite(N: int) -> VerifyReport:
     (-q;q)_inf / (q;q)_inf, and the pentagonal quotient (q^2;q^2)_inf /
     (q;q)_inf, whose two series build psi(q) and so the non-overlined
     sigma-mex series psi(q) / theta(-q), against (-q;q)_inf (the euler
-    check builds the same products).  Last, the Horner sum for sigma
+    check builds the same products).  Then the Horner sum for sigma
     against the Andrews-Dyson-Hickerson double sum, the one witness for
-    sigma that shares no series kernel with it."""
+    sigma that shares no series kernel with it.  Last, the all-parts
+    sigma-mex series mod 4 against its closed form: 1 at n = 0, 0 at the
+    squares n >= 1 and 2 elsewhere.  The 2^d overpartitions of a class
+    with d distinct parts share one mex_all, so a class with d >= 2 adds
+    0 mod 4; the d = 1 classes k^(n/k), k | n, add 4 for k = 1 and 2
+    for each k >= 2, so 2(tau(n) + 1) in all, and tau(n) is odd exactly
+    at the squares."""
+    all_mod_4 = series.add_terms(
+        Series((1,) + (2,) * N), {k * k: -2 for k in range(1, math.isqrt(N) + 1)}
+    )
     return _compare_series("identity_suite", f"order <= {N}", [
         ("identity:phi11_defining_vs_simplified",
          qfactory.phi11(N), qfactory.phi11_simplified(N)),
@@ -203,6 +212,8 @@ def check_identity_suite(N: int) -> VerifyReport:
          series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)),
          qfactory.pochhammer(+1, N)),
         ("identity:sigma_adh", qfactory.ramanujan_sigma(N), qfactory.sigma_adh(N)),
+        ("identity:all_mod_4", Series(tuple(
+            map((3).__and__, qfactory.sigma_mex_gf(MexVariant.ALL, N).coeffs))), all_mod_4),
     ])
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overmex import cli, combinat, qfactory, verify
+from overmex import cli, combinat, qfactory, series, verify
 
 
 def run(argv, capsys):
@@ -37,6 +37,16 @@ class TestTable:
         row3 = rows[3]
         assert row3 == ["3", "12", "12", "match"]
         assert all(r[3] == "match" for r in rows)
+
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        sigma_gf = qfactory.sigma_mex_gf
+        monkeypatch.setattr(qfactory, "sigma_mex_gf",
+                            lambda v, N: series.add_terms(sigma_gf(v, N), {4: 1}))
+        code, out, _ = run(["table", "--variant", "all", "--max-n", "5", "--method", "both"], capsys)
+        assert code == 1
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["match"] * 4 + ["MISMATCH", "match"]
+        assert rows[4] == ["4", "29", "28", "MISMATCH"]
 
     def test_oracle_only(self, capsys):
         code, out, _ = run(

@@ -37,12 +37,27 @@ CACHED = {
 }
 
 
+def _values(s):
+    """The coefficients of s, a series over either ring, as a list."""
+    return [s[n] for n in range(s.trunc_order + 1)]
+
+
 def _mul_binomial(ring, a, sign, e):
     """a (1 + sign q^e) in either ring; series.GF2 has no mul_binomial,
     and mod 2 the factor is a + q^e a whatever the sign."""
     if ring is se.GF2:
         return se.GF2Series(a.bits ^ (a.bits << e), a.trunc_order)
     return se.mul_binomial(a, sign, e)
+
+
+def _ascending_fold(ring, sign, N, step=1, top=None):
+    """prod (1 + sign q^e) over e = step, 2 step, ... <= top (N if None),
+    to order N, one factor at a time from the smallest up, in either
+    ring: the defining fold."""
+    acc = ring.one(N)
+    for e in range(step, (N if top is None else top) + 1, step):
+        acc = _mul_binomial(ring, acc, sign, e)
+    return acc
 
 
 class TestRings:
@@ -52,45 +67,32 @@ class TestRings:
             z = builder(*args, N)
             g = builder(*args, N, ring=se.GF2)
             assert g.trunc_order == N
-            assert [g[n] for n in range(N + 1)] == [c % 2 for c in z.coeffs], (
-                builder.__name__, args,
-            )
+            assert _values(g) == [c % 2 for c in z.coeffs], (builder.__name__, args)
         # Mod 2, (q;q)_inf and (-q;q)_inf are both the pentagonal series.
         p1 = qf.pentagonal(1, N, ring=se.GF2)
         for builder, args in Z_ONLY:
             z = builder(*args, N)
-            assert [p1[n] for n in range(N + 1)] == [c % 2 for c in z.coeffs], args
+            assert _values(p1) == [c % 2 for c in z.coeffs], args
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("N", [0, 1, 2, 50, 300])
     def test_sparse_series_match_factorwise(self, ring, N):
-        def values(s):
-            return [s[n] for n in range(N + 1)]
-
-        def product(sign, step=1):  # prod_{k>=1} (1 + sign q^(step k)), factor by factor
-            acc = ring.one(N)
-            for e in range(step, N + 1, step):
-                acc = _mul_binomial(ring, acc, sign, e)
-            return acc
-
-        q_q, negq_q, q2_q2 = product(-1), product(+1), product(-1, step=2)
+        q_q, negq_q = _ascending_fold(ring, -1, N), _ascending_fold(ring, +1, N)
+        q2_q2 = _ascending_fold(ring, -1, N, step=2)
         p1, p2 = qf.pentagonal(1, N, ring=ring), qf.pentagonal(2, N, ring=ring)
-        assert values(p1) == values(q_q)
-        assert values(p2) == values(q2_q2)
-        assert values(qf.theta_neg(N, ring=ring)) == values(ring.div(q_q, negq_q))
-        assert values(ring.div(p2, p1)) == values(negq_q)
+        assert _values(p1) == _values(q_q)
+        assert _values(p2) == _values(q2_q2)
+        assert _values(qf.theta_neg(N, ring=ring)) == _values(ring.div(q_q, negq_q))
+        assert _values(ring.div(p2, p1)) == _values(negq_q)
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     # 54, 55, 56 and 90, 91, 92 straddle C(m+1, 2) for m = 10 and 13: a
     # numerator's lowest exponent one past, at and one below q^N.
     @pytest.mark.parametrize("N", [0, 1, 2, 50, 54, 55, 56, 90, 91, 92, 300, 2000])
     def test_negq_sums_match_running_inverse(self, ring, N):
-        def values(s):
-            return [s[n] for n in range(N + 1)]
-
-        for builder, weight, lead, one_minus_qm in NEGQ_SUMS:
-            expected = _negq_sum_by_running_inverse(N, ring, weight, lead, one_minus_qm)
-            assert values(builder(N, ring=ring)) == values(expected), builder.__name__
+        for builder, terms in NEGQ_SUMS:
+            expected = _negq_sum_by_running_inverse(N, ring, terms)
+            assert _values(builder(N, ring=ring)) == _values(expected), builder.__name__
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 11, 12, 100])
@@ -101,17 +103,9 @@ class TestRings:
             lambda m: {comb(m, 2): 3, comb(m + 1, 2): -1, comb(m + 1, 2) + 2: m + 1},
             lambda m: {comb(m // 2 + 1, 2): m + 1, comb(m // 2 + 1, 2) + 1: -2},
         ):
-            expected = ring.from_terms({}, N)
-            inv = ring.one(N)  # 1 / (-q;q)_m
-            m = 0
-            while min(terms(m)) <= N:
-                if m > 0:
-                    inv = ring.div_binomial(inv, +1, m)
-                expected = ring.add(expected, ring.mul(inv, ring.from_terms(terms(m), N)))
-                m += 1
             got = qf._negq_sum(N, ring, terms)
             assert got.trunc_order == N
-            assert [got[n] for n in range(N + 1)] == [expected[n] for n in range(N + 1)]
+            assert _values(got) == _values(_negq_sum_by_running_inverse(N, ring, terms))
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     def test_prefix_of_a_larger_build(self, ring):
@@ -128,9 +122,7 @@ class TestRings:
                 got = builder(*args, N, ring=ring)
                 fresh = builder.__wrapped__(*args, N, ring=ring)
                 assert got.trunc_order == fresh.trunc_order == N
-                assert [got[n] for n in range(N + 1)] == [fresh[n] for n in range(N + 1)], (
-                    builder.__name__, args, N,
-                )
+                assert _values(got) == _values(fresh), (builder.__name__, args, N)
             assert builder(*args, M, ring=ring) is big
             assert builder.cache_info() == (4, 1, 1), builder.__name__
             builder(*args, M + 1, ring=ring)  # a larger order replaces the entry
@@ -164,29 +156,26 @@ class TestRings:
         assert qf.overpartition_gf.cache_info().currsize == before + 2
 
 
-# The four sums over 1/(-q;q)_m as (builder, weight, lead, one_minus_qm):
-# sum_m weight(m) q^lead(m) g_m / (-q;q)_m with g_m = 1 - q^m or 1.
+# The four sums over 1/(-q;q)_m as (builder, terms): sum_m terms(m) /
+# (-q;q)_m, terms(m) the m-th numerator as {exponent: coefficient}.
 NEGQ_SUMS = [
-    (qf.ramanujan_sigma, lambda m: 1, lambda m: comb(m + 1, 2), False),
-    (qf.phi11_simplified, lambda m: 2**m, lambda m: comb(m + 1, 2), False),
-    (qf.overlined_mex_weighted_sum, lambda m: m, lambda m: comb(m, 2), False),
-    (qf.all_mex_raw_sum, lambda m: m * 2**m // 2, lambda m: comb(m, 2), True),
+    (qf.ramanujan_sigma, lambda m: {comb(m + 1, 2): 1}),
+    (qf.phi11_simplified, lambda m: {comb(m + 1, 2): 2**m}),
+    (qf.overlined_mex_weighted_sum, lambda m: {comb(m, 2): m}),
+    # m 2^(m-1) q^(m choose 2) (1 - q^m)
+    (qf.all_mex_raw_sum, lambda m: {comb(m, 2): m * 2**m // 2, comb(m + 1, 2): -(m * 2**m // 2)}),
 ]
 
 
-def _negq_sum_by_running_inverse(N, ring, weight, lead, one_minus_qm):
-    """The sum term by term from m = 0: a running 1/(-q;q)_m, one
-    division by (1 + q^m) per term, each nonzero term times the monomial
-    weight(m) q^lead(m) and added in.  The reference for Horner's rule."""
-    acc = ring.from_terms({}, N)
-    inv = ring.one(N)  # 1 / (-q;q)_m
-    m = 0
-    while lead(m) <= N:
+def _negq_sum_by_running_inverse(N, ring, terms):
+    """The sum term by term from m = 0 while terms(m) reaches q^N: a
+    running 1/(-q;q)_m, one division by (1 + q^m) per term, times the
+    numerator and added in.  The reference for Horner's rule."""
+    acc, inv, m = ring.from_terms({}, N), ring.one(N), 0  # inv = 1 / (-q;q)_m
+    while min(terms(m)) <= N:
         if m > 0:
             inv = ring.div_binomial(inv, +1, m)
-        if weight(m):
-            term = _mul_binomial(ring, inv, -1, m) if one_minus_qm else inv
-            acc = ring.add(acc, ring.mul(term, ring.from_terms({lead(m): weight(m)}, N)))
+        acc = ring.add(acc, ring.mul(inv, ring.from_terms(terms(m), N)))
         m += 1
     return acc
 
@@ -202,13 +191,10 @@ class TestPochhammer:
     def test_matches_ascending_fold(self, ring, sign, N):
         # The defining fold from the smallest factor up, in either ring;
         # pochhammer builds over Z only, so the GF(2) fold reads it mod 2.
-        acc = ring.one(N)
-        for e in range(1, N + 1):
-            acc = _mul_binomial(ring, acc, sign, e)
         got = qf.pochhammer(sign, N)
         assert got.trunc_order == N
         read = (lambda c: c % 2) if ring is se.GF2 else (lambda c: c)
-        assert [read(got[n]) for n in range(N + 1)] == [acc[n] for n in range(N + 1)]
+        assert list(map(read, got.coeffs)) == _values(_ascending_fold(ring, sign, N))
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_gf2_build_refused_and_not_cached(self, sign):
@@ -380,35 +366,22 @@ class TestSigmaMexGf:
 
 
 def _kronecker_mul(a, b):
-    """Cauchy product of two Z series by Kronecker substitution: each
-    operand packed into one integer with a byte slot per coefficient, one
-    big-integer product, and the low slots unpacked.  A dense reference
-    that shares no code with se.mul."""
+    """Cauchy product of two Z series with non-negative coefficients by
+    Kronecker substitution: each packed into one integer with a slot of
+    `width` bytes per coefficient, one big-integer product, and the low
+    slots read back.  A dense reference that shares no code with se.mul."""
     n = min(a.trunc_order, b.trunc_order)
     ac, bc = a.coeffs[: n + 1], b.coeffs[: n + 1]
-    # |c_k| <= (n+1) max|a| max|b| < 2^bits; one spare bit holds the sign.
-    bits = max(map(abs, ac)).bit_length() + max(map(abs, bc)).bit_length()
-    width = (bits + (n + 1).bit_length()) // 8 + 1
-    half = 1 << (8 * width - 1)
+    assert min(ac + bc) >= 0
+    # c_k <= (n+1) max(a) max(b) < 256^width, so no slot carries into the next.
+    width = (max(ac).bit_length() + max(bc).bit_length() + (n + 1).bit_length()) // 8 + 1
 
-    def pack(coeffs):  # sum c_i 2^(8 width i), positive and negative parts apart
-        def part(cs):
-            return int.from_bytes(
-                b"".join(max(c, 0).to_bytes(width, "little") for c in cs), "little"
-            )
+    def pack(coeffs):
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
-        return part(coeffs) - part(-c for c in coeffs)
-
-    # Biasing every slot by half makes each of the low n+1 slots
-    # non-negative, so they read off without borrows.
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
-    size = width * (n + 1)
-    low = (pack(ac) * pack(bc) + bias) & ((1 << (8 * size)) - 1)
-    raw = low.to_bytes(size, "little")
+    raw = (pack(ac) * pack(bc)).to_bytes(2 * width * (n + 1), "little")
     return se.Series(tuple(
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, size, width)
-    ))
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, width * (n + 1), width)))
 
 
 def _negq_cubed_dense(N, ring):
@@ -552,10 +525,7 @@ def _count_gf_by_factors(variant, m, N):
             if j != m:
                 acc = se.div_binomial(acc, -1, j)
         return se.mul(acc, se.from_terms({lead: 1}, N))
-    negq_m = se.one(N)  # (-q;q)_m
-    for j in range(1, min(m, N) + 1):
-        negq_m = se.mul_binomial(negq_m, +1, j)
-    body = se.div(se.one(N), negq_m)
+    body = se.div(se.one(N), _ascending_fold(se, +1, N, top=m))  # 1 / (-q;q)_m
     if variant is MexVariant.ALL:
         body = se.mul(se.mul_binomial(body, -1, m), se.from_terms({0: 2 ** (m - 1)}, N))
     return se.mul(se.mul(qf.overpartition_gf(N), body), se.from_terms({lead: 1}, N))

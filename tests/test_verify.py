@@ -87,22 +87,41 @@ def _bump(series, k):
     return se.add(series, se.from_terms({k: 1}, series.trunc_order))
 
 
-def _flip_gf2_bits(monkeypatch, flips):
-    """verify sees qfactory with the bits listed in flips toggled in every
-    GF(2) build whose arguments, N left off, are a key of flips: () for
-    overpartition_gf, (variant,) for sigma_mex_gf.  The integer series,
-    and so the mod-2 comparison, are unchanged."""
-    seen_by_verify = types.SimpleNamespace(**vars(qf))
-    for builder in ("overpartition_gf", "sigma_mex_gf"):
-        def flipped(*args, ring=se, original=getattr(qf, builder)):
-            s = original(*args, ring=ring)
-            if ring is not se.GF2:
-                return s
-            toggles = dict.fromkeys(flips.get(args[:-1], ()), 1)
-            return se.GF2.add(s, se.GF2.from_terms(toggles, s.trunc_order))
+def _assert_fail(report, witness, metrics):
+    """report is a FAIL with exactly these metrics, whose first failure is
+    witness, or lies at n = witness for an int."""
+    got = report.first_failure[0] if isinstance(witness, int) else report.first_failure
+    assert (report.status, got, report.metrics) == (vf.FAIL, witness, metrics), report.to_dict()
 
-        setattr(seen_by_verify, builder, flipped)
-    monkeypatch.setattr(vf, "qfactory", seen_by_verify)
+
+def _seen_by_verify(monkeypatch, module, **replaced):
+    """verify sees module with the given attributes replaced; the module
+    itself, which the builders call, is unchanged."""
+    name = module.__name__.rpartition(".")[2]
+    monkeypatch.setattr(vf, name, types.SimpleNamespace(**{**vars(module), **replaced}))
+
+
+def _wrap_reads(monkeypatch, wrap):
+    """verify sees overpartition_gf and sigma_mex_gf through wrap(series,
+    args, ring), args being the build's arguments with N left off: () for
+    overpartition_gf, (variant,) for sigma_mex_gf."""
+    def wrapped(original):
+        return lambda *args, ring=se: wrap(original(*args, ring=ring), args[:-1], ring)
+
+    _seen_by_verify(monkeypatch, qf, **{
+        builder: wrapped(getattr(qf, builder)) for builder in ("overpartition_gf", "sigma_mex_gf")})
+
+
+def _flip_gf2_bits(monkeypatch, flips):
+    """verify sees the bits listed in flips toggled in every GF(2) build
+    whose arguments, N left off, are a key of flips.  The integer series,
+    and so the mod-2 comparison, are unchanged."""
+    def flipped(s, args, ring):
+        if ring is not se.GF2:
+            return s
+        return se.GF2.add(s, se.GF2.from_terms(dict.fromkeys(flips.get(args, ()), 1), s.trunc_order))
+
+    _wrap_reads(monkeypatch, flipped)
 
 
 class TestGfVsOracle:
@@ -120,41 +139,26 @@ class TestGfVsOracle:
             return _bump(s, 7) if m == 2 else s
 
         monkeypatch.setattr(qf, "mex_count_gf", off_at_7)
-        r = vf.check_gf_vs_oracle(variant, 10)
-        assert r.status == vf.FAIL
-        assert r.metrics == {"where": "count", "m": 2}
-        assert r.first_failure[0] == 7
+        _assert_fail(vf.check_gf_vs_oracle(variant, 10), 7, {"where": "count", "m": 2})
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_wrong_sigma_fails(self, variant, monkeypatch):
         sigma_gf = qf.sigma_mex_gf
         monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 5))
-        r = vf.check_gf_vs_oracle(variant, 10)
-        assert r.status == vf.FAIL
-        assert r.metrics == {"where": "sigma"}
-        assert r.first_failure[0] == 5
+        _assert_fail(vf.check_gf_vs_oracle(variant, 10), 5, {"where": "sigma"})
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_sigma_judged_before_counts(self, variant, monkeypatch):
         sigma_gf, count_gf = qf.sigma_mex_gf, qf.mex_count_gf
         monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 7))
-        monkeypatch.setattr(
-            qf, "mex_count_gf", lambda v, m, N: _bump(count_gf(v, m, N), 7)
-        )
-        r = vf.check_gf_vs_oracle(variant, 10)
-        assert r.status == vf.FAIL
-        assert r.metrics == {"where": "sigma"}
-        assert r.first_failure[0] == 7
+        monkeypatch.setattr(qf, "mex_count_gf", lambda v, m, N: _bump(count_gf(v, m, N), 7))
+        _assert_fail(vf.check_gf_vs_oracle(variant, 10), 7, {"where": "sigma"})
 
     def test_counts_checked_past_sigma_range(self, monkeypatch):
         count_gf = qf.mex_count_gf
-        monkeypatch.setattr(
-            qf, "mex_count_gf", lambda v, m, N: _bump(count_gf(v, m, N), 7)
-        )
+        monkeypatch.setattr(qf, "mex_count_gf", lambda v, m, N: _bump(count_gf(v, m, N), 7))
         r = vf.check_gf_vs_oracle(MexVariant.ALL, n_max=4, count_n_max=8)
-        assert r.status == vf.FAIL
-        assert r.metrics["where"] == "count"
-        assert r.first_failure[0] == 7
+        _assert_fail(r, (7, 14, 15), {"where": "count", "m": 1})
 
     @pytest.fixture
     def enumerated_n(self, monkeypatch):
@@ -196,10 +200,7 @@ class TestGfVsOracle:
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_wrong_class_count_fails(self, variant, class_count_off_at):
         class_count_off_at(9)
-        r = vf.check_gf_vs_oracle(variant, 10)
-        assert r.status == vf.FAIL
-        assert r.metrics["where"] == "literal"
-        assert r.first_failure[0] == 9
+        _assert_fail(vf.check_gf_vs_oracle(variant, 10), 9, {"where": "literal", "m": 1})
 
     @pytest.fixture
     def literal_class_dropped_at_9(self, monkeypatch):
@@ -222,28 +223,19 @@ class TestGfVsOracle:
     @pytest.mark.parametrize("variant", list(MexVariant))
     @pytest.mark.usefixtures("literal_class_dropped_at_9")
     def test_dropped_literal_class_fails(self, variant):
-        r = vf.check_gf_vs_oracle(variant, 10)
-        assert r.status == vf.FAIL
-        assert r.metrics["where"] == "literal"
-        assert r.first_failure[0] == 9
+        _assert_fail(vf.check_gf_vs_oracle(variant, 10), 9, {"where": "literal", "m": 1})
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     @pytest.mark.usefixtures("literal_class_dropped_at_9")
     def test_literal_judged_before_sigma(self, variant, monkeypatch):
         sigma_gf = qf.sigma_mex_gf
         monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 9))
-        r = vf.check_gf_vs_oracle(variant, 10)
-        assert r.status == vf.FAIL
-        assert r.metrics["where"] == "literal"
-        assert r.first_failure[0] == 9
+        _assert_fail(vf.check_gf_vs_oracle(variant, 10), 9, {"where": "literal", "m": 1})
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_wrong_class_count_past_literal_range_fails(self, variant, class_count_off_at):
-        class_count_off_at(15)  # past LITERAL_CHECK_N
-        r = vf.check_gf_vs_oracle(variant, 20)
-        assert r.status == vf.FAIL
-        assert r.metrics["where"] in ("sigma", "count")
-        assert r.first_failure[0] == 15
+        class_count_off_at(15)  # past LITERAL_CHECK_N, so sigma is judged first
+        _assert_fail(vf.check_gf_vs_oracle(variant, 20), 15, {"where": "sigma"})
 
     def test_variants_share_one_walk(self):
         cb.mex_histograms.cache_clear()
@@ -251,14 +243,6 @@ class TestGfVsOracle:
             assert vf.check_gf_vs_oracle(v, 20).passed
         # lru_cache runs the walk once per miss.
         assert cb.mex_histograms.cache_info().misses == 1
-
-    def test_changed_counts_leave_the_cache_alone(self):
-        for v in MexVariant:
-            counts = dict(cb.mex_histograms(10)[10][v])
-            counts[1] += 5
-            counts[99] = 1
-            assert cb.mex_histograms(10)[10][v] != counts
-            assert vf.check_gf_vs_oracle(v, 10).passed
 
     def test_enumerates_only_literal_range(self, enumerated_n):
         # The three variants' checks share one literal histogram per n.
@@ -309,10 +293,8 @@ class TestEuler:
             return div_binomial(a, c, e)
 
         monkeypatch.setattr(se, "div_binomial", skip_7)
-        r = vf.check_euler_identity(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "euler:neg_vs_odd_inverse"
-        assert r.first_failure == (7, 5, 4)
+        _assert_fail(vf.check_euler_identity(300), (7, 5, 4),
+                     {"failed_subcheck": "euler:neg_vs_odd_inverse"})
 
     def test_missing_neg_factor_fails(self, monkeypatch):
         # (-q;q)_inf with its factor (1 + q^7) divided out first differs at q^7.
@@ -323,41 +305,29 @@ class TestEuler:
             return ring.div_binomial(p, +1, 7) if sign > 0 else p
 
         monkeypatch.setattr(qf, "pochhammer", without_1_plus_q7)
-        r = vf.check_euler_identity(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "euler:neg_vs_odd_inverse"
-        assert r.first_failure == (7, 4, 5)
+        _assert_fail(vf.check_euler_identity(300), (7, 4, 5),
+                     {"failed_subcheck": "euler:neg_vs_odd_inverse"})
 
     def test_perturbed_even_product_fails(self, monkeypatch):
         # Of the series the check itself builds, only (q^2;q^2)_inf comes
         # from from_terms; the builders (and series.one) keep the real one.
-        seen_by_verify = types.SimpleNamespace(**vars(se))
-        seen_by_verify.from_terms = lambda terms, N: _bump(se.from_terms(terms, N), 30)
-        monkeypatch.setattr(vf, "series", seen_by_verify)
-        r = vf.check_euler_identity(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "euler:neg_vs_even_over_full"
-        assert r.first_failure[0] == 30
+        _seen_by_verify(monkeypatch, se,
+                        from_terms=lambda terms, N: _bump(se.from_terms(terms, N), 30))
+        _assert_fail(vf.check_euler_identity(300), 30,
+                     {"failed_subcheck": "euler:neg_vs_even_over_full"})
 
 
 class TestIdentitySuite:
     def test_perturbed_raw_sum_fails_at_its_index(self, monkeypatch):
         raw = qf.all_mex_raw_sum
         monkeypatch.setattr(qf, "all_mex_raw_sum", lambda N: _bump(raw(N), 40))
-        r = vf.check_identity_suite(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "identity:all_raw_vs_simplified"
-        assert r.first_failure[0] == 40
+        _assert_fail(vf.check_identity_suite(300), 40,
+                     {"failed_subcheck": "identity:all_raw_vs_simplified"})
 
     def test_perturbed_theta_fails_at_its_index(self, monkeypatch, cold_caches):
         theta = qf.theta_neg
-        monkeypatch.setattr(
-            qf, "theta_neg", lambda N, ring=se: _bump(theta(N, ring=ring), 37)
-        )
-        r = vf.check_identity_suite(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "identity:pbar_theta"
-        assert r.first_failure[0] == 37
+        monkeypatch.setattr(qf, "theta_neg", lambda N, ring=se: _bump(theta(N, ring=ring), 37))
+        _assert_fail(vf.check_identity_suite(300), 37, {"failed_subcheck": "identity:pbar_theta"})
 
     def test_perturbed_pentagonal_fails(self, monkeypatch, cold_caches):
         pentagonal = qf.pentagonal
@@ -368,58 +338,52 @@ class TestIdentitySuite:
                 return _bump(s, 30) if step == bumped else s
 
             monkeypatch.setattr(qf, "pentagonal", off_at_30)
-            r = vf.check_identity_suite(300)
-            assert r.status == vf.FAIL, bumped
-            assert r.metrics["failed_subcheck"] == "identity:pentagonal"
-            assert r.first_failure[0] == 30
+            _assert_fail(vf.check_identity_suite(300), 30, {"failed_subcheck": "identity:pentagonal"})
 
     def test_skipped_numerator_factor_fails(self, monkeypatch, cold_caches):
         # The 1phi1 defining sum multiplies in each numerator factor
         # (1 - q^n) itself, so losing (1 - q^5) must show.
         mul_binomial = se.mul_binomial
         monkeypatch.setattr(
-            se, "mul_binomial", lambda a, c, e: a if e == 5 else mul_binomial(a, c, e)
-        )
-        r = vf.check_identity_suite(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "identity:phi11_defining_vs_simplified"
+            se, "mul_binomial", lambda a, c, e: a if e == 5 else mul_binomial(a, c, e))
+        _assert_fail(vf.check_identity_suite(300), (20, 26, -6),
+                     {"failed_subcheck": "identity:phi11_defining_vs_simplified"})
 
     def test_perturbed_adh_term_fails(self, monkeypatch):
         adh = qf.sigma_adh
         monkeypatch.setattr(qf, "sigma_adh", lambda N: _bump(adh(N), 123))
-        r = vf.check_identity_suite(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "identity:sigma_adh"
-        assert r.first_failure == (123, qf.ramanujan_sigma(300)[123], adh(300)[123] + 1)
+        _assert_fail(vf.check_identity_suite(300), (123, qf.ramanujan_sigma(300)[123],
+                     adh(300)[123] + 1), {"failed_subcheck": "identity:sigma_adh"})
 
     def test_first_differing_row_reported(self, monkeypatch):
         # sigma is read by two rows; a fault in it alone shows in both, and
         # the earlier row, identity:overlined_telescoped, is the one reported.
-        sigma = qf.ramanujan_sigma
-        seen_by_verify = types.SimpleNamespace(**vars(qf))
-        seen_by_verify.ramanujan_sigma = lambda N: _bump(sigma(N), 50)
-        monkeypatch.setattr(vf, "qfactory", seen_by_verify)
-        bumped = seen_by_verify.ramanujan_sigma(300)
+        bumped = _bump(qf.ramanujan_sigma(300), 50)
+        _seen_by_verify(monkeypatch, qf, ramanujan_sigma=lambda N: bumped)
         assert bumped[50] != qf.overlined_mex_weighted_sum(300)[50]
         assert bumped[50] != qf.sigma_adh(300)[50]
-        r = vf.check_identity_suite(300)
-        assert r.status == vf.FAIL
-        assert r.metrics == {"failed_subcheck": "identity:overlined_telescoped"}
-        assert r.first_failure == (50, qf.overlined_mex_weighted_sum(300)[50], bumped[50])
+        _assert_fail(vf.check_identity_suite(300),
+                     (50, qf.overlined_mex_weighted_sum(300)[50], bumped[50]),
+                     {"failed_subcheck": "identity:overlined_telescoped"})
 
     def test_perturbed_horner_sigma_fails(self, monkeypatch):
         # The same fault in both Horner sums of the overlined chain is
         # invisible to identity:overlined_telescoped, which compares them
         # with each other; only the ADH witness sees it.
-        seen_by_verify = types.SimpleNamespace(**vars(qf))
-        for builder in ("ramanujan_sigma", "overlined_mex_weighted_sum"):
-            original = getattr(qf, builder)
-            setattr(seen_by_verify, builder, lambda N, f=original: _bump(f(N), 77))
-        monkeypatch.setattr(vf, "qfactory", seen_by_verify)
-        r = vf.check_identity_suite(300)
-        assert r.status == vf.FAIL
-        assert r.metrics["failed_subcheck"] == "identity:sigma_adh"
-        assert r.first_failure[0] == 77
+        _seen_by_verify(monkeypatch, qf, **{
+            builder: lambda N, f=getattr(qf, builder): _bump(f(N), 77)
+            for builder in ("ramanujan_sigma", "overlined_mex_weighted_sum")})
+        _assert_fail(vf.check_identity_suite(300), 77, {"failed_subcheck": "identity:sigma_adh"})
+
+    def test_sigma_all_fault_only_mod_4_sees(self, monkeypatch):
+        # 2q^1500 in sigma_all alone is even, so the parity checks miss it,
+        # and no other row reads the all-parts quotient; mod 4 it turns the
+        # non-square 1500's residue 2 into 0.
+        sigma_gf = qf.sigma_mex_gf
+        _seen_by_verify(monkeypatch, qf, sigma_mex_gf=lambda v, N: se.add_terms(
+            sigma_gf(v, N), {1500: 2} if v is MexVariant.ALL else {}))
+        _assert_fail(vf.check_identity_suite(2000), (1500, 0, 2),
+                     {"failed_subcheck": "identity:all_mod_4"})
 
 
 class TestParity:
@@ -478,10 +442,7 @@ class TestParity:
             return se.GF2Series(quotient.bits & window, quotient.trunc_order)
 
         monkeypatch.setattr(se.GF2, "div", div_losing_high_bits)
-        r = vf.check_parity_density(10000)
-        assert r.status == vf.FAIL
-        assert r.first_failure == (1001, 1, 0)
-        assert r.metrics == {"where": "sigma_mex_overlined"}
+        _assert_fail(vf.check_parity_density(10000), (1001, 1, 0), {"where": "sigma_mex_overlined"})
 
     @pytest.mark.parametrize("flip,witness", [
         (1500, (1500, 0, 1)),  # not a generalized pentagonal number, read odd
@@ -490,10 +451,7 @@ class TestParity:
     ], ids=["non_pentagonal_odd", "pentagonal_even", "at_n_max"])
     def test_density_witness_past_mod2_window(self, flip, witness, monkeypatch):
         _flip_gf2_bits(monkeypatch, {(MexVariant.OVERLINED,): [flip]})
-        r = vf.check_parity_density(2000)
-        assert r.status == vf.FAIL
-        assert r.first_failure == witness
-        assert r.metrics == {"where": "sigma_mex_overlined"}
+        _assert_fail(vf.check_parity_density(2000), witness, {"where": "sigma_mex_overlined"})
 
     def test_triangular(self):
         assert vf.check_triangular_parity(500).passed
@@ -530,15 +488,13 @@ class TestParity:
         # A parity check reads back the GF(2) series it has just compared
         # with Z mod 2, rather than asking qfactory for it a second time.
         requests = Counter()
-        seen_by_verify = types.SimpleNamespace(**vars(qf))
-        for builder in ("overpartition_gf", "sigma_mex_gf"):
-            def spy(*args, ring=se, original=getattr(qf, builder)):
-                if ring is se.GF2:
-                    requests[args] += 1
-                return original(*args, ring=ring)
 
-            setattr(seen_by_verify, builder, spy)
-        monkeypatch.setattr(vf, "qfactory", seen_by_verify)
+        def spy(s, args, ring):
+            if ring is se.GF2:
+                requests[(*args, s.trunc_order)] += 1
+            return s
+
+        _wrap_reads(monkeypatch, spy)
         for check, series_args in [
             (vf.check_parity_all_even, [(300,), (MexVariant.ALL, 300)]),
             (vf.check_parity_density, [(MexVariant.OVERLINED, 300)]),
@@ -559,10 +515,7 @@ class TestParity:
     ], ids=["all_parts", "tie_first_read", "smaller_n_wins", "at_n_max"])
     def test_all_even_witness_past_mod2_window(self, flips, witness, where, monkeypatch):
         _flip_gf2_bits(monkeypatch, flips)
-        r = vf.check_parity_all_even(2000)
-        assert r.status == vf.FAIL
-        assert r.first_failure == witness
-        assert r.metrics == {"where": where}
+        _assert_fail(vf.check_parity_all_even(2000), witness, {"where": where})
 
     @pytest.mark.parametrize("flip,witness", [
         (1540, (1540, 1, 0)),  # the triangular 55*56/2, read even
@@ -571,10 +524,7 @@ class TestParity:
     ], ids=["triangular_even", "non_triangular_odd", "at_n_max"])
     def test_triangular_witness_past_mod2_window(self, flip, witness, monkeypatch):
         _flip_gf2_bits(monkeypatch, {(MexVariant.NON_OVERLINED,): [flip]})
-        r = vf.check_triangular_parity(2000)
-        assert r.status == vf.FAIL
-        assert r.first_failure == witness
-        assert r.metrics == {"where": "sigma_mex_nonoverlined"}
+        _assert_fail(vf.check_triangular_parity(2000), witness, {"where": "sigma_mex_nonoverlined"})
 
     @pytest.mark.parametrize("check,where", [
         (vf.check_parity_all_even, "overpartition_number"),
@@ -584,18 +534,8 @@ class TestParity:
     def test_even_constant_term_fails(self, check, where, monkeypatch):
         # q^0 = 1 in every read.  With q^0 even in both rings the mod-2
         # guard agrees, and only the closed-form comparison at q^0 sees it.
-        seen_by_verify = types.SimpleNamespace(**vars(qf))
-        for builder in ("overpartition_gf", "sigma_mex_gf"):
-            def even_at_zero(*args, ring=se, original=getattr(qf, builder)):
-                s = original(*args, ring=ring)
-                return ring.add(s, ring.from_terms({0: 1}, s.trunc_order))
-
-            setattr(seen_by_verify, builder, even_at_zero)
-        monkeypatch.setattr(vf, "qfactory", seen_by_verify)
-        r = check(2000)
-        assert r.status == vf.FAIL
-        assert r.first_failure == (0, 1, 0)
-        assert r.metrics == {"where": where}
+        _wrap_reads(monkeypatch, lambda s, args, ring: ring.add_terms(s, {0: 1}))
+        _assert_fail(check(2000), (0, 1, 0), {"where": where})
 
     # Inside the window the mod-2 guard reads every bit: of two bad bits
     # the lower is the witness, and MOD2_CHECK_ORDER itself is inside.
@@ -613,10 +553,7 @@ class TestParity:
             "density_at_check_order"])
     def test_mod2_guard_witness(self, check, flips, witness, where, monkeypatch):
         _flip_gf2_bits(monkeypatch, flips)
-        r = check(2000)
-        assert r.status == vf.FAIL
-        assert r.first_failure == witness
-        assert r.metrics == {"where": where}
+        _assert_fail(check(2000), witness, {"where": where})
 
     def test_wrong_integer_pbar_fails(self, monkeypatch):
         # Z P-bar off by one at n = 700, past the old mod-2 check order:
@@ -628,10 +565,8 @@ class TestParity:
             return _bump(s, 700) if ring is se and N >= 700 else s
 
         monkeypatch.setattr(qf, "overpartition_gf", off_at_700)
-        r = vf.check_parity_all_even(1000)
-        assert r.status == vf.FAIL
-        assert r.metrics == {"where": "mod2:overpartition_number"}
-        assert r.first_failure == (700, 1, 0)
+        _assert_fail(vf.check_parity_all_even(1000), (700, 1, 0),
+                     {"where": "mod2:overpartition_number"})
 
     @pytest.mark.parametrize("check,n_max", [
         (vf.check_parity_all_even, 0),

@@ -2,19 +2,17 @@
 parity sweeps, density measurements, and asymptotic ratio tables.
 
 Each check returns a VerifyReport; failures carry a concrete witness, and
-nothing here raises on a mathematical mismatch.  The identity checks and
-gf_vs_oracle are each a table of comparisons in a fixed order, and the
-first failing row is reported: its witness and, in the metrics, its
-name.  Each check is one fixed experiment: its tolerances, grids and
-orders are module constants, and it takes only what its callers vary.
-The three parity checks are one sweep, _parity_sweep, over series built
-over GF(2) (series.GF2).  Each read is built once, compared to order
-1000 with its integer series mod 2, then at every n <= n_max, q^0
-included, with the closed-form bitmask of the n where it is odd (q^0
-only, the generalized pentagonal or the triangular numbers): whole-int
-bit operations, no Python step per n.  A FAIL's n is the lowest set bit
-of the mismatch, and its where names the read that differs, as
-mod2:<read> in the integer comparison.
+nothing here raises on a mathematical mismatch.  Each check is one fixed
+experiment: its tolerances, grids and orders are module constants, and it
+takes only what its callers vary.  Every check that reports a witness n
+is a table of rows in a fixed order, each row two sequences compared term
+by term, judged by one rule, _judge: the FAIL is the smallest n at which
+any row differs, with the witness and the metrics of the first row that
+differs there.  The identity checks and gf_vs_oracle compare coefficient
+sequences (_compare_series); the three parity checks are one sweep,
+_parity_sweep, whose rows are bitmasks of series built over GF(2)
+(series.GF2) and of closed forms: whole-int bit operations, no Python
+step per n.
 The float checks sum and divide exact integers, rounding to a float only
 at the end, so they report at any order: a value past the float range is
 inf.
@@ -24,9 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
-from functools import reduce
-from itertools import accumulate, count, takewhile
+from itertools import accumulate, compress, count, islice, takewhile
 
 from . import combinat, qfactory, series
 from .qfactory import MexVariant
@@ -65,20 +61,26 @@ class VerifyReport:
 # Shared helpers
 
 
-def _compare_series(name: str, range_desc: str, parts: Sequence[tuple]) -> VerifyReport:
-    """The first (subcheck, a, b) row of parts whose series differ up to
-    the smaller order, as a FAIL with witness (n, a[n], b[n]) at its lowest
-    such n and failed_subcheck the row's name; PASS if no row differs."""
-    for subcheck, a, b in parts:
-        n = min(a.trunc_order, b.trunc_order)
-        x, y = a.coeffs[: n + 1], b.coeffs[: n + 1]
-        if x != y:
-            i = list(map(operator.ne, x, y)).index(True)
-            return VerifyReport(
-                name, FAIL, range_desc, first_failure=(i, x[i], y[i]),
-                metrics={"failed_subcheck": subcheck},
-            )
-    return VerifyReport(name, PASS, range_desc)
+def _judge(name: str, range_desc: str, failures) -> VerifyReport:
+    """The one witness rule.  failures holds, in row order, (n, a[n],
+    b[n], metrics) for each row (metrics, a, b) that differs, at the lowest
+    n where it does; the FAIL is the smallest such n, with the first row
+    that differs there, and PASS if no row differs."""
+    first = min(failures, key=operator.itemgetter(0), default=None)
+    if first is None:
+        return VerifyReport(name, PASS, range_desc)
+    n, x, y, metrics = first
+    return VerifyReport(name, FAIL, range_desc, first_failure=(n, x, y), metrics=metrics)
+
+
+def _compare_series(name: str, range_desc: str, rows) -> VerifyReport:
+    """The rows (metrics, a, b) of coefficient sequences, each compared up
+    to the shorter of a and b, judged by _judge: a FAIL is (n, a[n], b[n])
+    at the smallest n any row differs, with the metrics of the first row
+    that differs there."""
+    return _judge(name, range_desc, (
+        (n, a[n], b[n], metrics) for metrics, a, b in rows
+        for n in islice(compress(count(), map(operator.ne, a, b)), 1)))
 
 
 FIXED_POINT_BITS = 128  # fraction bits of _evaluate's running sum
@@ -121,37 +123,27 @@ def check_gf_vs_oracle(
     """Generating-function coefficients against the oracle: sigma values
     for n <= n_max and per-m counts for n <= count_n_max, both read from
     the mex histograms of one walk over every ordinary partition of every
-    n <= max(n_max, count_n_max), which the three variants' checks share;
-    the smallest failing n is reported.  For n <= LITERAL_CHECK_N each
-    histogram is first compared with the literal one, from each
-    overpartition's part sets, taken one by one, as bitmasks."""
+    n <= max(n_max, count_n_max), which the three variants' checks share.
+    For n <= LITERAL_CHECK_N each histogram is also compared with the
+    literal one, from each overpartition's part sets, taken one by one, as
+    bitmasks.  The rows, in order: literal per m, sigma, then counts per
+    m, each (oracle, other side) by n; a FAIL is (n, expected, got) at the
+    smallest n any row differs, with the first row that differs there."""
     if count_n_max is None:
         count_n_max = n_max
-    name = f"gf_vs_oracle:{variant.value}"
-    rng = f"sigma n <= {n_max}, counts n <= {count_n_max}"
-    gf = qfactory.sigma_mex_gf(variant, n_max)
-    count_gfs = {
-        m: qfactory.mex_count_gf(variant, m, count_n_max)
-        for m in qfactory.feasible_mex_values(count_n_max)
-    }
-    for n, hists in enumerate(combinat.mex_histograms(max(n_max, count_n_max))):
-        counts = hists[variant]
-        rows = []  # (metrics, expected, got), in the order they are judged
-        if n <= LITERAL_CHECK_N:
-            literal = combinat.literal_mex_histograms(n)[variant]
-            rows += [({"where": "literal", "m": m}, literal[m], counts.get(m, 0))
-                     for m in sorted(literal.keys() | counts.keys())]
-        if n <= n_max:
-            rows.append(({"where": "sigma"}, combinat.mex_sum(counts), gf[n]))
-        if n <= count_n_max:
-            rows += [({"where": "count", "m": m}, counts.get(m, 0), gf_m[n])
-                     for m, gf_m in count_gfs.items()]
-        for metrics, expected, got in rows:
-            if expected != got:
-                return VerifyReport(
-                    name, FAIL, rng, first_failure=(n, expected, got), metrics=metrics
-                )
-    return VerifyReport(name, PASS, rng)
+    hists = [h[variant] for h in combinat.mex_histograms(max(n_max, count_n_max))]
+    literal = [combinat.literal_mex_histograms(n)[variant]
+               for n in range(min(LITERAL_CHECK_N, len(hists) - 1) + 1)]
+    rows = [({"where": "literal", "m": m}, [lit[m] for lit in literal],
+             [c.get(m, 0) for c in hists[: len(literal)]])
+            for m in sorted(set().union(*literal, *hists[: len(literal)]))]
+    rows.append(({"where": "sigma"}, list(map(combinat.mex_sum, hists[: n_max + 1])),
+                 qfactory.sigma_mex_gf(variant, n_max).coeffs))
+    rows += [({"where": "count", "m": m}, [c.get(m, 0) for c in hists[: count_n_max + 1]],
+              qfactory.mex_count_gf(variant, m, count_n_max).coeffs)
+             for m in qfactory.feasible_mex_values(count_n_max)]
+    return _compare_series(f"gf_vs_oracle:{variant.value}",
+                           f"sigma n <= {n_max}, counts n <= {count_n_max}", rows)
 
 
 def check_euler_identity(N: int) -> VerifyReport:
@@ -171,8 +163,9 @@ def check_euler_identity(N: int) -> VerifyReport:
     # (q^2;q^2)_inf is (q;q)_inf at q^2: its coefficients at even exponents.
     q2_q2 = series.from_terms(dict(zip(range(0, N + 1, 2), q_q.coeffs)), N)
     return _compare_series("euler_identity", f"order <= {N}", [
-        ("euler:neg_vs_odd_inverse", a, b),
-        ("euler:neg_vs_even_over_full", a, series.div(q2_q2, q_q)),
+        ({"failed_subcheck": "euler:neg_vs_odd_inverse"}, a.coeffs, b.coeffs),
+        ({"failed_subcheck": "euler:neg_vs_even_over_full"}, a.coeffs,
+         series.div(q2_q2, q_q).coeffs),
     ])
 
 
@@ -189,38 +182,60 @@ def check_identity_suite(N: int) -> VerifyReport:
     sigma-mex series psi(q) / theta(-q), against (-q;q)_inf (the euler
     check builds the same products).  Then the Horner sum for sigma
     against the Andrews-Dyson-Hickerson double sum, the one witness for
-    sigma that shares no series kernel with it.  Last, the all-parts
-    sigma-mex series mod 4 against its closed form: 1 at n = 0, 0 at the
-    squares n >= 1 and 2 elsewhere.  The 2^d overpartitions of a class
-    with d distinct parts share one mex_all, so a class with d >= 2 adds
-    0 mod 4; the d = 1 classes k^(n/k), k | n, add 4 for k = 1 and 2
-    for each k >= 2, so 2(tau(n) + 1) in all, and tau(n) is odd exactly
-    at the squares."""
-    all_mod_4 = series.add_terms(
-        Series((1,) + (2,) * N), {k * k: -2 for k in range(1, math.isqrt(N) + 1)}
-    )
-    return _compare_series("identity_suite", f"order <= {N}", [
+    sigma that shares no series kernel with it.  Then the three sigma-mex
+    series as built.  The all-parts one mod 4 against its closed form: 1
+    at n = 0, 0 at the squares n >= 1 and 2 elsewhere.  The 2^d
+    overpartitions of a class with d distinct parts share one mex_all, so
+    a class with d >= 2 adds 0 mod 4; the d = 1 classes k^(n/k), k | n,
+    add 4 for k = 1 and 2 for each k >= 2, so 2(tau(n) + 1) in all, and
+    tau(n) is odd exactly at the squares.  The overlined one times
+    theta(-q) against sigma, its numerator.  The non-overlined one mod 3:
+    sigma_no(n) = 0 mod 3 when 3 does not divide n, and sigma_no(3m) =
+    Q(m) mod 3, Q the partitions into distinct parts: the series is
+    (-q;q)_inf^3, and (1 + x)^3 = 1 + x^3 mod 3.  Q is read from the
+    defining product (-q;q)_inf, not from the pentagonal series that
+    psi(q) / theta(-q), the series' build, starts from.  A FAIL names
+    its row in failed_subcheck."""
+    all_mod_4 = [1] + [2] * N
+    for k in range(1, math.isqrt(N) + 1):
+        all_mod_4[k * k] = 0
+    no_mod_3 = [0] * (N + 1)
+    no_mod_3[::3] = [c % 3 for c in qfactory.pochhammer(+1, N).coeffs[: N // 3 + 1]]
+    rows = [
         ("identity:phi11_defining_vs_simplified",
-         qfactory.phi11(N), qfactory.phi11_simplified(N)),
+         qfactory.phi11(N).coeffs, qfactory.phi11_simplified(N).coeffs),
         ("identity:all_raw_vs_simplified",
-         qfactory.all_mex_raw_sum(N), qfactory.phi11_simplified(N)),
+         qfactory.all_mex_raw_sum(N).coeffs, qfactory.phi11_simplified(N).coeffs),
         ("identity:overlined_telescoped",
-         qfactory.overlined_mex_weighted_sum(N), qfactory.ramanujan_sigma(N)),
-        ("identity:pbar_theta", qfactory.overpartition_gf(N),
-         series.div(qfactory.pochhammer(+1, N), qfactory.pochhammer(-1, N))),
+         qfactory.overlined_mex_weighted_sum(N).coeffs, qfactory.ramanujan_sigma(N).coeffs),
+        ("identity:pbar_theta", qfactory.overpartition_gf(N).coeffs,
+         series.div(qfactory.pochhammer(+1, N), qfactory.pochhammer(-1, N)).coeffs),
         ("identity:pentagonal",
-         series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)),
-         qfactory.pochhammer(+1, N)),
-        ("identity:sigma_adh", qfactory.ramanujan_sigma(N), qfactory.sigma_adh(N)),
-        ("identity:all_mod_4", Series(tuple(
-            map((3).__and__, qfactory.sigma_mex_gf(MexVariant.ALL, N).coeffs))), all_mod_4),
-    ])
+         series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)).coeffs,
+         qfactory.pochhammer(+1, N).coeffs),
+        ("identity:sigma_adh", qfactory.ramanujan_sigma(N).coeffs, qfactory.sigma_adh(N).coeffs),
+        ("identity:all_mod_4",
+         [c & 3 for c in qfactory.sigma_mex_gf(MexVariant.ALL, N).coeffs], all_mod_4),
+        ("identity:overlined_times_theta", series.mul(
+            qfactory.sigma_mex_gf(MexVariant.OVERLINED, N), qfactory.theta_neg(N)).coeffs,
+         qfactory.ramanujan_sigma(N).coeffs),
+        ("identity:nonoverlined_mod_3",
+         [c % 3 for c in qfactory.sigma_mex_gf(MexVariant.NON_OVERLINED, N).coeffs], no_mod_3),
+    ]
+    return _compare_series("identity_suite", f"order <= {N}", [
+        ({"failed_subcheck": sub}, a, b) for sub, a, b in rows])
 
 
 MOD2_CHECK_ORDER = 1000  # GF(2) series are compared with Z mod 2 up to here
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # parity bytes to base-2 digits
+
+
+def _bits_mod_2(s: Series) -> int:
+    """The coefficients of s mod 2 as a bitmask, bit n for q^n, by C-level
+    passes: the parity bytes, highest power first, read as base-2 digits."""
+    return int(bytes(map((1).__and__, reversed(s.coeffs))).translate(_BIT_DIGITS), 2)
 
 
 def _lowest(bits: int) -> int:
@@ -232,39 +247,25 @@ def _parity_sweep(name: str, n_max: int, builds, odd: int) -> VerifyReport:
     """The report on the claim that each build (where, builder, args), the
     order N left off args, is odd up to n_max exactly at the set bits of
     the closed-form bitmask odd, q^0 included, so a PASS means every read
-    equals odd in all n_max + 1 bits.  Each GF(2) series is first compared
-    up to MOD2_CHECK_ORDER with its integer series mod 2, packed highest
-    power first into a bitmask by C-level passes; a FAIL there is (n,
-    integer bit, GF(2) bit) with where "mod2:<where>".  Then each read is
-    XORed with odd; a FAIL is (n, closed-form bit, read bit) at the lowest
-    n any read differs, with where the first read that differs there.
-    Refuses n_max < 1 before any build."""
+    equals odd in all n_max + 1 bits.  Every read is built first, over
+    GF(2) to n_max and over Z to MOD2_CHECK_ORDER.  The rows, bitmasks, in
+    order: each read's integer series mod 2 against its GF(2) bits up to
+    MOD2_CHECK_ORDER, where "mod2:<where>", then each read against odd,
+    where the read's own.  They are judged by _judge: a FAIL is (n, bit
+    expected, bit read) at the lowest n any row differs, with the first
+    row that differs there.  Refuses n_max < 1 before any build."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rng_desc = f"1 <= n <= {n_max}"
     m = min(MOD2_CHECK_ORDER, n_max)
-    reads = []
-    for where, builder, args in builds:
-        bits = builder(*args, n_max, ring=series.GF2)
-        full = builder(*args, m)
-        digits = bytes(map((1).__and__, reversed(full.coeffs))).translate(_BIT_DIGITS)
-        diff = (int(digits, 2) ^ bits.bits) & ((1 << (m + 1)) - 1)
-        if diff:
-            n = _lowest(diff)
-            return VerifyReport(
-                name, FAIL, rng_desc, first_failure=(n, full[n] % 2, bits[n]),
-                metrics={"where": f"mod2:{where}"},
-            )
-        reads.append((where, bits))
-    diff = reduce(operator.or_, (bits.bits ^ odd for _, bits in reads))
-    if diff:
-        n = _lowest(diff)
-        where, bits = next((w, b) for w, b in reads if b[n] != odd >> n & 1)
-        return VerifyReport(
-            name, FAIL, rng_desc, first_failure=(n, odd >> n & 1, bits[n]),
-            metrics={"where": where},
-        )
-    return VerifyReport(name, PASS, rng_desc)
+    reads = [(where, builder(*args, n_max, ring=series.GF2).bits, builder(*args, m))
+             for where, builder, args in builds]
+    window = (1 << (m + 1)) - 1
+    rows = [({"where": f"mod2:{where}"}, _bits_mod_2(full), bits & window)
+            for where, bits, full in reads]
+    rows += [({"where": where}, odd, bits) for where, bits, _ in reads]
+    return _judge(name, f"1 <= n <= {n_max}", (
+        (n, a >> n & 1, b >> n & 1, metrics)
+        for metrics, a, b in rows if a != b for n in [_lowest(a ^ b)]))
 
 
 def check_parity_all_even(n_max: int) -> VerifyReport:

@@ -77,9 +77,10 @@ class TestReport:
     def test_failure_carries_witness(self, a_terms, a_order, b_terms, b_order, witness):
         a = se.from_terms(a_terms, a_order)
         b = se.from_terms(b_terms, b_order)
-        r = vf._compare_series("demo", "n <= 4", [("demo:a_vs_b", a, b)])
+        r = vf._compare_series("demo", "n <= 4", [({"row": "a_vs_b"}, a.coeffs, b.coeffs)])
         assert r.passed == (witness is None)
         assert r.first_failure == witness
+        assert r.metrics == ({} if witness is None else {"row": "a_vs_b"})
 
 
 def _bump(series, k):
@@ -261,7 +262,7 @@ class TestEuler:
     def test_perturbed_fails_with_witness(self):
         a = qf.pochhammer(+1, 50)
         bad = se.add(a, se.from_terms({7: 1}, 50))
-        r = vf._compare_series("euler", "n <= 50", [("euler:perturbed", a, bad)])
+        r = vf._compare_series("euler", "n <= 50", [({}, a.coeffs, bad.coeffs)])
         assert not r.passed
         assert r.first_failure[0] == 7
 
@@ -269,16 +270,16 @@ class TestEuler:
     def test_odd_fold_matches_ascending_fold(self, monkeypatch, N):
         seen, compare = {}, vf._compare_series
 
-        def record(name, rng, parts):
-            seen.update((subcheck, b) for subcheck, _, b in parts)
-            return compare(name, rng, parts)
+        def record(name, rng, rows):
+            seen.update((metrics["failed_subcheck"], b) for metrics, _, b in rows)
+            return compare(name, rng, rows)
 
         monkeypatch.setattr(vf, "_compare_series", record)
         vf.check_euler_identity(N)
         b = se.one(N)  # 1/(q;q^2)_inf from the smallest factor up
         for k in range(1, N + 1, 2):
             b = se.div_binomial(b, -1, k)
-        assert seen["euler:neg_vs_odd_inverse"] == b
+        assert seen["euler:neg_vs_odd_inverse"] == b.coeffs
 
     def test_skipped_odd_factor_fails(self, monkeypatch, cold_caches):
         # 1/(q;q^2)_inf missing its factor 1/(1 - q^7) first differs at q^7.
@@ -355,9 +356,18 @@ class TestIdentitySuite:
         _assert_fail(vf.check_identity_suite(300), (123, qf.ramanujan_sigma(300)[123],
                      adh(300)[123] + 1), {"failed_subcheck": "identity:sigma_adh"})
 
+    def test_smallest_n_before_row_order(self, monkeypatch):
+        # The later row breaks at the smaller n, so it is the one reported.
+        raw, adh = qf.all_mex_raw_sum, qf.sigma_adh
+        _seen_by_verify(monkeypatch, qf, all_mex_raw_sum=lambda N: _bump(raw(N), 40),
+                        sigma_adh=lambda N: _bump(adh(N), 20))
+        _assert_fail(vf.check_identity_suite(300), (20, qf.ramanujan_sigma(300)[20],
+                     adh(300)[20] + 1), {"failed_subcheck": "identity:sigma_adh"})
+
     def test_first_differing_row_reported(self, monkeypatch):
-        # sigma is read by two rows; a fault in it alone shows in both, and
-        # the earlier row, identity:overlined_telescoped, is the one reported.
+        # sigma is read by three rows; a fault in it alone shows in each at
+        # the same n, and the first, identity:overlined_telescoped, is the
+        # one reported.
         bumped = _bump(qf.ramanujan_sigma(300), 50)
         _seen_by_verify(monkeypatch, qf, ramanujan_sigma=lambda N: bumped)
         assert bumped[50] != qf.overlined_mex_weighted_sum(300)[50]
@@ -384,6 +394,20 @@ class TestIdentitySuite:
             sigma_gf(v, N), {1500: 2} if v is MexVariant.ALL else {}))
         _assert_fail(vf.check_identity_suite(2000), (1500, 0, 2),
                      {"failed_subcheck": "identity:all_mod_4"})
+
+    @pytest.mark.parametrize("variant,subcheck", [
+        (MexVariant.OVERLINED, "identity:overlined_times_theta"),
+        (MexVariant.NON_OVERLINED, "identity:nonoverlined_mod_3"),
+    ], ids=["overlined", "nonoverlined"])
+    def test_numerator_fault_fails(self, variant, subcheck, monkeypatch):
+        # 2q^1500 added to one quotient's numerator, before the division by
+        # theta(-q), is even, so the parity checks miss it; the quotient
+        # gains 2 P-bar(n - 1500), first 2 at n = 1500.
+        sigma_gf, theta = qf.sigma_mex_gf, qf.theta_neg(2000)
+        faulted = se.div(se.add_terms(se.mul(sigma_gf(variant, 2000), theta), {1500: 2}), theta)
+        _seen_by_verify(monkeypatch, qf, sigma_mex_gf=lambda v, N: (
+            faulted if v is variant else sigma_gf(v, N)))
+        _assert_fail(vf.check_identity_suite(2000), 1500, {"failed_subcheck": subcheck})
 
 
 class TestParity:
@@ -549,8 +573,11 @@ class TestParity:
          (vf.MOD2_CHECK_ORDER, 0, 1), "mod2:overpartition_number"),
         (vf.check_parity_density, {(MexVariant.OVERLINED,): [vf.MOD2_CHECK_ORDER]},
          (vf.MOD2_CHECK_ORDER, 0, 1), "mod2:sigma_mex_overlined"),
+        # The later read breaks first, so it is the one reported.
+        (vf.check_parity_all_even, {(): [800], (MexVariant.ALL,): [300]},
+         (300, 0, 1), "mod2:sigma_mex_all"),
     ], ids=["two_in_pbar", "adjacent_in_all_parts", "triangular", "at_check_order",
-            "density_at_check_order"])
+            "density_at_check_order", "later_read_first"])
     def test_mod2_guard_witness(self, check, flips, witness, where, monkeypatch):
         _flip_gf2_bits(monkeypatch, flips)
         _assert_fail(check(2000), witness, {"where": where})

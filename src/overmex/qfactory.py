@@ -1,13 +1,15 @@
 """Builders for the named q-series: the sparse theta(-q) and pentagonal
 series, the overpartition generating function P-bar = 1/theta(-q),
-Ramanujan's sigma series, the collapsed 1phi1 sum, the three sigma-mex
-generating functions, each one of these or Gauss's psi(q) over theta(-q),
-and their per-m count series, each a prefix of the cached P-bar times
-binomial factors (1 - q^e).  The defining forms the checks compare
-these with, the Pochhammer products and the 1phi1 defining sum, are folds
-of binomial factors (1 +- q^e), each multiplied or divided in explicitly:
-the Pochhammer products by series.binomial_product, over Z only, and the
-1phi1 sum with each term cut to the coefficients that reach q^N.
+one family Phi_z = sum_n z^n q^(n+1 choose 2) / (-q;q)_n (Ramanujan's
+sigma series at z = 1, the collapsed 1phi1 sum at z = 2), the three
+sigma-mex generating functions, Phi_1, Phi_2 or Gauss's psi(q) over
+theta(-q), and their per-m count series, each a prefix of the cached
+P-bar times binomial factors (1 - q^e).  The defining forms the checks
+compare these with, the Pochhammer products and the 1phi1 defining sum,
+are folds of binomial factors (1 +- q^e), each multiplied or divided in
+explicitly: the Pochhammer products by series.binomial_product, over Z
+only, and the 1phi1 sum with each term cut to the coefficients that
+reach q^N.
 
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
@@ -17,8 +19,9 @@ one polynomial numerator and one division by (1 + q^(m+1)) per step, on
 only the tail of the running sum from the numerator's lowest exponent
 up: each step divides the tail, adds a numerator term that falls inside
 it with add_terms and places the others under it with concat.  sigma(q)
-also has a Z-only form with no series kernel, the Andrews-Dyson-Hickerson
-double sum, that the Horner sum is checked against.
+= Phi_1 also has a Z-only form with no series kernel, the
+Andrews-Dyson-Hickerson double sum, that the Horner sum is checked
+against.
 
 Builders with a `ring` keyword build over Z by default (ring=series) or
 mod 2 (ring=series.GF2) from one body, pochhammer over Z only.  _cached,
@@ -155,16 +158,19 @@ def _negq_sum(N: int, ring, terms):
 
 
 @_cached
-def ramanujan_sigma(N: int, *, ring=series):
-    """The Lost Notebook series sum_{m>=0} q^(m+1 choose 2) / (-q;q)_m."""
-    return _negq_sum(N, ring, lambda m: {comb(m + 1, 2): 1})
+def negq_phi(z: int, N: int, *, ring=series):
+    """Phi_z = sum_{n>=0} z^n q^(n+1 choose 2) / (-q;q)_n: at z = 1
+    Ramanujan's Lost Notebook series sigma(q), at z = 2 the collapsed
+    form of the 1phi1 sum, which must agree with phi11 coefficient by
+    coefficient."""
+    return _negq_sum(N, ring, lambda n: {comb(n + 1, 2): z**n})
 
 
 def sigma_adh(N: int) -> Series:
     """sigma(q) to order N by Andrews, Dyson and Hickerson (Invent. Math.
     91, 1988): sum_{n>=0} sum_{|j|<=n} (-1)^(n+j) q^(n(3n+1)/2 - j^2)
     (1 - q^(2n+1)), about 2N signed unit terms and no series kernel; the
-    witness the Horner sum for sigma is checked against."""
+    witness the Horner sum negq_phi(1, N) is checked against."""
     coeffs = [0] * (N + 1)
     n = 0
     while n * (n + 1) // 2 <= N:  # n(3n+1)/2 - n^2, the least exponent
@@ -206,13 +212,6 @@ def phi11(N: int) -> Series:
     return Series(tuple(acc))
 
 
-@_cached
-def phi11_simplified(N: int, *, ring=series):
-    """The collapsed form sum_n 2^n q^(n+1 choose 2) / (-q;q)_n; must agree
-    with phi11 coefficient by coefficient."""
-    return _negq_sum(N, ring, lambda n: {comb(n + 1, 2): 2**n})
-
-
 def overlined_mex_weighted_sum(N: int, *, ring=series):
     """sum_{m>=1} m q^(m choose 2) / (-q;q)_m: the pre-telescoping form
     whose product with the overpartition series gives the overlined
@@ -236,17 +235,15 @@ def sigma_mex_gf(variant: MexVariant, N: int, *, ring=series):
     """Generating function of the chosen sigma-mex statistic; the q^0
     coefficient is 1 under the value-1-at-zero convention in all three
     variants.  Each is P-bar times one q-series, computed as that series
-    divided by theta(-q) = 1 / P-bar: sigma (overlined), the collapsed
-    1phi1 (all parts) and Gauss's psi(q) (non-overlined)."""
-    if variant is MexVariant.OVERLINED:
-        numerator = ramanujan_sigma(N, ring=ring)
-    elif variant is MexVariant.ALL:
-        numerator = phi11_simplified(N, ring=ring)
-    else:
+    divided by theta(-q) = 1 / P-bar: Phi_1 = sigma (overlined), Phi_2 =
+    the collapsed 1phi1 (all parts) and Gauss's psi(q) (non-overlined)."""
+    if variant is MexVariant.NON_OVERLINED:
         # Distinct parts in three colors: (-q;q)_inf^3 = psi(q) / theta(-q),
         # psi(q) = (q^2;q^2)_inf^2 / (q;q)_inf, from two pentagonal series.
         p2, p1 = pentagonal(2, N, ring=ring), pentagonal(1, N, ring=ring)
         numerator = ring.div(ring.mul(p2, p2), p1)
+    else:
+        numerator = negq_phi(1 if variant is MexVariant.OVERLINED else 2, N, ring=ring)
     return ring.div(numerator, theta_neg(N, ring=ring))
 
 

@@ -170,26 +170,28 @@ def check_euler_identity(N: int) -> VerifyReport:
 
 
 def check_identity_suite(N: int) -> VerifyReport:
-    """The exact-series identity chain: the 1phi1 defining sum against its
-    collapsed form, the raw all-parts sum against the collapsed 1phi1, and
-    the pre-telescoping overlined sum against sigma.  The last two are the
-    sigma-mex identities with the common factor P-bar cancelled: P-bar has
-    constant term 1, so P-bar*A and P-bar*B agree to order N exactly when
-    A and B do, first differing at the same n.  Then each sparse fast
-    path against its defining product: P-bar = 1/theta(-q) against
-    (-q;q)_inf / (q;q)_inf, and the pentagonal quotient (q^2;q^2)_inf /
-    (q;q)_inf, whose two series build psi(q) and so the non-overlined
-    sigma-mex series psi(q) / theta(-q), against (-q;q)_inf (the euler
-    check builds the same products).  Then the Horner sum for sigma
-    against the Andrews-Dyson-Hickerson double sum, the one witness for
-    sigma that shares no series kernel with it.  Then the three sigma-mex
-    series as built.  The all-parts one mod 4 against its closed form: 1
-    at n = 0, 0 at the squares n >= 1 and 2 elsewhere.  The 2^d
-    overpartitions of a class with d distinct parts share one mex_all, so
-    a class with d >= 2 adds 0 mod 4; the d = 1 classes k^(n/k), k | n,
-    add 4 for k = 1 and 2 for each k >= 2, so 2(tau(n) + 1) in all, and
-    tau(n) is odd exactly at the squares.  The overlined one times
-    theta(-q) against sigma, its numerator.  The non-overlined one mod 3:
+    """The exact-series identity chain, Phi_z = qfactory.negq_phi(z, N):
+    the 1phi1 defining sum against its collapsed form Phi_2, the raw
+    all-parts sum against Phi_2, and the pre-telescoping overlined sum
+    against sigma = Phi_1.  The last two are the sigma-mex identities
+    with the common factor P-bar cancelled: P-bar has constant term 1, so
+    P-bar*A and P-bar*B agree to order N exactly when A and B do, first
+    differing at the same n.  Then each sparse fast path against its
+    defining product: P-bar = 1/theta(-q) against (-q;q)_inf / (q;q)_inf,
+    and the pentagonal quotient (q^2;q^2)_inf / (q;q)_inf, whose two
+    series build psi(q) and so the non-overlined sigma-mex series
+    psi(q) / theta(-q), against (-q;q)_inf (the euler check builds the
+    same products).  Then the Horner sum Phi_1 against the
+    Andrews-Dyson-Hickerson double sum, the one witness for sigma that
+    shares no series kernel with it.  Then the three sigma-mex series as
+    built.  The all-parts one mod 4 against its closed form: 1 at n = 0,
+    0 at the squares n >= 1 and 2 elsewhere.  The 2^d overpartitions of
+    a class with d distinct parts share one mex_all, so a class with
+    d >= 2 adds 0 mod 4; the d = 1 classes k^(n/k), k | n, add 4 for
+    k = 1 and 2 for each k >= 2, so 2(tau(n) + 1) in all, and tau(n) is
+    odd exactly at the squares.  Each Phi variant times theta(-q) against
+    its numerator, exactly: the overlined one against Phi_1, then the
+    all-parts one against Phi_2.  The non-overlined one mod 3:
     sigma_no(n) = 0 mod 3 when 3 does not divide n, and sigma_no(3m) =
     Q(m) mod 3, Q the partitions into distinct parts: the series is
     (-q;q)_inf^3, and (1 + x)^3 = 1 + x^3 mod 3.  Q is read from the
@@ -201,24 +203,22 @@ def check_identity_suite(N: int) -> VerifyReport:
         all_mod_4[k * k] = 0
     no_mod_3 = [0] * (N + 1)
     no_mod_3[::3] = [c % 3 for c in qfactory.pochhammer(+1, N).coeffs[: N // 3 + 1]]
+    phi = {z: qfactory.negq_phi(z, N).coeffs for z in (1, 2)}
     rows = [
-        ("identity:phi11_defining_vs_simplified",
-         qfactory.phi11(N).coeffs, qfactory.phi11_simplified(N).coeffs),
-        ("identity:all_raw_vs_simplified",
-         qfactory.all_mex_raw_sum(N).coeffs, qfactory.phi11_simplified(N).coeffs),
-        ("identity:overlined_telescoped",
-         qfactory.overlined_mex_weighted_sum(N).coeffs, qfactory.ramanujan_sigma(N).coeffs),
+        ("identity:phi11_defining_vs_simplified", qfactory.phi11(N).coeffs, phi[2]),
+        ("identity:all_raw_vs_simplified", qfactory.all_mex_raw_sum(N).coeffs, phi[2]),
+        ("identity:overlined_telescoped", qfactory.overlined_mex_weighted_sum(N).coeffs, phi[1]),
         ("identity:pbar_theta", qfactory.overpartition_gf(N).coeffs,
          series.div(qfactory.pochhammer(+1, N), qfactory.pochhammer(-1, N)).coeffs),
         ("identity:pentagonal",
          series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)).coeffs,
          qfactory.pochhammer(+1, N).coeffs),
-        ("identity:sigma_adh", qfactory.ramanujan_sigma(N).coeffs, qfactory.sigma_adh(N).coeffs),
+        ("identity:sigma_adh", phi[1], qfactory.sigma_adh(N).coeffs),
         ("identity:all_mod_4",
          [c & 3 for c in qfactory.sigma_mex_gf(MexVariant.ALL, N).coeffs], all_mod_4),
-        ("identity:overlined_times_theta", series.mul(
-            qfactory.sigma_mex_gf(MexVariant.OVERLINED, N), qfactory.theta_neg(N)).coeffs,
-         qfactory.ramanujan_sigma(N).coeffs),
+        *((f"identity:{variant.value}_times_theta", series.mul(
+            qfactory.sigma_mex_gf(variant, N), qfactory.theta_neg(N)).coeffs, phi[z])
+          for variant, z in ((MexVariant.OVERLINED, 1), (MexVariant.ALL, 2))),
         ("identity:nonoverlined_mod_3",
          [c % 3 for c in qfactory.sigma_mex_gf(MexVariant.NON_OVERLINED, N).coeffs], no_mod_3),
     ]
@@ -380,7 +380,7 @@ def check_sigma_taylor() -> VerifyReport:
     term's magnitude."""
     name = "sigma_taylor"
     rng_desc = f"t in {list(SIGMA_TAYLOR_T)}"
-    sigma = qfactory.ramanujan_sigma(SIGMA_TAYLOR_ORDER)
+    sigma = qfactory.negq_phi(1, SIGMA_TAYLOR_ORDER)
     metrics = {}
     for t in SIGMA_TAYLOR_T:
         value = _evaluate(sigma, math.exp(-t))

@@ -6,7 +6,6 @@ import pytest
 from overmex import combinat as cb
 from overmex import qfactory as qf
 from overmex import series as se
-from overmex import verify as vf
 from overmex.qfactory import MexVariant
 
 # Oracle-derived prefixes (exhaustive enumeration, n = 0..10).
@@ -23,8 +22,8 @@ RING_GENERIC = [
     (qf.pentagonal, (1,)),
     (qf.pentagonal, (2,)),
     (qf.overpartition_gf, ()),
-    (qf.ramanujan_sigma, ()),
-    (qf.phi11_simplified, ()),
+    (qf.negq_phi, (1,)),
+    (qf.negq_phi, (2,)),
     (qf.overlined_mex_weighted_sum, ()),
     (qf.all_mex_raw_sum, ()),
 ] + [(qf.sigma_mex_gf, (v,)) for v in MexVariant]
@@ -33,7 +32,7 @@ Z_ONLY = [(qf.pochhammer, (-1,)), (qf.pochhammer, (+1,))]
 # The builders behind _cached: those whose series some run reads twice.
 CACHED = {
     "pochhammer", "theta_neg", "pentagonal", "overpartition_gf",
-    "ramanujan_sigma", "phi11_simplified", "sigma_mex_gf",
+    "negq_phi", "sigma_mex_gf",
 }
 
 
@@ -90,9 +89,10 @@ class TestRings:
     # numerator's lowest exponent one past, at and one below q^N.
     @pytest.mark.parametrize("N", [0, 1, 2, 50, 54, 55, 56, 90, 91, 92, 300, 2000])
     def test_negq_sums_match_running_inverse(self, ring, N):
-        for builder, terms in NEGQ_SUMS:
+        for builder, args, terms in NEGQ_SUMS:
             expected = _negq_sum_by_running_inverse(N, ring, terms)
-            assert _values(builder(N, ring=ring)) == _values(expected), builder.__name__
+            assert _values(builder(*args, N, ring=ring)) == _values(expected), (
+                builder.__name__, args)
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 11, 12, 100])
@@ -156,14 +156,16 @@ class TestRings:
         assert qf.overpartition_gf.cache_info().currsize == before + 2
 
 
-# The four sums over 1/(-q;q)_m as (builder, terms): sum_m terms(m) /
-# (-q;q)_m, terms(m) the m-th numerator as {exponent: coefficient}.
+# The four sums over 1/(-q;q)_m as (builder, args, terms), the order N
+# left off args: sum_m terms(m) / (-q;q)_m, terms(m) the m-th numerator as
+# {exponent: coefficient}.
 NEGQ_SUMS = [
-    (qf.ramanujan_sigma, lambda m: {comb(m + 1, 2): 1}),
-    (qf.phi11_simplified, lambda m: {comb(m + 1, 2): 2**m}),
-    (qf.overlined_mex_weighted_sum, lambda m: {comb(m, 2): m}),
+    (qf.negq_phi, (1,), lambda m: {comb(m + 1, 2): 1}),
+    (qf.negq_phi, (2,), lambda m: {comb(m + 1, 2): 2**m}),
+    (qf.overlined_mex_weighted_sum, (), lambda m: {comb(m, 2): m}),
     # m 2^(m-1) q^(m choose 2) (1 - q^m)
-    (qf.all_mex_raw_sum, lambda m: {comb(m, 2): m * 2**m // 2, comb(m + 1, 2): -(m * 2**m // 2)}),
+    (qf.all_mex_raw_sum, (),
+     lambda m: {comb(m, 2): m * 2**m // 2, comb(m + 1, 2): -(m * 2**m // 2)}),
 ]
 
 
@@ -227,22 +229,15 @@ class TestOverpartitionGf:
 
 class TestRamanujanSigma:
     def test_low_coefficients(self):
-        s = qf.ramanujan_sigma(10)
+        s = qf.negq_phi(1, 10)
         assert s[0] == 1
         assert s[1] == 1
-
-    def test_taylor_at_small_t(self):
-        # sigma(e^-t) = 2 - 2t + 5t^2 - (55/3)t^3 + (1073/12)t^4 - ...
-        t = 0.05
-        value = vf._evaluate(qf.ramanujan_sigma(400), math.exp(-t))
-        poly = 2 - 2 * t + 5 * t**2 - 55 / 3 * t**3 + 1073 / 12 * t**4
-        assert abs(value - poly) <= 2 * (32671 / 60) * t**5
 
 
 class TestSigmaAdh:
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 6, 7, 300, 2500, 10000])
     def test_matches_horner_sum(self, N):
-        assert qf.sigma_adh(N) == qf.ramanujan_sigma(N)
+        assert qf.sigma_adh(N) == qf.negq_phi(1, N)
 
     def test_parity_is_pentagonal(self):
         # The j and -j terms cancel mod 2: sigma = (q;q)_inf mod 2.
@@ -286,8 +281,8 @@ class TestDistinctPartWitness:
         sigma, phi11, q = _distinct_part_tallies(N)
         q2 = [sum(q[i] * q[n - i] for i in range(n + 1)) for n in range(N + 1)]
         q3 = [sum(q[i] * q2[n - i] for i in range(n + 1)) for n in range(N + 1)]
-        assert list(qf.ramanujan_sigma(N).coeffs) == sigma
-        assert list(qf.phi11_simplified(N).coeffs) == phi11
+        assert list(qf.negq_phi(1, N).coeffs) == sigma
+        assert list(qf.negq_phi(2, N).coeffs) == phi11
         assert list(qf.sigma_mex_gf(MexVariant.NON_OVERLINED, N).coeffs) == q3
 
 
@@ -298,7 +293,7 @@ class TestPhi11:
     def test_defining_equals_simplified(self):
         # N = 0, 1, 2: the n = 1 term's q^1, and the n = 2 term's q^3 past N.
         for N in (0, 1, 2, 300):
-            assert qf.phi11(N).coeffs == qf.phi11_simplified(N).coeffs, N
+            assert qf.phi11(N).coeffs == qf.negq_phi(2, N).coeffs, N
 
     # C(n+1, 2) = 1, 3, 6, 10, 45 and the orders one either side: the last
     # term reaches q^N by one coefficient, none, or two.
@@ -532,20 +527,6 @@ def _count_gf_by_factors(variant, m, N):
 
 
 class TestIdentityChains:
-    def test_overlined_telescoping(self):
-        N = 300
-        pbar = qf.overpartition_gf(N)
-        lhs = se.mul(pbar, qf.overlined_mex_weighted_sum(N))
-        rhs = se.mul(pbar, qf.ramanujan_sigma(N))
-        assert lhs.coeffs == rhs.coeffs
-
-    def test_all_raw_equals_simplified(self):
-        N = 300
-        pbar = qf.overpartition_gf(N)
-        lhs = se.mul(pbar, qf.all_mex_raw_sum(N))
-        rhs = se.mul(pbar, qf.phi11_simplified(N))
-        assert lhs.coeffs == rhs.coeffs
-
     def test_feasibility_bound(self):
         # m is feasible iff the forced parts 1..m-1 fit inside n.
         for n in (0, 1, 5, 20):

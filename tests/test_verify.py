@@ -353,7 +353,7 @@ class TestIdentitySuite:
     def test_perturbed_adh_term_fails(self, monkeypatch):
         adh = qf.sigma_adh
         monkeypatch.setattr(qf, "sigma_adh", lambda N: _bump(adh(N), 123))
-        _assert_fail(vf.check_identity_suite(300), (123, qf.ramanujan_sigma(300)[123],
+        _assert_fail(vf.check_identity_suite(300), (123, qf.negq_phi(1, 300)[123],
                      adh(300)[123] + 1), {"failed_subcheck": "identity:sigma_adh"})
 
     def test_smallest_n_before_row_order(self, monkeypatch):
@@ -361,15 +361,16 @@ class TestIdentitySuite:
         raw, adh = qf.all_mex_raw_sum, qf.sigma_adh
         _seen_by_verify(monkeypatch, qf, all_mex_raw_sum=lambda N: _bump(raw(N), 40),
                         sigma_adh=lambda N: _bump(adh(N), 20))
-        _assert_fail(vf.check_identity_suite(300), (20, qf.ramanujan_sigma(300)[20],
+        _assert_fail(vf.check_identity_suite(300), (20, qf.negq_phi(1, 300)[20],
                      adh(300)[20] + 1), {"failed_subcheck": "identity:sigma_adh"})
 
     def test_first_differing_row_reported(self, monkeypatch):
-        # sigma is read by three rows; a fault in it alone shows in each at
-        # the same n, and the first, identity:overlined_telescoped, is the
-        # one reported.
-        bumped = _bump(qf.ramanujan_sigma(300), 50)
-        _seen_by_verify(monkeypatch, qf, ramanujan_sigma=lambda N: bumped)
+        # sigma = Phi_1 is read by three rows; a fault in it alone shows in
+        # each at the same n, and the first, identity:overlined_telescoped,
+        # is the one reported.
+        phi = qf.negq_phi
+        bumped = _bump(phi(1, 300), 50)
+        _seen_by_verify(monkeypatch, qf, negq_phi=lambda z, N: bumped if z == 1 else phi(z, N))
         assert bumped[50] != qf.overlined_mex_weighted_sum(300)[50]
         assert bumped[50] != qf.sigma_adh(300)[50]
         _assert_fail(vf.check_identity_suite(300),
@@ -379,32 +380,37 @@ class TestIdentitySuite:
     def test_perturbed_horner_sigma_fails(self, monkeypatch):
         # The same fault in both Horner sums of the overlined chain is
         # invisible to identity:overlined_telescoped, which compares them
-        # with each other; only the ADH witness sees it.
-        _seen_by_verify(monkeypatch, qf, **{
-            builder: lambda N, f=getattr(qf, builder): _bump(f(N), 77)
-            for builder in ("ramanujan_sigma", "overlined_mex_weighted_sum")})
+        # with each other.  identity:sigma_adh and the built sigma_ov times
+        # theta(-q) both see it at 77, and the ADH row comes first.
+        phi, weighted = qf.negq_phi, qf.overlined_mex_weighted_sum
+        _seen_by_verify(monkeypatch, qf,
+                        negq_phi=lambda z, N: _bump(phi(z, N), 77) if z == 1 else phi(z, N),
+                        overlined_mex_weighted_sum=lambda N: _bump(weighted(N), 77))
         _assert_fail(vf.check_identity_suite(300), 77, {"failed_subcheck": "identity:sigma_adh"})
 
-    def test_sigma_all_fault_only_mod_4_sees(self, monkeypatch):
-        # 2q^1500 in sigma_all alone is even, so the parity checks miss it,
-        # and no other row reads the all-parts quotient; mod 4 it turns the
-        # non-square 1500's residue 2 into 0.
+    def test_sigma_all_fault_mod_4_row_first(self, monkeypatch):
+        # 2q^1500 in sigma_all alone is even, so the parity checks miss it.
+        # Mod 4 it turns the non-square 1500's residue 2 into 0, and times
+        # theta(-q) it moves q^1500 by 2, so identity:all_times_theta sees
+        # it at the same n; identity:all_mod_4 is the earlier row.
         sigma_gf = qf.sigma_mex_gf
         _seen_by_verify(monkeypatch, qf, sigma_mex_gf=lambda v, N: se.add_terms(
             sigma_gf(v, N), {1500: 2} if v is MexVariant.ALL else {}))
         _assert_fail(vf.check_identity_suite(2000), (1500, 0, 2),
                      {"failed_subcheck": "identity:all_mod_4"})
 
-    @pytest.mark.parametrize("variant,subcheck", [
-        (MexVariant.OVERLINED, "identity:overlined_times_theta"),
-        (MexVariant.NON_OVERLINED, "identity:nonoverlined_mod_3"),
-    ], ids=["overlined", "nonoverlined"])
-    def test_numerator_fault_fails(self, variant, subcheck, monkeypatch):
-        # 2q^1500 added to one quotient's numerator, before the division by
+    @pytest.mark.parametrize("variant,c,subcheck", [
+        (MexVariant.OVERLINED, 2, "identity:overlined_times_theta"),
+        (MexVariant.NON_OVERLINED, 2, "identity:nonoverlined_mod_3"),
+        # 2q^1500 would show first as 2 mod 4 in the earlier all_mod_4 row.
+        (MexVariant.ALL, 4, "identity:all_times_theta"),
+    ], ids=["overlined", "nonoverlined", "all"])
+    def test_numerator_fault_fails(self, variant, c, subcheck, monkeypatch):
+        # c q^1500 added to one quotient's numerator, before the division by
         # theta(-q), is even, so the parity checks miss it; the quotient
-        # gains 2 P-bar(n - 1500), first 2 at n = 1500.
+        # gains c P-bar(n - 1500), first c at n = 1500.
         sigma_gf, theta = qf.sigma_mex_gf, qf.theta_neg(2000)
-        faulted = se.div(se.add_terms(se.mul(sigma_gf(variant, 2000), theta), {1500: 2}), theta)
+        faulted = se.div(se.add_terms(se.mul(sigma_gf(variant, 2000), theta), {1500: c}), theta)
         _seen_by_verify(monkeypatch, qf, sigma_mex_gf=lambda v, N: (
             faulted if v is variant else sigma_gf(v, N)))
         _assert_fail(vf.check_identity_suite(2000), 1500, {"failed_subcheck": subcheck})
@@ -739,7 +745,7 @@ class TestSigmaTaylor:
     def test_limit_toward_two(self):
         # Leading expansion term is 2; at t=0.02 the truncation tail at
         # N=400 is already below e^-8 per unit coefficient.
-        sigma = qf.ramanujan_sigma(400)
+        sigma = qf.negq_phi(1, 400)
         assert vf._evaluate(sigma, math.exp(-0.02)) == pytest.approx(2.0, abs=0.05)
 
 

@@ -1,4 +1,5 @@
 """Executable renderings of the theorems: identity equalities to order N,
+the arithmetic laws (congruences and dominance) of the sigma-mex series,
 parity sweeps, density measurements, and asymptotic ratio tables.
 
 Each check returns a VerifyReport; failures carry a concrete witness, and
@@ -8,11 +9,11 @@ takes only what its callers vary.  Every check that reports a witness n
 is a table of rows in a fixed order, each row two sequences compared term
 by term, judged by one rule, _judge: the FAIL is the smallest n at which
 any row differs, with the witness and the metrics of the first row that
-differs there.  The identity checks and gf_vs_oracle compare coefficient
-sequences (_compare_series); the three parity checks are one sweep,
-_parity_sweep, whose rows are bitmasks of series built over GF(2)
-(series.GF2) and of closed forms: whole-int bit operations, no Python
-step per n.
+differs there.  The identity and arithmetic checks and gf_vs_oracle
+compare coefficient sequences (_compare_series); the three parity checks
+are one sweep, _parity_sweep, whose rows are bitmasks of series built
+over GF(2) (series.GF2) and of closed forms: whole-int bit operations,
+no Python step per n.
 The float checks sum and divide exact integers, rounding to a float only
 at the end, so they report at any order: a value past the float range is
 inf.
@@ -183,26 +184,10 @@ def check_identity_suite(N: int) -> VerifyReport:
     psi(q) / theta(-q), against (-q;q)_inf (the euler check builds the
     same products).  Then the Horner sum Phi_1 against the
     Andrews-Dyson-Hickerson double sum, the one witness for sigma that
-    shares no series kernel with it.  Then the three sigma-mex series as
-    built.  The all-parts one mod 4 against its closed form: 1 at n = 0,
-    0 at the squares n >= 1 and 2 elsewhere.  The 2^d overpartitions of
-    a class with d distinct parts share one mex_all, so a class with
-    d >= 2 adds 0 mod 4; the d = 1 classes k^(n/k), k | n, add 4 for
-    k = 1 and 2 for each k >= 2, so 2(tau(n) + 1) in all, and tau(n) is
-    odd exactly at the squares.  Each Phi variant times theta(-q) against
-    its numerator, exactly: the overlined one against Phi_1, then the
-    all-parts one against Phi_2.  The non-overlined one mod 3:
-    sigma_no(n) = 0 mod 3 when 3 does not divide n, and sigma_no(3m) =
-    Q(m) mod 3, Q the partitions into distinct parts: the series is
-    (-q;q)_inf^3, and (1 + x)^3 = 1 + x^3 mod 3.  Q is read from the
-    defining product (-q;q)_inf, not from the pentagonal series that
-    psi(q) / theta(-q), the series' build, starts from.  A FAIL names
-    its row in failed_subcheck."""
-    all_mod_4 = [1] + [2] * N
-    for k in range(1, math.isqrt(N) + 1):
-        all_mod_4[k * k] = 0
-    no_mod_3 = [0] * (N + 1)
-    no_mod_3[::3] = [c % 3 for c in qfactory.pochhammer(+1, N).coeffs[: N // 3 + 1]]
+    shares no series kernel with it.  Then each sigma-mex series over a
+    Phi variant, as built, times theta(-q) against its numerator,
+    exactly: the overlined one against Phi_1, then the all-parts one
+    against Phi_2.  A FAIL names its row in failed_subcheck."""
     phi = {z: qfactory.negq_phi(z, N).coeffs for z in (1, 2)}
     rows = [
         ("identity:phi11_defining_vs_simplified", qfactory.phi11(N).coeffs, phi[2]),
@@ -214,15 +199,48 @@ def check_identity_suite(N: int) -> VerifyReport:
          series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)).coeffs,
          qfactory.pochhammer(+1, N).coeffs),
         ("identity:sigma_adh", phi[1], qfactory.sigma_adh(N).coeffs),
-        ("identity:all_mod_4",
-         [c & 3 for c in qfactory.sigma_mex_gf(MexVariant.ALL, N).coeffs], all_mod_4),
         *((f"identity:{variant.value}_times_theta", series.mul(
             qfactory.sigma_mex_gf(variant, N), qfactory.theta_neg(N)).coeffs, phi[z])
           for variant, z in ((MexVariant.OVERLINED, 1), (MexVariant.ALL, 2))),
-        ("identity:nonoverlined_mod_3",
-         [c % 3 for c in qfactory.sigma_mex_gf(MexVariant.NON_OVERLINED, N).coeffs], no_mod_3),
     ]
     return _compare_series("identity_suite", f"order <= {N}", [
+        ({"failed_subcheck": sub}, a, b) for sub, a, b in rows])
+
+
+def check_arithmetic(N: int) -> VerifyReport:
+    """The arithmetic laws of the three sigma-mex series as built, to
+    order N.  The all-parts one mod 4 against its closed form: 1 at n = 0,
+    0 at the squares n >= 1 and 2 elsewhere.  The 2^d overpartitions of a
+    class with d distinct parts share one mex_all, so a class with d >= 2
+    adds 0 mod 4; the d = 1 classes k^(n/k), k | n, add 4 for k = 1 and 2
+    for each k >= 2, so 2(tau(n) + 1) in all, and tau(n) is odd exactly at
+    the squares.  The non-overlined one mod 3: sigma_no(n) = 0 mod 3 when
+    3 does not divide n, and sigma_no(3m) = Q(m) mod 3, Q the partitions
+    into distinct parts: the series is (-q;q)_inf^3, and (1 + x)^3 =
+    1 + x^3 mod 3.  Q is read from the defining product (-q;q)_inf, not
+    from the pentagonal series that psi(q) / theta(-q), the series' build,
+    starts from.  Then dominance: each overpartition's all-parts set
+    contains its overlined and its non-overlined set, so mex_all >=
+    max(mex_ov, mex_no), and sigma_all >= sigma_v for v overlined, then
+    non-overlined.  Each dominance row compares sigma_all with
+    max(sigma_all, sigma_v), which differ exactly where the law breaks,
+    so its FAIL is (n, sigma_all(n), sigma_v(n)).  A FAIL names its row
+    in failed_subcheck."""
+    sigma = {v: qfactory.sigma_mex_gf(v, N).coeffs for v in MexVariant}
+    all_mod_4 = [1] + [2] * N
+    for k in range(1, math.isqrt(N) + 1):
+        all_mod_4[k * k] = 0
+    no_mod_3 = [0] * (N + 1)
+    no_mod_3[::3] = [c % 3 for c in qfactory.pochhammer(+1, N // 3).coeffs]
+    rows = [
+        ("arithmetic:all_mod_4", [c & 3 for c in sigma[MexVariant.ALL]], all_mod_4),
+        ("arithmetic:nonoverlined_mod_3",
+         [c % 3 for c in sigma[MexVariant.NON_OVERLINED]], no_mod_3),
+        *((f"arithmetic:all_ge_{v.value}", sigma[MexVariant.ALL],
+           list(map(max, sigma[MexVariant.ALL], sigma[v])))
+          for v in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED)),
+    ]
+    return _compare_series("arithmetic", f"order <= {N}", [
         ({"failed_subcheck": sub}, a, b) for sub, a, b in rows])
 
 
@@ -450,4 +468,5 @@ CHECKS = {
     "asym_ratio": lambda order, n: asym_ratio_table(_overlined(order)),
     "sigma_taylor": lambda order, n: check_sigma_taylor(),
     "ingham_scaling": lambda order, n: check_ingham_scaling(_overlined(order)),
+    "arithmetic": lambda order, n: check_arithmetic(order),
 }

@@ -6,6 +6,7 @@ import pytest
 from overmex import combinat as cb
 from overmex import qfactory as qf
 from overmex import series as se
+from overmex import verify as vf
 from overmex.qfactory import MexVariant
 
 # Oracle-derived prefixes (exhaustive enumeration, n = 0..10).
@@ -535,60 +536,51 @@ class TestIdentityChains:
             assert comb(ms[-1] + 1, 2) > n
 
 
-def _sigma_all_mod_4(n):
-    """sigma_all(n) mod 4 for n >= 1: 0 at squares, 2 elsewhere."""
-    return 0 if math.isqrt(n) ** 2 == n else 2
-
-
-def arithmetic_law_breaks(N):
-    """Each n <= N that breaks one of three laws on the sigma-mex series.
-
-    sigma_all(n) = 0 mod 4 when n >= 1 is a square and 2 otherwise.  The
-    2^d overpartitions of a class with d distinct parts share one mex_all,
-    so a class with d >= 2 adds 2^d mex_all = 0 mod 4.  The d = 1 classes
-    are k^(n/k) for k | n: mex_all is 2 for k = 1, adding 4, and 1 for
-    k >= 2, adding 2; so 2(tau(n) + 1) in all, and tau(n) is odd exactly at
-    squares.
-
-    sigma_no(n) = 0 mod 3 when 3 does not divide n, and sigma_no(3m) =
-    Q(m) mod 3, Q the partitions into distinct parts: the series is
-    (-q;q)_inf^3, and (1 + x)^3 = 1 + x^3 mod 3.  Q is read from the
-    defining product (-q;q)_inf, not from the pentagonal series that
-    psi(q) / theta(-q), the series' build, starts from.
-
-    sigma_all(n) >= sigma_ov(n) and >= sigma_no(n): each overpartition's
-    all-parts set contains its overlined and its non-overlined set, so
-    mex_all >= max(mex_ov, mex_no)."""
-    s = {v.value: qf.sigma_mex_gf(v, N).coeffs for v in MexVariant}
-    distinct = qf.pochhammer(+1, N // 3).coeffs
-    breaks = [f"sigma_all({n}) mod 4" for n in range(1, N + 1)
-              if s["all"][n] % 4 != _sigma_all_mod_4(n)]
-    breaks += [f"sigma_nonoverlined({n}) mod 3" for n in range(N + 1)
-               if s["nonoverlined"][n] % 3 != (0 if n % 3 else distinct[n // 3] % 3)]
-    breaks += [f"sigma_all({n}) < sigma_{v}({n})" for v in ("overlined", "nonoverlined")
-               for n in range(N + 1) if s["all"][n] < s[v][n]]
-    return breaks
+def _faulted_sigma(monkeypatch, variant, terms):
+    """qf.sigma_mex_gf with the terms {n: c} added to variant's series."""
+    built = qf.sigma_mex_gf
+    monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: (
+        se.add_terms(built(v, N), terms) if v is variant else built(v, N)))
 
 
 class TestArithmeticLaws:
-    """Each law's breaks at order 2000, read from the one body above."""
+    """verify.check_arithmetic at order 2000, the one body of the mod-4,
+    mod-3 and dominance laws: they hold, and a fault that breaks one is
+    reported in that law's row."""
 
     def test_broken_law_is_named(self, monkeypatch):
-        built = qf.sigma_mex_gf
-        monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: (
-            se.add(built(v, N), se.from_terms({1000: 2}, N)) if v is MexVariant.ALL
-            else built(v, N)))
-        assert arithmetic_law_breaks(2000) == ["sigma_all(1000) mod 4"]
+        # 2q^1000 turns the non-square 1000's residue 2 into 0.
+        _faulted_sigma(monkeypatch, MexVariant.ALL, {1000: 2})
+        r = vf.check_arithmetic(2000)
+        assert (r.status, r.first_failure, r.metrics) == (
+            vf.FAIL, (1000, 0, 2), {"failed_subcheck": "arithmetic:all_mod_4"})
 
     def test_all_parts_mod_4(self):
-        assert [b for b in arithmetic_law_breaks(2000) if b.endswith(" mod 4")] == []
-        # The same law on the oracle side, from the class walk.
+        assert vf.check_arithmetic(2000).to_dict() == {
+            "check_name": "arithmetic", "status": vf.PASS, "range_checked": "order <= 2000"}
+        # The same law on the oracle side, from the class walk: 0 at the
+        # squares n >= 1 and 2 elsewhere.
         hists = cb.mex_histograms(25)
-        oracle = {n: cb.mex_sum(hists[n][MexVariant.ALL]) for n in range(1, 26)}
-        assert [n for n, s in oracle.items() if s % 4 != _sigma_all_mod_4(n)] == []
+        assert [n for n in range(1, 26) if cb.mex_sum(hists[n][MexVariant.ALL]) % 4
+                != (0 if math.isqrt(n) ** 2 == n else 2)] == []
 
-    def test_nonoverlined_mod_3(self):
-        assert [b for b in arithmetic_law_breaks(2000) if b.endswith(" mod 3")] == []
+    def test_nonoverlined_mod_3(self, monkeypatch):
+        # q^1000 moves the residue at 1000, not a multiple of 3, off 0.
+        _faulted_sigma(monkeypatch, MexVariant.NON_OVERLINED, {1000: 1})
+        r = vf.check_arithmetic(2000)
+        assert (r.status, r.first_failure, r.metrics) == (
+            vf.FAIL, (1000, 1, 0), {"failed_subcheck": "arithmetic:nonoverlined_mod_3"})
 
-    def test_summed_mex_dominance(self):
-        assert [b for b in arithmetic_law_breaks(2000) if " < " in b] == []
+    def test_summed_mex_dominance(self, monkeypatch):
+        # sigma_v(700) raised past sigma_all(700), one dominance row at a
+        # time; the rise is a multiple of 3, so the mod-3 row, which reads
+        # sigma_no, still holds there.
+        for variant in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED):
+            all_700, v_700 = (qf.sigma_mex_gf(v, 2000)[700] for v in (MexVariant.ALL, variant))
+            rise = 3 * (all_700 + 1)
+            with monkeypatch.context() as m:
+                _faulted_sigma(m, variant, {700: rise})
+                r = vf.check_arithmetic(2000)
+            assert (r.status, r.first_failure, r.metrics) == (
+                vf.FAIL, (700, all_700, v_700 + rise),
+                {"failed_subcheck": f"arithmetic:all_ge_{variant.value}"}), variant

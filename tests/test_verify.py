@@ -390,30 +390,33 @@ class TestIdentitySuite:
 
     def test_sigma_all_fault_mod_4_row_first(self, monkeypatch):
         # 2q^1500 in sigma_all alone is even, so the parity checks miss it.
-        # Mod 4 it turns the non-square 1500's residue 2 into 0, and times
-        # theta(-q) it moves q^1500 by 2, so identity:all_times_theta sees
-        # it at the same n; identity:all_mod_4 is the earlier row.
+        # Times theta(-q) it moves q^1500 by 2, so identity:all_times_theta
+        # sees it; mod 4 it turns the non-square 1500's residue 2 into 0,
+        # and arithmetic:all_mod_4, the first of the arithmetic rows, sees it.
         sigma_gf = qf.sigma_mex_gf
         _seen_by_verify(monkeypatch, qf, sigma_mex_gf=lambda v, N: se.add_terms(
             sigma_gf(v, N), {1500: 2} if v is MexVariant.ALL else {}))
-        _assert_fail(vf.check_identity_suite(2000), (1500, 0, 2),
-                     {"failed_subcheck": "identity:all_mod_4"})
+        _assert_fail(vf.check_identity_suite(2000), 1500,
+                     {"failed_subcheck": "identity:all_times_theta"})
+        _assert_fail(vf.check_arithmetic(2000), (1500, 0, 2),
+                     {"failed_subcheck": "arithmetic:all_mod_4"})
 
-    @pytest.mark.parametrize("variant,c,subcheck", [
-        (MexVariant.OVERLINED, 2, "identity:overlined_times_theta"),
-        (MexVariant.NON_OVERLINED, 2, "identity:nonoverlined_mod_3"),
-        # 2q^1500 would show first as 2 mod 4 in the earlier all_mod_4 row.
-        (MexVariant.ALL, 4, "identity:all_times_theta"),
+    @pytest.mark.parametrize("variant,c,check,subcheck", [
+        (MexVariant.OVERLINED, 2, vf.check_identity_suite, "identity:overlined_times_theta"),
+        (MexVariant.NON_OVERLINED, 2, vf.check_arithmetic, "arithmetic:nonoverlined_mod_3"),
+        # 4q^1500 is 0 mod 4 as well, so only the exact row can see it.
+        (MexVariant.ALL, 4, vf.check_identity_suite, "identity:all_times_theta"),
     ], ids=["overlined", "nonoverlined", "all"])
-    def test_numerator_fault_fails(self, variant, c, subcheck, monkeypatch):
+    def test_numerator_fault_fails(self, variant, c, check, subcheck, monkeypatch):
         # c q^1500 added to one quotient's numerator, before the division by
         # theta(-q), is even, so the parity checks miss it; the quotient
-        # gains c P-bar(n - 1500), first c at n = 1500.
+        # gains c P-bar(n - 1500), first c at n = 1500.  The non-overlined
+        # series has no exact numerator row, and its mod-3 law sees it.
         sigma_gf, theta = qf.sigma_mex_gf, qf.theta_neg(2000)
         faulted = se.div(se.add_terms(se.mul(sigma_gf(variant, 2000), theta), {1500: c}), theta)
         _seen_by_verify(monkeypatch, qf, sigma_mex_gf=lambda v, N: (
             faulted if v is variant else sigma_gf(v, N)))
-        _assert_fail(vf.check_identity_suite(2000), 1500, {"failed_subcheck": subcheck})
+        _assert_fail(check(2000), 1500, {"failed_subcheck": subcheck})
 
 
 class TestParity:

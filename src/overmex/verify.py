@@ -1,6 +1,7 @@
 """Executable renderings of the theorems: identity equalities to order N,
 the arithmetic laws (congruences and dominance) of the sigma-mex series,
-parity sweeps, density measurements, and asymptotic ratio tables.
+the laws of the per-m count series (sums and dominance), parity sweeps,
+density measurements, and asymptotic ratio tables.
 
 Each check returns a VerifyReport; failures carry a concrete witness, and
 nothing here raises on a mathematical mismatch.  Each check is one fixed
@@ -9,11 +10,11 @@ takes only what its callers vary.  Every check that reports a witness n
 is a table of rows in a fixed order, each row two sequences compared term
 by term, judged by one rule, _judge: the FAIL is the smallest n at which
 any row differs, with the witness and the metrics of the first row that
-differs there.  The identity and arithmetic checks and gf_vs_oracle
-compare coefficient sequences (_compare_series); the three parity checks
-are one sweep, _parity_sweep, whose rows are bitmasks of series built
-over GF(2) (series.GF2) and of closed forms: whole-int bit operations,
-no Python step per n.
+differs there.  The identity, arithmetic and count-series checks and
+gf_vs_oracle compare coefficient sequences (_compare_series); the three
+parity checks are one sweep, _parity_sweep, whose rows are bitmasks of
+series built over GF(2) (series.GF2) and of closed forms: whole-int bit
+operations, no Python step per n.
 The float checks sum and divide exact integers, rounding to a float only
 at the end, so they report at any order: a value past the float range is
 inf.
@@ -244,6 +245,42 @@ def check_arithmetic(N: int) -> VerifyReport:
         ({"failed_subcheck": sub}, a, b) for sub, a, b in rows])
 
 
+COUNT_SERIES_ORDER = 300  # the count-series laws in a default run: every m <= 25
+
+
+def check_count_series(N: int) -> VerifyReport:
+    """The laws of the per-m count series c_m = qfactory.mex_count_gf, to
+    order N, read from their tails #{mex >= m}, summed over every feasible
+    m from the largest down.  For each variant: the tail at m = 1, every
+    overpartition, against P-bar, then the sum of the tails against the
+    sigma-mex series, as sum_m m c_m = sum_m #{mex >= m}.  Then
+    dominance: each overpartition's all-parts set contains its overlined
+    and its non-overlined set, so its mex_all is at least the other two,
+    and the all-parts tail at m is at least the tail of v at m, for v
+    overlined, then non-overlined, one row per m.  Each dominance row
+    compares the all-parts tail with max(all-parts tail, tail of v), so
+    its FAIL is (n, #all, #v) with the metric m.  A FAIL names its row in
+    failed_subcheck."""
+    ms = qfactory.feasible_mex_values(N)
+    tails = {}  # tails[v][m]: #{mex >= m} by n
+    for v in MexVariant:
+        tail, tails[v] = [0] * (N + 1), {}
+        for m in reversed(ms):
+            c = qfactory.mex_count_gf(v, m, N).coeffs
+            tail = tails[v][m] = list(map(operator.add, tail, c))
+    pbar = qfactory.overpartition_gf(N).coeffs
+    rows = []
+    for v in MexVariant:
+        rows += [({"failed_subcheck": f"count_series:{v.value}_sum"}, tails[v][1], pbar),
+                 ({"failed_subcheck": f"count_series:{v.value}_weighted"},
+                  list(map(sum, zip(*tails[v].values()))),
+                  qfactory.sigma_mex_gf(v, N).coeffs)]
+    rows += [({"failed_subcheck": f"count_series:all_ge_{v.value}", "m": m},
+              tails[MexVariant.ALL][m], list(map(max, tails[MexVariant.ALL][m], tails[v][m])))
+             for v in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED) for m in ms]
+    return _compare_series("count_series", f"order <= {N}", rows)
+
+
 MOD2_CHECK_ORDER = 1000  # GF(2) series are compared with Z mod 2 up to here
 
 
@@ -469,4 +506,5 @@ CHECKS = {
     "sigma_taylor": lambda order, n: check_sigma_taylor(),
     "ingham_scaling": lambda order, n: check_ingham_scaling(_overlined(order)),
     "arithmetic": lambda order, n: check_arithmetic(order),
+    "count_series": lambda order, n: check_count_series(COUNT_SERIES_ORDER),
 }

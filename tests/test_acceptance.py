@@ -10,7 +10,6 @@ import pytest
 
 from overmex import cli, combinat as cb, qfactory as qf, series as se, verify as vf
 from overmex.qfactory import MexVariant
-from test_qfactory import count_series_breaks
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +57,14 @@ def test_criterion_2_series_equals_oracle(variant):
 
 
 def test_criterion_3_identity_suite_order_2000():
-    """Exact-integer identity chain at truncation order 2000."""
+    """Exact-integer identity chain and arithmetic laws at truncation
+    order 2000."""
     euler = vf.check_euler_identity(2000)
     assert euler.passed, euler.to_dict()
     chain = vf.check_identity_suite(2000)
     assert chain.passed, chain.to_dict()
+    arithmetic = vf.check_arithmetic(2000)
+    assert arithmetic.passed, arithmetic.to_dict()
 
 
 def test_criterion_4_parity_theorems():
@@ -122,7 +124,8 @@ def test_criterion_9_property_suite():
         for _, m_non, m_over, m_all in cb.overpartitions(n):
             assert m_over <= m_all and m_non <= m_all
 
-    assert count_series_breaks(20) == []
+    counts = vf.check_count_series(20)
+    assert counts.passed, counts.to_dict()
 
     rng = random.Random(99)
     for _ in range(50):

@@ -468,6 +468,7 @@ _CHECKS = (
     "gf_vs_oracle:nonoverlined", "gf_vs_oracle:overlined", "gf_vs_oracle:all",
     "euler", "identities", "parity_all_even", "parity_density",
     "triangular_parity", "asym_ratio", "sigma_taylor", "ingham_scaling", "arithmetic",
+    "count_series",
 )
 # Each subcommand's options, plus --order for table, which table does not
 # accept.  Every accepted run is small: a --max-n above 8 is refused before

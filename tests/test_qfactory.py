@@ -389,28 +389,11 @@ def _negq_cubed_dense(N, ring):
     return mul(mul(negq, negq), negq)
 
 
-def count_series_breaks(N):
-    """Each break, at order N, of three laws on the per-m count series:
-    for each variant, the counts sum to P-bar and the m-weighted counts to
-    the sigma-mex series; and each overpartition's all-parts set contains
-    its overlined and its non-overlined set, so the tail sums #{mex >= m}
-    of the all-parts counts bound those of the other two at every n and m.
-    The weighted sum is read from the tails, as sum_m m c_m = sum_m
-    #{mex >= m}."""
-    breaks, tails = [], {}
-    for v in MexVariant:
-        tail, tails[v] = [0] * (N + 1), {}
-        for m in reversed(qf.feasible_mex_values(N)):
-            tail = tails[v][m] = list(map(int.__add__, tail, qf.mex_count_gf(v, m, N).coeffs))
-        if tail != list(qf.overpartition_gf(N).coeffs):  # #{mex >= 1}
-            breaks.append(f"{v.value}: counts do not sum to P-bar")
-        if list(map(sum, zip(*tails[v].values()))) != list(qf.sigma_mex_gf(v, N).coeffs):
-            breaks.append(f"{v.value}: weighted counts do not sum to sigma")
-    for v in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED):
-        breaks += [f"#(mex_all >= {m}) < #(mex_{v.value} >= {m})"
-                   for m, tail in tails[v].items()
-                   if any(map(int.__lt__, tails[MexVariant.ALL][m], tail))]
-    return breaks
+@pytest.fixture(scope="module")
+def count_series_300():
+    """verify.check_count_series at order 300, every feasible m up to 25:
+    the one body of the count-series laws, read by each law's test."""
+    return vf.check_count_series(300)
 
 
 class TestMexCountGf:
@@ -422,31 +405,52 @@ class TestMexCountGf:
         with pytest.raises(ValueError):
             qf.mex_count_gf(MexVariant.ALL, 0, 5)
 
-    # Each law's breaks at order 300, read from the one body above.
+    # Each law at order 300: a PASS means every row of the table holds, the
+    # variant's sum and weighted-sum rows and every dominance row among them.
     @pytest.mark.parametrize("variant", list(MexVariant))
-    def test_counts_sum_to_overpartition_numbers(self, variant):
-        assert f"{variant.value}: counts do not sum to P-bar" not in count_series_breaks(300)
+    def test_counts_sum_to_overpartition_numbers(self, variant, count_series_300):
+        assert count_series_300.passed, (f"count_series:{variant.value}_sum",
+                                         count_series_300.to_dict())
 
     @pytest.mark.parametrize("variant", list(MexVariant))
-    def test_weighted_counts_sum_to_sigma(self, variant):
+    def test_weighted_counts_sum_to_sigma(self, variant, count_series_300):
         # Every feasible m up to 25, odd and even, against all three sigma builders.
-        assert f"{variant.value}: weighted counts do not sum to sigma" not in (
-            count_series_breaks(300))
+        assert count_series_300.passed, (f"count_series:{variant.value}_weighted",
+                                         count_series_300.to_dict())
 
-    def test_all_parts_mex_dominates(self):
-        assert [b for b in count_series_breaks(300) if b.startswith("#(mex_all >= ")] == []
+    def test_all_parts_mex_dominates(self, count_series_300, monkeypatch):
+        assert count_series_300.to_dict() == {
+            "check_name": "count_series", "status": vf.PASS, "range_checked": "order <= 300"}
+        # One negative control per dominance row: x, -2x, x added to v's
+        # counts at m = 1, 2, 3 and n = 100 leave every tail but those at
+        # m = 2 (down x) and m = 3 (up x) as they were, so both sums hold,
+        # and x lifts v's tail at m = 3 past the all-parts one.
+        built = qf.mex_count_gf
+        tail_3 = {v: sum(built(v, m, 300)[100] for m in qf.feasible_mex_values(300)[2:])
+                  for v in MexVariant}
+        x = tail_3[MexVariant.ALL] + 1
+        for variant in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED):
+            with monkeypatch.context() as patch:
+                patch.setattr(qf, "mex_count_gf", lambda v, m, N, variant=variant: (
+                    se.add_terms(built(v, m, N), {100: (x, -2 * x, x)[m - 1]})
+                    if v is variant and m <= 3 else built(v, m, N)))
+                r = vf.check_count_series(300)
+            assert (r.status, r.first_failure, r.metrics) == (
+                vf.FAIL, (100, tail_3[MexVariant.ALL], tail_3[variant] + x),
+                {"failed_subcheck": f"count_series:all_ge_{variant.value}", "m": 3}), variant
 
     def test_broken_count_series_is_named(self, monkeypatch):
         # The all-parts counts at m = 25, the largest m at order 300,
-        # dropped: both sums miss them, and the all-parts tails fall below
-        # the others at m = 25 and at m = 1, where all three are P-bar.
+        # dropped: they are nonzero only at n = 300 = C(25, 2), where the
+        # all-parts sums and the tails at m <= 25 all lose them, and the
+        # first row that differs there is the all-parts sum.
         built = qf.mex_count_gf
         monkeypatch.setattr(qf, "mex_count_gf", lambda v, m, N: (
             se.from_terms({}, N) if (v, m) == (MexVariant.ALL, 25) else built(v, m, N)))
-        assert count_series_breaks(300) == [
-            "all: counts do not sum to P-bar", "all: weighted counts do not sum to sigma",
-            *(f"#(mex_all >= {m}) < #(mex_{v} >= {m})"
-              for v in ("overlined", "nonoverlined") for m in (25, 1))]
+        dropped, pbar = built(MexVariant.ALL, 25, 300)[300], qf.overpartition_gf(300)[300]
+        r = vf.check_count_series(300)
+        assert (r.status, r.first_failure, r.metrics) == (
+            vf.FAIL, (300, pbar - dropped, pbar), {"failed_subcheck": "count_series:all_sum"})
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_counts_match_oracle(self, variant):

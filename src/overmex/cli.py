@@ -194,7 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the theorem checks")
     p_verify.add_argument(
-        "--order", type=int, default=2000, help="identity-check series order"
+        "--order", type=int, default=2000,
+        help="series order of euler, identities and arithmetic, and the least "
+        "order of the three parity checks, asym_ratio and ingham_scaling; "
+        "count_series and sigma_taylor run at fixed orders, and the "
+        "gf_vs_oracle checks read --max-n",
     )
     p_verify.add_argument(
         "--max-n", type=int, default=20,

@@ -6,15 +6,20 @@ density measurements, and asymptotic ratio tables.
 Each check returns a VerifyReport; failures carry a concrete witness, and
 nothing here raises on a mathematical mismatch.  Each check is one fixed
 experiment: its tolerances, grids and orders are module constants, and it
-takes only what its callers vary.  Every check that reports a witness n
-is a table of rows in a fixed order, each row two sequences compared term
-by term, judged by one rule, _judge: the FAIL is the smallest n at which
-any row differs, with the witness and the metrics of the first row that
-differs there.  The identity, arithmetic and count-series checks and
-gf_vs_oracle compare coefficient sequences (_compare_series); the three
-parity checks are one sweep, _parity_sweep, whose rows are bitmasks of
-series built over GF(2) (series.GF2) and of closed forms: whole-int bit
-operations, no Python step per n.
+takes only what its callers vary.  The CLI's --order, the order CHECKS
+passes, is the order of euler, identities and arithmetic, and the least
+order of the three parity sweeps, asym_ratio and ingham_scaling, which
+run at max(their constant, order); count_series and sigma_taylor run at
+their constants whatever it says, and the gf_vs_oracle checks read
+--max-n instead.  Every check that reports a witness n is a table of rows
+in a fixed order, each row two sequences compared term by term, judged by
+one rule, _judge: the FAIL is the smallest n at which any row differs,
+with the witness and the metrics of the first row that differs there.
+The identity, arithmetic and count-series checks and gf_vs_oracle
+compare coefficient sequences (_compare_series); the three parity checks
+are one sweep, _parity_sweep, whose rows are bitmasks of series built
+over GF(2) (series.GF2) and of closed forms: whole-int bit operations, no
+Python step per n.
 The float checks sum and divide exact integers, rounding to a float only
 at the end, so they report at any order: a value past the float range is
 inf.
@@ -486,12 +491,19 @@ def check_ingham_scaling(gf: Series) -> VerifyReport:
 # --------------------------------------------------------------------------
 # The checks the CLI runs, in a fixed order
 
+PARITY_SWEEP_N = 10000  # the least n_max of parity_all_even and parity_density
+TRIANGULAR_N = 5000  # the least n_max of triangular_parity
+
+
 def _overlined(order: int) -> Series:  # read by asym_ratio and ingham_scaling
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
     return qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n)
 
 
 #: Every check the CLI runs, in run order: name -> check(order, oracle_n_max).
+#: A check with a least size of its own (the three parity sweeps,
+#: asym_ratio and ingham_scaling) runs at max(that size, order): order
+#: only deepens it.
 CHECKS = {
     **{
         f"gf_vs_oracle:{v.value}": lambda order, n, v=v: check_gf_vs_oracle(v, n)
@@ -499,9 +511,9 @@ CHECKS = {
     },
     "euler": lambda order, n: check_euler_identity(order),
     "identities": lambda order, n: check_identity_suite(order),
-    "parity_all_even": lambda order, n: check_parity_all_even(10000),
-    "parity_density": lambda order, n: check_parity_density(10000),
-    "triangular_parity": lambda order, n: check_triangular_parity(5000),
+    "parity_all_even": lambda order, n: check_parity_all_even(max(PARITY_SWEEP_N, order)),
+    "parity_density": lambda order, n: check_parity_density(max(PARITY_SWEEP_N, order)),
+    "triangular_parity": lambda order, n: check_triangular_parity(max(TRIANGULAR_N, order)),
     "asym_ratio": lambda order, n: asym_ratio_table(_overlined(order)),
     "sigma_taylor": lambda order, n: check_sigma_taylor(),
     "ingham_scaling": lambda order, n: check_ingham_scaling(_overlined(order)),

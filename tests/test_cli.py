@@ -232,6 +232,17 @@ class TestVerify:
             assert code == 0, name
             assert json.loads(out.strip())["status"] == "PASS"
 
+    @pytest.mark.parametrize("name, order, n_max", [
+        ("triangular_parity", 20000, 20000),
+        ("parity_all_even", 20000, 20000),
+        ("triangular_parity", 300, 5000),
+    ])
+    def test_parity_least_order(self, name, order, n_max, capsys):
+        # --order deepens a parity sweep past its own size, never below it.
+        code, out, _ = run(["verify", "--only", name, "--order", str(order)], capsys)
+        assert code == 0
+        assert json.loads(out)["range_checked"] == f"1 <= n <= {n_max}"
+
 
 # sha256 of the stdout of `overmex enum --max-n N` with the given format or
 # --by-class: any change to the listing order or the row format moves it.
@@ -464,12 +475,7 @@ class TestRefusals:
         assert err.count("\n") == 1
 
 
-_CHECKS = (
-    "gf_vs_oracle:nonoverlined", "gf_vs_oracle:overlined", "gf_vs_oracle:all",
-    "euler", "identities", "parity_all_even", "parity_density",
-    "triangular_parity", "asym_ratio", "sigma_taylor", "ingham_scaling", "arithmetic",
-    "count_series",
-)
+_CHECKS = tuple(verify.CHECKS)
 # Each subcommand's options, plus --order for table, which table does not
 # accept.  Every accepted run is small: a --max-n above 8 is refused before
 # any oracle work, a series-only table builds its series at 46, and a verify

@@ -122,6 +122,11 @@ def cmd_verify(args) -> int:
     checks = verify.CHECKS.values() if args.only is None else [verify.CHECKS[args.only]]
     passed = True
     with _output(args.out) as out:
+        if args.only is None:
+            # The Z sigma-mex family at the largest order any check reads
+            # it, asym_ratio's and ingham_scaling's: every later read of
+            # P-bar, Phi_1, Phi_2 or a sigma-mex series is a prefix of it.
+            qfactory.sigma_family(max(args.order, verify.DEFAULT_ASYM_POINTS[-1]))
         # Each report is written, with its progress line, as its check finishes.
         for check in checks:
             r = check(args.order, args.max_n)

@@ -23,6 +23,14 @@ it with add_terms and places the others under it with concat.  sigma(q)
 Andrews-Dyson-Hickerson double sum, that the Horner sum is checked
 against.
 
+P-bar, Phi_1, Phi_2 and the three sigma-mex series are one family,
+sigma_family, which overpartition_gf, negq_phi and sigma_mex_gf read.
+Over Z one Horner sum serves Phi_1 and Phi_2, and one division by
+theta(-q) the four quotients, the series packed as lanes of one integer
+per coefficient: the kernels are exact and Z-linear, so the top lane
+reads back exactly, and each lane below it while it fits the width that
+_lane_widths proves.
+
 Builders with a `ring` keyword build over Z by default (ring=series) or
 mod 2 (ring=series.GF2) from one body, pochhammer over Z only.  _cached,
 the one cache, serves an order as a prefix of the largest built; it sits
@@ -32,6 +40,7 @@ only on builders whose series some run reads twice.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from collections import Counter, namedtuple
 from functools import wraps
@@ -52,11 +61,23 @@ class MexVariant(enum.Enum):
     ALL = "all"
 
 
+def _prefix(value, N: int, ring):
+    """The first N + 1 coefficients of a series, or of each series of a
+    tuple of them: over Z a slice, which shares its integers with value,
+    and mod 2 an add, which truncates to the smaller order."""
+    if isinstance(value, tuple):
+        return type(value)(*(_prefix(s, N, ring) for s in value))
+    if isinstance(value, Series):
+        return Series(value.coeffs[: N + 1])
+    return ring.add(value, ring.from_terms({}, N))
+
+
 def _cached(builder):
     """Cache a builder f(*args, N, ring=...) at the largest order M built
     per leading arguments and ring.  f(M) returns the cached value and
-    f(N) for N < M its first N + 1 coefficients, every builder being exact
-    mod q^(N+1).  cache_info() reads (hits, misses, currsize) and
+    f(N) for N < M its first N + 1 coefficients (of each of its series,
+    for a tuple with a trunc_order), every builder being exact mod
+    q^(N+1).  cache_info() reads (hits, misses, currsize) and
     cache_clear() empties the cache.  Worth its memory only on a series
     that some run reads more than once."""
     built = {}  # (leading args, ring) -> f(M)
@@ -68,8 +89,7 @@ def _cached(builder):
         value = built.get((*lead, ring))
         if value is not None and N <= value.trunc_order:
             stats["hits"] += 1
-            # add truncates to the smaller order: f(M)'s prefix, on either ring
-            return value if N == value.trunc_order else ring.add(value, ring.from_terms({}, N))
+            return value if N == value.trunc_order else _prefix(value, N, ring)
         stats["misses"] += 1
         built[(*lead, ring)] = value = builder(*args, ring=ring)
         return value
@@ -118,14 +138,6 @@ def pentagonal(step: int, N: int, *, ring=series):
     return _theta_type(N, ring, lambda k: step * k * (3 * k - 1) // 2)
 
 
-@_cached
-def overpartition_gf(N: int, *, ring=series):
-    """(-q;q)_inf / (q;q)_inf: coefficient of q^n is the overpartition
-    number.  Built by Gauss's identity as 1 / theta(-q), one division by
-    a series of about sqrt(N) terms."""
-    return ring.div(ring.one(N), theta_neg(N, ring=ring))
-
-
 def _negq_sum(N: int, ring, terms):
     """sum_{m>=0} terms(m) / (-q;q)_m to order N, where terms(m) is the m-th
     numerator as a {exponent: coefficient} polynomial whose lowest
@@ -157,13 +169,98 @@ def _negq_sum(N: int, ring, terms):
     return tail
 
 
+class SigmaFamily(namedtuple("SigmaFamily", "pbar phi_1 phi_2 overlined all nonoverlined")):
+    """The six series sigma_family builds at one order: P-bar, Phi_1,
+    Phi_2, and the sigma-mex series, one field per MexVariant value."""
+
+    __slots__ = ()
+    trunc_order = property(lambda self: self.pbar.trunc_order)
+
+
+def _lane_widths(N: int) -> tuple:
+    """The lane widths of sigma_family at order N, proved from N alone:
+    one for Phi_1, the lower lane of the Horner sum, and one for P-bar,
+    sigma_ov and sigma_all, the lower lanes of the division.  A top lane
+    (Phi_2, sigma_no) carries into none, so it needs no width.  Each width
+    is a sign bit above a bound on its lanes' coefficients of q^0 .. q^N,
+    a bound that grows with n and is taken at n = N; m_max is the largest
+    m with (m choose 2) <= N.
+
+    Phi_1 = sigma(q) = sum_{n>=0} sum_{|j|<=n} (-1)^(n+j)
+    q^(n(3n+1)/2 - j^2) (1 - q^(2n+1)) (Andrews, Dyson and Hickerson; see
+    sigma_adh).  The least exponent of row n is n(n+1)/2, so m_max rows
+    reach q^k, and in each at most two j put a term +-1 at q^k and two
+    more their q^(2n+1) shifts: |[q^k] Phi_1| <= 4 m_max.
+
+    The quotient lanes are counts, so non-negative.  pbar(n) <=
+    e^(pi sqrt n): pbar(n) e^(-nt) <= P-bar(e^-t) for t > 0, and
+    log P-bar(e^-t) = 2 sum_{odd j} e^(-jt) / (j (1 - e^(-jt))) <=
+    2 sum_{odd j} 1 / (j^2 t) = pi^2 / (4t); take t = pi / (2 sqrt n).
+    A mex m needs the parts 1..m-1, so (m choose 2) <= n and m <= m_max:
+    sigma_v(n) <= m_max pbar(n) < 2^b, b = log2(m_max) + pi sqrt(N) / ln 2.
+    b is computed in floats, a few roundings of relative size 2^-53 each,
+    so to far better than 1e-9 while b < 10^6 (N up to about 10^11); with
+    that margin, ceil(b + 1e-9) + 1 bits hold [0, 2^b) and a sign bit.
+    9 and 210 bits at N = 2000."""
+    m_max = len(feasible_mex_values(N))
+    b = math.log2(m_max) + math.pi * math.sqrt(N) / math.log(2)
+    return (4 * m_max).bit_length() + 1, math.ceil(b + 1e-9) + 1
+
+
+@_cached
+def sigma_family(N: int, *, ring=series) -> SigmaFamily:
+    """P-bar, Phi_1, Phi_2 and the three sigma-mex series to order N, from
+    one Horner sum and one division by theta(-q).  Phi_z = sum_{n>=0}
+    z^n q^(n+1 choose 2) / (-q;q)_n.  Each sigma-mex series is P-bar =
+    1/theta(-q) (Gauss) times one q-series: Phi_1 = sigma (overlined),
+    Phi_2 = the collapsed 1phi1 (all parts) or Gauss's psi(q) =
+    (q^2;q^2)_inf^2 / (q;q)_inf (non-overlined, distinct parts in three
+    colors: (-q;q)_inf^3 = psi(q) / theta(-q)).
+
+    Over Z the series ride as lanes of one integer per coefficient
+    (series.pack), with the widths (V, W) = _lane_widths(N): one _negq_sum
+    of the numerators (1 + 2^n 2^V) q^(n+1 choose 2) gives Phi_1 + Phi_2
+    2^V, and one division of 1 + Phi_1 2^W + Phi_2 2^(2W) + psi 2^(3W) by
+    theta(-q) gives P-bar and the three quotients as lanes.  Every kernel
+    is exact and Z-linear, so each result is its lanes' sum exactly,
+    whatever the sizes on the way, and each lane below the top reads back
+    exactly as it fits its width; the top lane is read whatever its size,
+    so the Horner sum's integers are only Phi_1's few bits longer than
+    Phi_2's.  The packed numerator is released before the quotient is
+    unpacked.  Mod 2 a bitmask holds one series, and the same steps run
+    lane by lane."""
+    theta = theta_neg(N, ring=ring)
+    p2, p1 = pentagonal(2, N, ring=ring), pentagonal(1, N, ring=ring)
+    psi = ring.div(ring.mul(p2, p2), p1)
+    if ring is series:
+        v, w = _lane_widths(N)
+        phi = series.unpack(_negq_sum(N, ring, lambda n: {comb(n + 1, 2): 1 + (2**n << v)}),
+                            2, v)
+        quotient = series.div(series.pack([ring.one(N), *phi, psi], w), theta)
+        pbar, *sigma = series.unpack(quotient, 4, w)
+    else:
+        phi = [_negq_sum(N, ring, lambda n, z=z: {comb(n + 1, 2): z**n}) for z in (1, 2)]
+        pbar, *sigma = (ring.div(x, theta) for x in (ring.one(N), *phi, psi))
+    return SigmaFamily(pbar, *phi, *sigma)
+
+
+@_cached
+def overpartition_gf(N: int, *, ring=series):
+    """(-q;q)_inf / (q;q)_inf: coefficient of q^n is the overpartition
+    number, 1 / theta(-q) by Gauss's identity: sigma_family's P-bar."""
+    return sigma_family(N, ring=ring).pbar
+
+
 @_cached
 def negq_phi(z: int, N: int, *, ring=series):
-    """Phi_z = sum_{n>=0} z^n q^(n+1 choose 2) / (-q;q)_n: at z = 1
-    Ramanujan's Lost Notebook series sigma(q), at z = 2 the collapsed
-    form of the 1phi1 sum, which must agree with phi11 coefficient by
-    coefficient."""
-    return _negq_sum(N, ring, lambda n: {comb(n + 1, 2): z**n})
+    """Phi_z = sum_{n>=0} z^n q^(n+1 choose 2) / (-q;q)_n for z = 1 or 2,
+    read from sigma_family: at z = 1 Ramanujan's Lost Notebook series
+    sigma(q), at z = 2 the collapsed form of the 1phi1 sum, which must
+    agree with phi11 coefficient by coefficient."""
+    if z not in (1, 2):
+        raise ValueError(f"z must be 1 or 2, got {z}")
+    family = sigma_family(N, ring=ring)
+    return family.phi_1 if z == 1 else family.phi_2
 
 
 def sigma_adh(N: int) -> Series:
@@ -234,17 +331,10 @@ def all_mex_raw_sum(N: int, *, ring=series):
 def sigma_mex_gf(variant: MexVariant, N: int, *, ring=series):
     """Generating function of the chosen sigma-mex statistic; the q^0
     coefficient is 1 under the value-1-at-zero convention in all three
-    variants.  Each is P-bar times one q-series, computed as that series
-    divided by theta(-q) = 1 / P-bar: Phi_1 = sigma (overlined), Phi_2 =
-    the collapsed 1phi1 (all parts) and Gauss's psi(q) (non-overlined)."""
-    if variant is MexVariant.NON_OVERLINED:
-        # Distinct parts in three colors: (-q;q)_inf^3 = psi(q) / theta(-q),
-        # psi(q) = (q^2;q^2)_inf^2 / (q;q)_inf, from two pentagonal series.
-        p2, p1 = pentagonal(2, N, ring=ring), pentagonal(1, N, ring=ring)
-        numerator = ring.div(ring.mul(p2, p2), p1)
-    else:
-        numerator = negq_phi(1 if variant is MexVariant.OVERLINED else 2, N, ring=ring)
-    return ring.div(numerator, theta_neg(N, ring=ring))
+    variants.  Each is P-bar times one q-series, read from sigma_family:
+    Phi_1 = sigma (overlined), Phi_2 = the collapsed 1phi1 (all parts) or
+    Gauss's psi(q) (non-overlined), divided by theta(-q) = 1 / P-bar."""
+    return getattr(sigma_family(N, ring=ring), variant.value)
 
 
 def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:

@@ -8,12 +8,14 @@ common case never loses information.
 
 This module is the Z ring the q-series builders are written against:
 one, from_terms, add, add_terms, concat, mul, div, mul_binomial,
-div_binomial and binomial_product.  GF2 is the part of it that the
-builders with a `ring` keyword call mod 2, on Python-int bitmasks: all of
-it but mul_binomial and binomial_product.  The parity checks run every
-GF2 kernel but add_terms, which only the two identity-only sums
-overlined_mex_weighted_sum and all_mex_raw_sum call, and only the tests
-build those mod 2.  A monomial c q^k is from_terms({k: c}, N), so a shift
+div_binomial and binomial_product, and pack and unpack, which hold
+several series as the lanes of one integer per coefficient, so that one
+pass of a Z-linear kernel serves them all.  GF2 is the part of it that
+the builders with a `ring` keyword call mod 2, on Python-int bitmasks:
+all of it but mul_binomial, binomial_product, pack and unpack.  The
+parity checks run every GF2 kernel but add_terms, which only the two
+identity-only sums overlined_mex_weighted_sum and all_mex_raw_sum call,
+and only the tests build those mod 2.  A monomial c q^k is from_terms({k: c}, N), so a shift
 or a scaling is a product with one; concat(head, tail) places a tail
 right above a head, the one kernel that returns a higher order than its
 operands.  Each kernel's docstring gives its cost.
@@ -203,6 +205,41 @@ def binomial_product(sign: int, trunc_order: int) -> Series:
     return Series(tuple(p))
 
 
+def pack(parts, width: int) -> Series:
+    """sum_i parts[i] 2^(width i) to the smallest part's order: each
+    coefficient one integer holding part i in lane i, width bits wide.
+    The kernels above are Z-linear in each series operand, so on one
+    packed operand they do the work of all lanes in one pass (a
+    multiplier or divisor stays unpacked), and unpack reads each lane
+    back exactly if the coefficients of every lane of the result but the
+    top one lie in [-2^(width-1), 2^(width-1)).  Horner's rule in
+    2^width from the top lane down: two C-level passes per lane."""
+    n = min(p.trunc_order for p in parts)
+    acc = parts[-1].coeffs[: n + 1]
+    for p in reversed(parts[:-1]):
+        acc = map(operator.add, map(width.__rlshift__, acc), p.coeffs)
+    return Series(tuple(acc))
+
+
+def unpack(s: Series, k: int, width: int) -> list:
+    """The k lanes of a series packed width bits a lane, each below the
+    top read in [-2^(width-1), 2^(width-1)) and the top lane whatever its
+    size: adding 2^(width-1) to every lane makes each lower lane's digits
+    non-negative, so lane i is bits width i up to width (i + 1) of the
+    biased coefficient, less 2^(width-1), and the top lane all bits from
+    width (k - 1) up.  Three or four C-level passes per lane, and no
+    biased copy of s kept."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    bias = sum(half << (width * i) for i in range(k))
+    lanes = []
+    for i in range(k):
+        lane = map((width * i).__rrshift__, map(bias.__add__, s.coeffs))
+        if i < k - 1:
+            lane = map(mask.__and__, lane)
+        lanes.append(Series(tuple(map((-half).__add__, lane))))
+    return lanes
+
+
 class GF2Series:
     """A series mod 2 truncated at trunc_order: bit n of `bits` is the
     coefficient of q^n."""
@@ -239,9 +276,9 @@ def _shifted_sum(bits: int, exponents) -> int:
 class _GF2Ring:
     """The part of this module's ring interface that the ring-generic
     builders call mod 2, on GF2Series values: every kernel but
-    mul_binomial and binomial_product.  div_binomial takes coefficient
-    +-1 and refuses any other, as over Z; mod 2, (1 - q^k) and (1 + q^k)
-    coincide."""
+    mul_binomial, binomial_product, pack and unpack (a bitmask holds one
+    series).  div_binomial takes coefficient +-1 and refuses any other,
+    as over Z; mod 2, (1 - q^k) and (1 + q^k) coincide."""
 
     def one(self, trunc_order: int) -> GF2Series:
         return self.from_terms({0: 1}, trunc_order)

@@ -32,7 +32,7 @@ RING_GENERIC = [
 Z_ONLY = [(qf.pochhammer, (-1,)), (qf.pochhammer, (+1,))]
 # The builders behind _cached: those whose series some run reads twice.
 CACHED = {
-    "pochhammer", "theta_neg", "pentagonal", "overpartition_gf",
+    "pochhammer", "theta_neg", "pentagonal", "sigma_family", "overpartition_gf",
     "negq_phi", "sigma_mex_gf",
 }
 
@@ -40,6 +40,12 @@ CACHED = {
 def _values(s):
     """The coefficients of s, a series over either ring, as a list."""
     return [s[n] for n in range(s.trunc_order + 1)]
+
+
+def _lanes(value):
+    """The coefficients of each series of a sigma_family value, or of a
+    single series, over either ring: one list per series."""
+    return [_values(s) for s in value] if isinstance(value, tuple) else [_values(value)]
 
 
 def _mul_binomial(ring, a, sign, e):
@@ -114,7 +120,9 @@ class TestRings:
         # f(N) built afresh, and counts as a hit, not a new entry.
         M = 50
         assert {name for name, f in vars(qf).items() if hasattr(f, "cache_info")} == CACHED
-        for builder, args in RING_GENERIC + (Z_ONLY if ring is se else []):
+        # sigma_family's prefix is one per series, of each of its six.
+        family = [(qf.sigma_family, ())]
+        for builder, args in RING_GENERIC + family + (Z_ONLY if ring is se else []):
             if builder.__name__ not in CACHED:
                 continue
             builder.cache_clear()
@@ -123,7 +131,7 @@ class TestRings:
                 got = builder(*args, N, ring=ring)
                 fresh = builder.__wrapped__(*args, N, ring=ring)
                 assert got.trunc_order == fresh.trunc_order == N
-                assert _values(got) == _values(fresh), (builder.__name__, args, N)
+                assert _lanes(got) == _lanes(fresh), (builder.__name__, args, N)
             assert builder(*args, M, ring=ring) is big
             assert builder.cache_info() == (4, 1, 1), builder.__name__
             builder(*args, M + 1, ring=ring)  # a larger order replaces the entry
@@ -155,6 +163,54 @@ class TestRings:
         assert qf.overpartition_gf.cache_info().currsize == before + 1
         qf.overpartition_gf(37, ring=se.GF2)
         assert qf.overpartition_gf.cache_info().currsize == before + 2
+
+
+def _family_lane_by_lane(N, ring):
+    """The six series of sigma_family, each built on its own: Phi_1 and
+    Phi_2 by one Horner sum each, then P-bar and the three sigma-mex
+    series by one division by theta(-q) each."""
+    theta = qf.theta_neg(N, ring=ring)
+    p2, p1 = qf.pentagonal(2, N, ring=ring), qf.pentagonal(1, N, ring=ring)
+    psi = ring.div(ring.mul(p2, p2), p1)
+    phi = [qf._negq_sum(N, ring, lambda n, z=z: {comb(n + 1, 2): z**n}) for z in (1, 2)]
+    quotients = [ring.div(x, theta) for x in (ring.one(N), *phi, psi)]
+    return [_values(s) for s in (quotients[0], *phi, *quotients[1:])]
+
+
+class TestSigmaFamily:
+    @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 25, 300, 2000])
+    def test_equals_lane_by_lane_builds(self, ring, N):
+        assert _lanes(qf.sigma_family.__wrapped__(N, ring=ring)) == _family_lane_by_lane(N, ring)
+
+    def test_widths_hold_every_lower_lane_at_order_10_4(self):
+        # A sign bit above the longest coefficient of each lane below the
+        # top: Phi_1 in the Horner sum, P-bar, sigma_ov and sigma_all in
+        # the division.  The division's width holds all six series.
+        N = 10_000
+        lanes = _lanes(qf.sigma_family.__wrapped__(N))
+        pbar, phi_1, _, overlined, all_parts, _ = lanes
+        v, w = qf._lane_widths(N)
+        assert _longest([phi_1]) < v
+        assert _longest([pbar, overlined, all_parts]) < w
+        assert _longest(lanes) < w
+
+    def test_a_width_one_bit_short_disagrees(self, monkeypatch):
+        # Negative control: at the least widths that hold every lower
+        # lane, the lanes read back; one bit less in either, a lane carries.
+        N = 300
+        expected = _family_lane_by_lane(N, se)
+        pbar, phi_1, _, overlined, all_parts, _ = expected
+        v, w = 1 + _longest([phi_1]), 1 + _longest([pbar, overlined, all_parts])
+        for widths, agree in (((v, w), True), ((v - 1, w), False), ((v, w - 1), False)):
+            monkeypatch.setattr(qf, "_lane_widths", lambda n, widths=widths: widths)
+            assert (_lanes(qf.sigma_family.__wrapped__(N)) == expected) is agree, widths
+
+
+def _longest(lanes):
+    """The bit length of the largest coefficient, in absolute value, of
+    the given coefficient lists."""
+    return max(abs(c).bit_length() for lane in lanes for c in lane)
 
 
 # The four sums over 1/(-q;q)_m as (builder, args, terms), the order N
@@ -215,6 +271,9 @@ class TestPochhammer:
             qf.pochhammer(1, -1)
         with pytest.raises(ValueError):
             qf.pentagonal(0, 5)
+        for z in (0, 3):  # sigma_family holds Phi_1 and Phi_2 only
+            with pytest.raises(ValueError, match="z must be 1 or 2"):
+                qf.negq_phi(z, 5)
 
 
 class TestOverpartitionGf:

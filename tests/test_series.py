@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -566,6 +567,58 @@ class TestBinomialProduct:
                 se.binomial_product(sign, 5)
         with pytest.raises(ValueError, match="truncation order"):
             se.binomial_product(1, -1)
+
+
+def _edge_lanes(k, width):
+    """k series whose coefficients at each n are one combination of the
+    lane edges +-(2^(width-1) - 1), -2^(width-1), +-1 and 0: every pair of
+    neighbours a carry or a borrow could cross."""
+    top = (1 << (width - 1)) - 1
+    edges = sorted({top, -top, -top - 1, 1, -1, 0})
+    combos = list(itertools.product(edges, repeat=k))
+    return [se.Series(tuple(c[i] for c in combos)) for i in range(k)]
+
+
+class TestLanes:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [2, 3, 64, 230])
+    def test_round_trip_at_the_lane_edges(self, k, width):
+        parts = _edge_lanes(k, width)
+        assert se.unpack(se.pack(parts, width), k, width) == parts
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("width", [3, 64, 230])
+    def test_a_bit_short_disagrees(self, k, width):
+        # Negative control: 2^(width-1) - 1 in a lower lane does not fit
+        # one bit less.
+        parts = _edge_lanes(k, width)
+        assert se.unpack(se.pack(parts, width - 1), k, width - 1) != parts
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_top_lane_read_whatever_its_size(self, k):
+        # The top lane carries into none: values far past the width, of
+        # either sign, read back over lower lanes at their edges.
+        parts = _edge_lanes(k, 8)
+        parts[-1] = se.Series(tuple(c << 300 if n % 3 else -c << 9 for n, c in
+                                    enumerate(parts[-1].coeffs)))
+        assert se.unpack(se.pack(parts, 8), k, 8) == parts
+
+    def test_packs_to_the_smallest_order(self):
+        parts = [S([1, -2, 3], 4), S([5], 2), S([-1, 1], 3)]
+        lanes = se.unpack(se.pack(parts, 8), 3, 8)
+        assert lanes == [S([1, -2, 3], 2), S([5], 2), S([-1, 1], 2)]
+
+    @pytest.mark.parametrize("N", [0, 1, 60])
+    def test_kernels_run_lane_by_lane(self, N):
+        # Each Z-linear kernel on the packed series equals the kernel on
+        # each lane, while the results fit their lanes.
+        rng = random.Random(N)
+        parts = [random_series(rng, N) for _ in range(3)]
+        d = qf.theta_neg(N)
+        packed = se.pack(parts, 96)
+        for kernel in (lambda a: se.div(a, d), lambda a: se.div_binomial(a, +1, 3),
+                       lambda a: se.mul_binomial(a, -1, 2), lambda a: se.mul(a, d)):
+            assert se.unpack(kernel(packed), 3, 96) == list(map(kernel, parts))
 
 
 # Each binomial kernel on each ring that has it: GF(2) has no mul_binomial.

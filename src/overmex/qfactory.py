@@ -5,11 +5,12 @@ sigma series at z = 1, the collapsed 1phi1 sum at z = 2), the three
 sigma-mex generating functions, Phi_1, Phi_2 or Gauss's psi(q) over
 theta(-q), and their per-m count series, each a prefix of the cached
 P-bar times binomial factors (1 - q^e).  The defining forms the checks
-compare these with, the Pochhammer products and the 1phi1 defining sum,
-are folds of binomial factors (1 +- q^e), each multiplied or divided in
-explicitly: the Pochhammer products by series.binomial_product, over Z
-only, and the 1phi1 sum with each term cut to the coefficients that
-reach q^N.
+compare these with, (-q;q)_inf and the 1phi1 defining sum, are folds of
+binomial factors (1 +- q^e), each multiplied or divided in explicitly:
+(-q;q)_inf by series.binomial_product, over Z only, and the 1phi1 sum
+with each term cut to the coefficients that reach q^N.  (q;q)_inf is
+the pentagonal series in every check; its fold, pochhammer(-1, N), is
+the tests' factorwise reference for the pentagonal theorem.
 
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
@@ -105,9 +106,10 @@ def _cached(builder):
 
 @_cached
 def pochhammer(sign: int, N: int, *, ring=series):
-    """prod_{k>=1} (1 + sign q^k) to order N, over Z: sign=-1 gives
-    (q;q)_inf and sign=+1 (-q;q)_inf, by binomial_product.  The ring
-    keyword is the cache's: series.GF2 has no binomial_product, so a
+    """prod_{k>=1} (1 + sign q^k) to order N by binomial_product, over Z:
+    sign=+1 gives (-q;q)_inf, which the checks read, and sign=-1
+    (q;q)_inf, the tests' factorwise reference for pentagonal(1, N).  The
+    ring keyword is the cache's: series.GF2 has no binomial_product, so a
     mod-2 call raises AttributeError and caches nothing."""
     return ring.binomial_product(sign, N)
 

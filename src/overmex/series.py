@@ -328,8 +328,12 @@ class _GF2Ring:
         return GF2Series(out, n)
 
     def div_binomial(self, a: GF2Series, coefficient: int, exponent: int) -> GF2Series:
-        """a / (1 + q^k) via 1/(1 + x) = prod_i (1 + x^(2^i))."""
+        """a / (1 + q^k) via 1/(1 + x) = prod_i (1 + x^(2^i)).  A zero
+        dividend is returned as is: every step of Phi_2's Horner sum has
+        one, its numerators 2^n q^(n+1 choose 2) being 0 mod 2 for n >= 1."""
         _check_binomial(coefficient, exponent)
+        if not a.bits:
+            return a
         n = a.trunc_order
         mask = (1 << (n + 1)) - 1
         out = a.bits

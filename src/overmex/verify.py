@@ -154,7 +154,14 @@ def check_gf_vs_oracle(
 
 
 def check_euler_identity(N: int) -> VerifyReport:
-    """(-q;q)_inf = 1/(q;q^2)_inf = (q^2;q^2)_inf / (q;q)_inf to order N."""
+    """(-q;q)_inf = 1/(q;q^2)_inf = (q^2;q^2)_inf / (q;q)_inf to order N,
+    with (q;q)_inf the pentagonal series p1 = qfactory.pentagonal(1, N)
+    and (q^2;q^2)_inf its coefficients at even exponents.  The second row
+    proves p1 exact, not only consistent: let A = (-q;q)_inf, which the
+    first row pins against the odd-part fold, and h = p1 / (q;q)_inf,
+    with h_0 = p1[0] = 1.  If A = p1(q^2) / p1(q) mod q^(N+1), then
+    h(q^2) = h(q) there, as A = (q^2;q^2)_inf / (q;q)_inf.  At the least
+    j >= 1 with h_j != 0, h(q^2) has 0 at q^j, so h = 1 to order N."""
     if N < 1:
         raise ValueError("order must be >= 1")
     a = qfactory.pochhammer(+1, N)
@@ -166,7 +173,7 @@ def check_euler_identity(N: int) -> VerifyReport:
     for k in range(top - 2, 0, -2):
         u = series.div_binomial(series.concat(series.one(1), u), -1, k)
     b = series.concat(series.one(0), u)
-    q_q = qfactory.pochhammer(-1, N)
+    q_q = qfactory.pentagonal(1, N)
     # (q^2;q^2)_inf is (q;q)_inf at q^2: its coefficients at even exponents.
     q2_q2 = series.from_terms(dict(zip(range(0, N + 1, 2), q_q.coeffs)), N)
     return _compare_series("euler_identity", f"order <= {N}", [
@@ -183,24 +190,25 @@ def check_identity_suite(N: int) -> VerifyReport:
     against sigma = Phi_1.  The last two are the sigma-mex identities
     with the common factor P-bar cancelled: P-bar has constant term 1, so
     P-bar*A and P-bar*B agree to order N exactly when A and B do, first
-    differing at the same n.  Then each sparse fast path against its
-    defining product: P-bar = 1/theta(-q) against (-q;q)_inf / (q;q)_inf,
-    and the pentagonal quotient (q^2;q^2)_inf / (q;q)_inf, whose two
-    series build psi(q) and so the non-overlined sigma-mex series
-    psi(q) / theta(-q), against (-q;q)_inf (the euler check builds the
-    same products).  Then the Horner sum Phi_1 against the
-    Andrews-Dyson-Hickerson double sum, the one witness for sigma that
-    shares no series kernel with it.  Then each sigma-mex series over a
-    Phi variant, as built, times theta(-q) against its numerator,
-    exactly: the overlined one against Phi_1, then the all-parts one
-    against Phi_2.  A FAIL names its row in failed_subcheck."""
+    differing at the same n.  Then each sparse fast path against the
+    defining product (-q;q)_inf: P-bar = 1/theta(-q) against (-q;q)_inf
+    over the pentagonal series (q;q)_inf, which the euler check proves
+    exact, and the pentagonal quotient (q^2;q^2)_inf / (q;q)_inf, whose
+    two series build psi(q) and so the non-overlined sigma-mex series
+    psi(q) / theta(-q), against (-q;q)_inf.  Then the Horner sum Phi_1
+    against the Andrews-Dyson-Hickerson double sum, the one witness for
+    sigma that shares no series kernel with it.  Then each sigma-mex
+    series over a Phi variant, as built, times theta(-q) against its
+    numerator, exactly: the overlined one against Phi_1, then the
+    all-parts one against Phi_2.  A FAIL names its row in
+    failed_subcheck."""
     phi = {z: qfactory.negq_phi(z, N).coeffs for z in (1, 2)}
     rows = [
         ("identity:phi11_defining_vs_simplified", qfactory.phi11(N).coeffs, phi[2]),
         ("identity:all_raw_vs_simplified", qfactory.all_mex_raw_sum(N).coeffs, phi[2]),
         ("identity:overlined_telescoped", qfactory.overlined_mex_weighted_sum(N).coeffs, phi[1]),
         ("identity:pbar_theta", qfactory.overpartition_gf(N).coeffs,
-         series.div(qfactory.pochhammer(+1, N), qfactory.pochhammer(-1, N)).coeffs),
+         series.div(qfactory.pochhammer(+1, N), qfactory.pentagonal(1, N)).coeffs),
         ("identity:pentagonal",
          series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)).coeffs,
          qfactory.pochhammer(+1, N).coeffs),

@@ -251,6 +251,13 @@ class TestGF2Kernels:
             assert se.GF2.mul(zero, dense).bits == se.GF2.mul(dense, zero).bits == 0
             assert se.GF2.div(zero, dense).bits == 0
             assert se.GF2.div(dense, one).bits == dense.bits
+            for k in (1, 2, N + 1):
+                got = se.GF2.div_binomial(zero, -1, k)
+                assert (got.bits, got.trunc_order) == (0, N)
+            with pytest.raises(ValueError):  # refused before the zero return
+                se.GF2.div_binomial(zero, 2, 1)
+            with pytest.raises(ValueError):
+                se.GF2.div_binomial(zero, 1, 0)
 
     def test_named_series_at_order_10000(self):
         # Sparse pentagonal factors, where each shift is long.

@@ -309,6 +309,18 @@ class TestEuler:
         _assert_fail(vf.check_euler_identity(300), (7, 4, 5),
                      {"failed_subcheck": "euler:neg_vs_odd_inverse"})
 
+    @pytest.mark.parametrize("delta", [+1, -2])
+    @pytest.mark.parametrize("n", [1, 2, 30, 299])
+    def test_perturbed_full_pentagonal_fails(self, n, delta, monkeypatch):
+        # The even-over-full row proves the pentagonal series exact: a
+        # fault at q^n moves (q^2;q^2)_inf only at q^(2n), so the quotient
+        # first differs at n.
+        pentagonal = qf.pentagonal
+        _seen_by_verify(monkeypatch, qf, pentagonal=lambda step, N: se.add_terms(
+            pentagonal(step, N), {n: delta} if step == 1 else {}))
+        _assert_fail(vf.check_euler_identity(300), n,
+                     {"failed_subcheck": "euler:neg_vs_even_over_full"})
+
     def test_perturbed_even_product_fails(self, monkeypatch):
         # Of the series the check itself builds, only (q^2;q^2)_inf comes
         # from from_terms; the builders (and series.one) keep the real one.
@@ -331,15 +343,32 @@ class TestIdentitySuite:
         _assert_fail(vf.check_identity_suite(300), 37, {"failed_subcheck": "identity:pbar_theta"})
 
     def test_perturbed_pentagonal_fails(self, monkeypatch, cold_caches):
+        # (q;q)_inf divides in identity:pbar_theta and identity:pentagonal,
+        # and the first comes first; only identity:pentagonal reads
+        # (q^2;q^2)_inf.
         pentagonal = qf.pentagonal
-        for bumped in (1, 2):  # (q;q)_inf, then (q^2;q^2)_inf
+        for bumped, subcheck in ((1, "identity:pbar_theta"), (2, "identity:pentagonal")):
 
             def off_at_30(step, N, ring=se):
                 s = pentagonal(step, N, ring=ring)
                 return _bump(s, 30) if step == bumped else s
 
             monkeypatch.setattr(qf, "pentagonal", off_at_30)
-            _assert_fail(vf.check_identity_suite(300), 30, {"failed_subcheck": "identity:pentagonal"})
+            _assert_fail(vf.check_identity_suite(300), 30, {"failed_subcheck": subcheck})
+
+    def test_checks_fold_only_neg_q(self, monkeypatch, cold_caches):
+        # (q;q)_inf is the pentagonal series in every check: the only
+        # factorwise Pochhammer fold they build is (-q;q)_inf.
+        signs, binomial_product = [], se.binomial_product
+
+        def spy(sign, N):
+            signs.append(sign)
+            return binomial_product(sign, N)
+
+        monkeypatch.setattr(se, "binomial_product", spy)
+        assert vf.check_euler_identity(300).passed
+        assert vf.check_identity_suite(300).passed
+        assert set(signs) == {+1}
 
     def test_skipped_numerator_factor_fails(self, monkeypatch, cold_caches):
         # The 1phi1 defining sum multiplies in each numerator factor

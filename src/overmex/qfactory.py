@@ -9,8 +9,9 @@ compare these with, (-q;q)_inf and the 1phi1 defining sum, are folds of
 binomial factors (1 +- q^e), each multiplied or divided in explicitly:
 (-q;q)_inf by series.binomial_product, over Z only, and the 1phi1 sum
 with each term cut to the coefficients that reach q^N.  (q;q)_inf is
-the pentagonal series in every check; its fold, pochhammer(-1, N), is
-the tests' factorwise reference for the pentagonal theorem.
+the pentagonal series in every check; its fold,
+series.binomial_product(-1, N), is the tests' factorwise reference for
+the pentagonal theorem.
 
 Infinite products are truncated at order N; any factor whose lowest
 exponent exceeds N is omitted since it cannot move a retained coefficient.
@@ -25,17 +26,18 @@ Andrews-Dyson-Hickerson double sum, that the Horner sum is checked
 against.
 
 P-bar, Phi_1, Phi_2 and the three sigma-mex series are one family,
-sigma_family, which overpartition_gf, negq_phi and sigma_mex_gf read.
-Over Z one Horner sum serves Phi_1 and Phi_2, and one division by
-theta(-q) the four quotients, the series packed as lanes of one integer
-per coefficient: the kernels are exact and Z-linear, so the top lane
-reads back exactly, and each lane below it while it fits the width that
-_lane_widths proves.
+sigma_family, the one builder of them that verify reads.  Over Z one
+Horner sum serves Phi_1 and Phi_2, and one division by theta(-q) the
+four quotients, the series packed as lanes of one integer per
+coefficient: the kernels are exact and Z-linear, so the top lane reads
+back exactly, and each lane below it while it fits the width that
+_lane_widths proves.  overpartition_gf and sigma_mex_gf read it, uncached.
 
-Builders with a `ring` keyword build over Z by default (ring=series) or
-mod 2 (ring=series.GF2) from one body, pochhammer over Z only.  _cached,
-the one cache, serves an order as a prefix of the largest built; it sits
-only on builders whose series some run reads twice.
+The four cached builders take a `ring` keyword and build over Z by
+default (ring=series) or mod 2 (ring=series.GF2) from one body,
+pochhammer over Z only.  _cached, the one cache, serves an order as a
+prefix of the largest built; it sits only on builders whose series
+some run reads twice.
 """
 
 from __future__ import annotations
@@ -105,13 +107,12 @@ def _cached(builder):
 
 
 @_cached
-def pochhammer(sign: int, N: int, *, ring=series):
-    """prod_{k>=1} (1 + sign q^k) to order N by binomial_product, over Z:
-    sign=+1 gives (-q;q)_inf, which the checks read, and sign=-1
-    (q;q)_inf, the tests' factorwise reference for pentagonal(1, N).  The
-    ring keyword is the cache's: series.GF2 has no binomial_product, so a
-    mod-2 call raises AttributeError and caches nothing."""
-    return ring.binomial_product(sign, N)
+def pochhammer(N: int, *, ring=series):
+    """(-q;q)_inf = prod_{k>=1} (1 + q^k) to order N by binomial_product,
+    over Z.  The ring keyword is the cache's: series.GF2 has no
+    binomial_product, so a mod-2 call raises AttributeError and caches
+    nothing."""
+    return ring.binomial_product(+1, N)
 
 
 def _theta_type(N: int, ring, exponent):
@@ -246,30 +247,17 @@ def sigma_family(N: int, *, ring=series) -> SigmaFamily:
     return SigmaFamily(pbar, *phi, *sigma)
 
 
-@_cached
-def overpartition_gf(N: int, *, ring=series):
+def overpartition_gf(N: int) -> Series:
     """(-q;q)_inf / (q;q)_inf: coefficient of q^n is the overpartition
     number, 1 / theta(-q) by Gauss's identity: sigma_family's P-bar."""
-    return sigma_family(N, ring=ring).pbar
-
-
-@_cached
-def negq_phi(z: int, N: int, *, ring=series):
-    """Phi_z = sum_{n>=0} z^n q^(n+1 choose 2) / (-q;q)_n for z = 1 or 2,
-    read from sigma_family: at z = 1 Ramanujan's Lost Notebook series
-    sigma(q), at z = 2 the collapsed form of the 1phi1 sum, which must
-    agree with phi11 coefficient by coefficient."""
-    if z not in (1, 2):
-        raise ValueError(f"z must be 1 or 2, got {z}")
-    family = sigma_family(N, ring=ring)
-    return family.phi_1 if z == 1 else family.phi_2
+    return sigma_family(N).pbar
 
 
 def sigma_adh(N: int) -> Series:
     """sigma(q) to order N by Andrews, Dyson and Hickerson (Invent. Math.
     91, 1988): sum_{n>=0} sum_{|j|<=n} (-1)^(n+j) q^(n(3n+1)/2 - j^2)
     (1 - q^(2n+1)), about 2N signed unit terms and no series kernel; the
-    witness the Horner sum negq_phi(1, N) is checked against."""
+    witness the Horner sum sigma_family(N).phi_1 is checked against."""
     coeffs = [0] * (N + 1)
     n = 0
     while n * (n + 1) // 2 <= N:  # n(3n+1)/2 - n^2, the least exponent
@@ -311,14 +299,14 @@ def phi11(N: int) -> Series:
     return Series(tuple(acc))
 
 
-def overlined_mex_weighted_sum(N: int, *, ring=series):
+def overlined_mex_weighted_sum(N: int) -> Series:
     """sum_{m>=1} m q^(m choose 2) / (-q;q)_m: the pre-telescoping form
     whose product with the overpartition series gives the overlined
     sigma-mex generating function."""
-    return _negq_sum(N, ring, lambda m: {comb(m, 2): m})
+    return _negq_sum(N, series, lambda m: {comb(m, 2): m})
 
 
-def all_mex_raw_sum(N: int, *, ring=series):
+def all_mex_raw_sum(N: int) -> Series:
     """sum_{m>=1} m 2^(m-1) q^(m choose 2) (1 - q^m) / (-q;q)_m: the raw
     derivative of the all-parts double series, before simplification."""
 
@@ -326,17 +314,16 @@ def all_mex_raw_sum(N: int, *, ring=series):
         c = m * 2**m // 2  # m 2^(m-1), and 0 at m = 0
         return {comb(m, 2): c, comb(m + 1, 2): -c}
 
-    return _negq_sum(N, ring, terms)
+    return _negq_sum(N, series, terms)
 
 
-@_cached
-def sigma_mex_gf(variant: MexVariant, N: int, *, ring=series):
+def sigma_mex_gf(variant: MexVariant, N: int) -> Series:
     """Generating function of the chosen sigma-mex statistic; the q^0
     coefficient is 1 under the value-1-at-zero convention in all three
     variants.  Each is P-bar times one q-series, read from sigma_family:
     Phi_1 = sigma (overlined), Phi_2 = the collapsed 1phi1 (all parts) or
     Gauss's psi(q) (non-overlined), divided by theta(-q) = 1 / P-bar."""
-    return getattr(sigma_family(N, ring=ring), variant.value)
+    return getattr(sigma_family(N), variant.value)
 
 
 def mex_count_gf(variant: MexVariant, m: int, N: int) -> Series:

@@ -13,12 +13,13 @@ several series as the lanes of one integer per coefficient, so that one
 pass of a Z-linear kernel serves them all.  GF2 is the part of it that
 the builders with a `ring` keyword call mod 2, on Python-int bitmasks:
 all of it but mul_binomial, binomial_product, pack and unpack.  The
-parity checks run every GF2 kernel but add_terms, which only the two
-identity-only sums overlined_mex_weighted_sum and all_mex_raw_sum call,
-and only the tests build those mod 2.  A monomial c q^k is from_terms({k: c}, N), so a shift
-or a scaling is a product with one; concat(head, tail) places a tail
-right above a head, the one kernel that returns a higher order than its
-operands.  Each kernel's docstring gives its cost.
+parity checks run every GF2 kernel but add_terms, which only
+qfactory._negq_sum calls, on numerators with a term at or past the next
+one's lowest exponent: over GF(2) only the tests build such a sum.  A
+monomial c q^k is from_terms({k: c}, N), so a shift or a scaling is a
+product with one; concat(head, tail) places a tail right above a head,
+the one kernel that returns a higher order than its operands.  Each
+kernel's docstring gives its cost.
 
 Values are immutable; all operations are pure functions returning new
 values.

@@ -145,7 +145,7 @@ def check_gf_vs_oracle(
              [c.get(m, 0) for c in hists[: len(literal)]])
             for m in sorted(set().union(*literal, *hists[: len(literal)]))]
     rows.append(({"where": "sigma"}, list(map(combinat.mex_sum, hists[: n_max + 1])),
-                 qfactory.sigma_mex_gf(variant, n_max).coeffs))
+                 getattr(qfactory.sigma_family(n_max), variant.value).coeffs))
     rows += [({"where": "count", "m": m}, [c.get(m, 0) for c in hists[: count_n_max + 1]],
               qfactory.mex_count_gf(variant, m, count_n_max).coeffs)
              for m in qfactory.feasible_mex_values(count_n_max)]
@@ -164,7 +164,7 @@ def check_euler_identity(N: int) -> VerifyReport:
     j >= 1 with h_j != 0, h(q^2) has 0 at q^j, so h = 1 to order N."""
     if N < 1:
         raise ValueError("order must be >= 1")
-    a = qfactory.pochhammer(+1, N)
+    a = qfactory.pochhammer(N)
     # 1/(q;q^2)_inf, one factor 1/(1 - q^k) at a time from the largest odd
     # k <= N down: prod_{odd j>=k} 1/(1 - q^j) = 1 + q^k U_k with U_k of
     # order N - k, and U_k = (1 + q^2 U_(k+2)) / (1 - q^k).
@@ -183,14 +183,19 @@ def check_euler_identity(N: int) -> VerifyReport:
     ])
 
 
+def _triangular(N: int):
+    """The triangular numbers j(j+1)/2 <= N, j >= 0: 0, 1, 3, 6, ..."""
+    return takewhile(N.__ge__, accumulate(count()))
+
+
 def check_identity_suite(N: int) -> VerifyReport:
-    """The exact-series identity chain, Phi_z = qfactory.negq_phi(z, N):
-    the 1phi1 defining sum against its collapsed form Phi_2, the raw
-    all-parts sum against Phi_2, and the pre-telescoping overlined sum
-    against sigma = Phi_1.  The last two are the sigma-mex identities
-    with the common factor P-bar cancelled: P-bar has constant term 1, so
-    P-bar*A and P-bar*B agree to order N exactly when A and B do, first
-    differing at the same n.  Then each sparse fast path against the
+    """The exact-series identity chain, each built series a field of
+    qfactory.sigma_family(N): the 1phi1 defining sum against its
+    collapsed form Phi_2, the raw all-parts sum against Phi_2, and the
+    pre-telescoping overlined sum against sigma = Phi_1.  The last two
+    are the sigma-mex identities with the common factor P-bar cancelled:
+    P-bar has constant term 1, so P-bar*A and P-bar*B agree to order N
+    exactly when A and B do, first differing at the same n.  Then each sparse fast path against the
     defining product (-q;q)_inf: P-bar = 1/theta(-q) against (-q;q)_inf
     over the pentagonal series (q;q)_inf, which the euler check proves
     exact, and the pentagonal quotient (q^2;q^2)_inf / (q;q)_inf, whose
@@ -198,24 +203,29 @@ def check_identity_suite(N: int) -> VerifyReport:
     psi(q) / theta(-q), against (-q;q)_inf.  Then the Horner sum Phi_1
     against the Andrews-Dyson-Hickerson double sum, the one witness for
     sigma that shares no series kernel with it.  Then each sigma-mex
-    series over a Phi variant, as built, times theta(-q) against its
-    numerator, exactly: the overlined one against Phi_1, then the
-    all-parts one against Phi_2.  A FAIL names its row in
-    failed_subcheck."""
-    phi = {z: qfactory.negq_phi(z, N).coeffs for z in (1, 2)}
+    series, as built, times theta(-q) against its numerator, exactly:
+    the overlined one against Phi_1, the all-parts one against Phi_2,
+    then the non-overlined one against Gauss's psi(q) = sum_{k>=0}
+    q^(k(k+1)/2), its sparse form: sigma_no = psi(q) / theta(-q), built
+    from the dense psi = (q^2;q^2)_inf^2 / (q;q)_inf.  A FAIL names its
+    row in failed_subcheck."""
+    family = qfactory.sigma_family(N)
+    phi_1, phi_2 = family.phi_1.coeffs, family.phi_2.coeffs
+    psi = series.from_terms(dict.fromkeys(_triangular(N), 1), N).coeffs
     rows = [
-        ("identity:phi11_defining_vs_simplified", qfactory.phi11(N).coeffs, phi[2]),
-        ("identity:all_raw_vs_simplified", qfactory.all_mex_raw_sum(N).coeffs, phi[2]),
-        ("identity:overlined_telescoped", qfactory.overlined_mex_weighted_sum(N).coeffs, phi[1]),
-        ("identity:pbar_theta", qfactory.overpartition_gf(N).coeffs,
-         series.div(qfactory.pochhammer(+1, N), qfactory.pentagonal(1, N)).coeffs),
+        ("identity:phi11_defining_vs_simplified", qfactory.phi11(N).coeffs, phi_2),
+        ("identity:all_raw_vs_simplified", qfactory.all_mex_raw_sum(N).coeffs, phi_2),
+        ("identity:overlined_telescoped", qfactory.overlined_mex_weighted_sum(N).coeffs, phi_1),
+        ("identity:pbar_theta", family.pbar.coeffs,
+         series.div(qfactory.pochhammer(N), qfactory.pentagonal(1, N)).coeffs),
         ("identity:pentagonal",
          series.div(qfactory.pentagonal(2, N), qfactory.pentagonal(1, N)).coeffs,
-         qfactory.pochhammer(+1, N).coeffs),
-        ("identity:sigma_adh", phi[1], qfactory.sigma_adh(N).coeffs),
+         qfactory.pochhammer(N).coeffs),
+        ("identity:sigma_adh", phi_1, qfactory.sigma_adh(N).coeffs),
         *((f"identity:{variant.value}_times_theta", series.mul(
-            qfactory.sigma_mex_gf(variant, N), qfactory.theta_neg(N)).coeffs, phi[z])
-          for variant, z in ((MexVariant.OVERLINED, 1), (MexVariant.ALL, 2))),
+            getattr(family, variant.value), qfactory.theta_neg(N)).coeffs, numerator)
+          for variant, numerator in ((MexVariant.OVERLINED, phi_1), (MexVariant.ALL, phi_2),
+                                     (MexVariant.NON_OVERLINED, psi))),
     ]
     return _compare_series("identity_suite", f"order <= {N}", [
         ({"failed_subcheck": sub}, a, b) for sub, a, b in rows])
@@ -240,12 +250,13 @@ def check_arithmetic(N: int) -> VerifyReport:
     max(sigma_all, sigma_v), which differ exactly where the law breaks,
     so its FAIL is (n, sigma_all(n), sigma_v(n)).  A FAIL names its row
     in failed_subcheck."""
-    sigma = {v: qfactory.sigma_mex_gf(v, N).coeffs for v in MexVariant}
+    family = qfactory.sigma_family(N)
+    sigma = {v: getattr(family, v.value).coeffs for v in MexVariant}
     all_mod_4 = [1] + [2] * N
     for k in range(1, math.isqrt(N) + 1):
         all_mod_4[k * k] = 0
     no_mod_3 = [0] * (N + 1)
-    no_mod_3[::3] = [c % 3 for c in qfactory.pochhammer(+1, N // 3).coeffs]
+    no_mod_3[::3] = [c % 3 for c in qfactory.pochhammer(N // 3).coeffs]
     rows = [
         ("arithmetic:all_mod_4", [c & 3 for c in sigma[MexVariant.ALL]], all_mod_4),
         ("arithmetic:nonoverlined_mod_3",
@@ -281,13 +292,13 @@ def check_count_series(N: int) -> VerifyReport:
         for m in reversed(ms):
             c = qfactory.mex_count_gf(v, m, N).coeffs
             tail = tails[v][m] = list(map(operator.add, tail, c))
-    pbar = qfactory.overpartition_gf(N).coeffs
+    family = qfactory.sigma_family(N)
     rows = []
     for v in MexVariant:
-        rows += [({"failed_subcheck": f"count_series:{v.value}_sum"}, tails[v][1], pbar),
+        rows += [({"failed_subcheck": f"count_series:{v.value}_sum"}, tails[v][1],
+                  family.pbar.coeffs),
                  ({"failed_subcheck": f"count_series:{v.value}_weighted"},
-                  list(map(sum, zip(*tails[v].values()))),
-                  qfactory.sigma_mex_gf(v, N).coeffs)]
+                  list(map(sum, zip(*tails[v].values()))), getattr(family, v.value).coeffs)]
     rows += [({"failed_subcheck": f"count_series:all_ge_{v.value}", "m": m},
               tails[MexVariant.ALL][m], list(map(max, tails[MexVariant.ALL][m], tails[v][m])))
              for v in (MexVariant.OVERLINED, MexVariant.NON_OVERLINED) for m in ms]
@@ -311,12 +322,12 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _parity_sweep(name: str, n_max: int, builds, odd: int) -> VerifyReport:
-    """The report on the claim that each build (where, builder, args), the
-    order N left off args, is odd up to n_max exactly at the set bits of
+def _parity_sweep(name: str, n_max: int, reads, odd: int) -> VerifyReport:
+    """The report on the claim that each read (where, field), a field of
+    qfactory.sigma_family, is odd up to n_max exactly at the set bits of
     the closed-form bitmask odd, q^0 included, so a PASS means every read
-    equals odd in all n_max + 1 bits.  Every read is built first, over
-    GF(2) to n_max and over Z to MOD2_CHECK_ORDER.  The rows, bitmasks, in
+    equals odd in all n_max + 1 bits.  The family is built once over GF(2)
+    to n_max and once over Z to MOD2_CHECK_ORDER.  The rows, bitmasks, in
     order: each read's integer series mod 2 against its GF(2) bits up to
     MOD2_CHECK_ORDER, where "mod2:<where>", then each read against odd,
     where the read's own.  They are judged by _judge: a FAIL is (n, bit
@@ -325,8 +336,8 @@ def _parity_sweep(name: str, n_max: int, builds, odd: int) -> VerifyReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     m = min(MOD2_CHECK_ORDER, n_max)
-    reads = [(where, builder(*args, n_max, ring=series.GF2).bits, builder(*args, m))
-             for where, builder, args in builds]
+    gf2, z = qfactory.sigma_family(n_max, ring=series.GF2), qfactory.sigma_family(m)
+    reads = [(where, getattr(gf2, field).bits, getattr(z, field)) for where, field in reads]
     window = (1 << (m + 1)) - 1
     rows = [({"where": f"mod2:{where}"}, _bits_mod_2(full), bits & window)
             for where, bits, full in reads]
@@ -340,9 +351,7 @@ def check_parity_all_even(n_max: int) -> VerifyReport:
     """All-parts sigma-mex and the overpartition numbers are even for every
     1 <= n <= n_max; computed mod 2."""
     return _parity_sweep("parity_all_even", n_max, [
-        ("overpartition_number", qfactory.overpartition_gf, ()),
-        ("sigma_mex_all", qfactory.sigma_mex_gf, (MexVariant.ALL,)),
-    ], 1)
+        ("overpartition_number", "pbar"), ("sigma_mex_all", MexVariant.ALL.value)], 1)
 
 
 DENSITY_FLOOR = 0.85  # least even-density over [1, n_max]
@@ -384,18 +393,15 @@ def check_parity_density(n_max: int) -> VerifyReport:
         raise ValueError(f"n_max must be >= {DENSITY_MIN_N} for a meaningful density")
     name = "parity_density"
     odd = qfactory.pentagonal(1, n_max, ring=series.GF2).bits
-    report = _parity_sweep(name, n_max, [
-        ("sigma_mex_overlined", qfactory.sigma_mex_gf, (MexVariant.OVERLINED,)),
-    ], odd)
+    report = _parity_sweep(name, n_max, [("sigma_mex_overlined", MexVariant.OVERLINED.value)], odd)
     return _density_report(name, odd, n_max) if report.passed else report
 
 
 def check_triangular_parity(n_max: int) -> VerifyReport:
     """The non-overlined sigma-mex is odd exactly at n = j(j+1)/2, j >= 0."""
-    triangular = takewhile(n_max.__ge__, accumulate(count()))  # 0, 1, 3, 6, ... <= n_max
     return _parity_sweep("triangular_parity", n_max, [
-        ("sigma_mex_nonoverlined", qfactory.sigma_mex_gf, (MexVariant.NON_OVERLINED,)),
-    ], sum(1 << t for t in triangular))
+        ("sigma_mex_nonoverlined", MexVariant.NON_OVERLINED.value),
+    ], sum(1 << t for t in _triangular(n_max)))
 
 
 # The grid starts at 100: e^(pi sqrt(n))/(4n) is judged only in its regime.
@@ -448,7 +454,7 @@ def check_sigma_taylor() -> VerifyReport:
     term's magnitude."""
     name = "sigma_taylor"
     rng_desc = f"t in {list(SIGMA_TAYLOR_T)}"
-    sigma = qfactory.negq_phi(1, SIGMA_TAYLOR_ORDER)
+    sigma = qfactory.sigma_family(SIGMA_TAYLOR_ORDER).phi_1
     metrics = {}
     for t in SIGMA_TAYLOR_T:
         value = _evaluate(sigma, math.exp(-t))
@@ -505,7 +511,7 @@ TRIANGULAR_N = 5000  # the least n_max of triangular_parity
 
 def _overlined(order: int) -> Series:  # read by asym_ratio and ingham_scaling
     asym_n = max(DEFAULT_ASYM_POINTS[-1], order)
-    return qfactory.sigma_mex_gf(MexVariant.OVERLINED, asym_n)
+    return qfactory.sigma_family(asym_n).overlined
 
 
 #: Every check the CLI runs, in run order: name -> check(order, oracle_n_max).

@@ -1,4 +1,5 @@
 import math
+import types
 from math import comb
 
 import pytest
@@ -22,19 +23,12 @@ RING_GENERIC = [
     (qf.theta_neg, ()),
     (qf.pentagonal, (1,)),
     (qf.pentagonal, (2,)),
-    (qf.overpartition_gf, ()),
-    (qf.negq_phi, (1,)),
-    (qf.negq_phi, (2,)),
-    (qf.overlined_mex_weighted_sum, ()),
-    (qf.all_mex_raw_sum, ()),
-] + [(qf.sigma_mex_gf, (v,)) for v in MexVariant]
+    (qf.sigma_family, ()),
+]
 # The cached builders that build over Z only.
-Z_ONLY = [(qf.pochhammer, (-1,)), (qf.pochhammer, (+1,))]
+Z_ONLY = [(qf.pochhammer, ())]
 # The builders behind _cached: those whose series some run reads twice.
-CACHED = {
-    "pochhammer", "theta_neg", "pentagonal", "sigma_family", "overpartition_gf",
-    "negq_phi", "sigma_mex_gf",
-}
+CACHED = {"pochhammer", "theta_neg", "pentagonal", "sigma_family"}
 
 
 def _values(s):
@@ -73,12 +67,11 @@ class TestRings:
             z = builder(*args, N)
             g = builder(*args, N, ring=se.GF2)
             assert g.trunc_order == N
-            assert _values(g) == [c % 2 for c in z.coeffs], (builder.__name__, args)
-        # Mod 2, (q;q)_inf and (-q;q)_inf are both the pentagonal series.
-        p1 = qf.pentagonal(1, N, ring=se.GF2)
-        for builder, args in Z_ONLY:
-            z = builder(*args, N)
-            assert _values(p1) == [c % 2 for c in z.coeffs], args
+            assert _lanes(g) == [[c % 2 for c in lane] for lane in _lanes(z)], (
+                builder.__name__, args)
+        # Mod 2, (-q;q)_inf is the pentagonal series.
+        assert _values(qf.pentagonal(1, N, ring=se.GF2)) == [
+            c % 2 for c in qf.pochhammer(N).coeffs]
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("N", [0, 1, 2, 50, 300])
@@ -96,10 +89,9 @@ class TestRings:
     # numerator's lowest exponent one past, at and one below q^N.
     @pytest.mark.parametrize("N", [0, 1, 2, 50, 54, 55, 56, 90, 91, 92, 300, 2000])
     def test_negq_sums_match_running_inverse(self, ring, N):
-        for builder, args, terms in NEGQ_SUMS:
+        for name, terms in NEGQ_SUMS:
             expected = _negq_sum_by_running_inverse(N, ring, terms)
-            assert _values(builder(*args, N, ring=ring)) == _values(expected), (
-                builder.__name__, args)
+            assert _values(_built_negq_sum(name, N, ring, terms)) == _values(expected), name
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 11, 12, 100])
@@ -121,10 +113,7 @@ class TestRings:
         M = 50
         assert {name for name, f in vars(qf).items() if hasattr(f, "cache_info")} == CACHED
         # sigma_family's prefix is one per series, of each of its six.
-        family = [(qf.sigma_family, ())]
-        for builder, args in RING_GENERIC + family + (Z_ONLY if ring is se else []):
-            if builder.__name__ not in CACHED:
-                continue
+        for builder, args in RING_GENERIC + (Z_ONLY if ring is se else []):
             builder.cache_clear()
             big = builder(*args, M, ring=ring)
             for N in (0, M - 1, M):
@@ -142,27 +131,37 @@ class TestRings:
     def test_served_series_cannot_be_changed(self):
         # At N == M every caller gets the cached object itself; a caller that
         # could change it would change the series of every later caller.
-        qf.overpartition_gf.cache_clear()
-        served = qf.overpartition_gf(12)
-        assert qf.overpartition_gf(12) is served
-        for value in (served, qf.overpartition_gf(7)):
+        qf.sigma_family.cache_clear()
+        served = qf.sigma_family(12)
+        assert qf.sigma_family(12) is served
+        with pytest.raises(AttributeError):
+            served.pbar = served.phi_1
+        for value in (*served, *qf.sigma_family(7)):
             with pytest.raises(AttributeError):
                 value.coeffs = (1,) * (value.trunc_order + 1)
             with pytest.raises(AttributeError):
                 del value.coeffs
-        assert qf.overpartition_gf(12) is served
-        assert served == qf.overpartition_gf.__wrapped__(12)
+        assert qf.sigma_family(12) is served
+        assert served == qf.sigma_family.__wrapped__(12)
 
     def test_one_cache_entry_per_ring(self):
-        # A larger P-bar cached by an earlier test would serve order 37 as
-        # a fresh prefix, not the cached value itself.
-        qf.overpartition_gf.cache_clear()
-        before = qf.overpartition_gf.cache_info().currsize
-        a = qf.overpartition_gf(37)
-        assert qf.overpartition_gf(37, ring=se) is a
-        assert qf.overpartition_gf.cache_info().currsize == before + 1
-        qf.overpartition_gf(37, ring=se.GF2)
-        assert qf.overpartition_gf.cache_info().currsize == before + 2
+        # A larger family cached by an earlier test would serve order 37
+        # as a fresh prefix, not the cached value itself.
+        qf.sigma_family.cache_clear()
+        a = qf.sigma_family(37)
+        assert qf.sigma_family(37, ring=se) is a
+        assert qf.sigma_family.cache_info().currsize == 1
+        qf.sigma_family(37, ring=se.GF2)
+        assert qf.sigma_family.cache_info().currsize == 2
+
+    def test_readers_serve_the_family_series(self):
+        # The uncached readers return the family's own series, not copies.
+        N = 37
+        qf.sigma_family.cache_clear()
+        family = qf.sigma_family(N)
+        assert qf.overpartition_gf(N) is family.pbar
+        for v in MexVariant:
+            assert qf.sigma_mex_gf(v, N) is getattr(family, v.value), v
 
 
 def _family_lane_by_lane(N, ring):
@@ -213,17 +212,24 @@ def _longest(lanes):
     return max(abs(c).bit_length() for lane in lanes for c in lane)
 
 
-# The four sums over 1/(-q;q)_m as (builder, args, terms), the order N
-# left off args: sum_m terms(m) / (-q;q)_m, terms(m) the m-th numerator as
-# {exponent: coefficient}.
+# The four sums over 1/(-q;q)_m as (name, terms): sum_m terms(m) /
+# (-q;q)_m, terms(m) the m-th numerator as {exponent: coefficient}.
 NEGQ_SUMS = [
-    (qf.negq_phi, (1,), lambda m: {comb(m + 1, 2): 1}),
-    (qf.negq_phi, (2,), lambda m: {comb(m + 1, 2): 2**m}),
-    (qf.overlined_mex_weighted_sum, (), lambda m: {comb(m, 2): m}),
+    ("phi_1", lambda m: {comb(m + 1, 2): 1}),
+    ("phi_2", lambda m: {comb(m + 1, 2): 2**m}),
+    ("overlined_mex_weighted_sum", lambda m: {comb(m, 2): m}),
     # m 2^(m-1) q^(m choose 2) (1 - q^m)
-    (qf.all_mex_raw_sum, (),
-     lambda m: {comb(m, 2): m * 2**m // 2, comb(m + 1, 2): -(m * 2**m // 2)}),
+    ("all_mex_raw_sum", lambda m: {comb(m, 2): m * 2**m // 2, comb(m + 1, 2): -(m * 2**m // 2)}),
 ]
+
+
+def _built_negq_sum(name, N, ring, terms):
+    """The sum named name as built to order N: a field of sigma_family, or
+    an identity-only sum, which builds over Z only; mod 2 that one is its
+    body, qf._negq_sum, on the same numerators."""
+    if name.startswith("phi_"):
+        return getattr(qf.sigma_family(N, ring=ring), name)
+    return getattr(qf, name)(N) if ring is se else qf._negq_sum(N, ring, terms)
 
 
 def _negq_sum_by_running_inverse(N, ring, terms):
@@ -242,38 +248,36 @@ def _negq_sum_by_running_inverse(N, ring, terms):
 class TestPochhammer:
     def test_empty_product(self):
         # Every factor of (q;q)_inf and (-q;q)_inf lies beyond order 0.
-        assert qf.pochhammer(-1, 0) == qf.pochhammer(+1, 0) == se.one(0)
+        assert se.binomial_product(-1, 0) == qf.pochhammer(0) == se.one(0)
 
     @pytest.mark.parametrize("ring", [se, se.GF2], ids=["Z", "GF2"])
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 7, 50, 301, 2000])
     def test_matches_ascending_fold(self, ring, sign, N):
         # The defining fold from the smallest factor up, in either ring;
-        # pochhammer builds over Z only, so the GF(2) fold reads it mod 2.
-        got = qf.pochhammer(sign, N)
+        # pochhammer builds (-q;q)_inf over Z only, so the GF(2) fold reads
+        # it mod 2, and (q;q)_inf is the kernel's, the tests' reference
+        # for the pentagonal theorem.
+        got = qf.pochhammer(N) if sign > 0 else se.binomial_product(sign, N)
         assert got.trunc_order == N
         read = (lambda c: c % 2) if ring is se.GF2 else (lambda c: c)
         assert list(map(read, got.coeffs)) == _values(_ascending_fold(ring, sign, N))
 
-    @pytest.mark.parametrize("sign", [+1, -1])
-    def test_gf2_build_refused_and_not_cached(self, sign):
+    def test_gf2_build_refused_and_not_cached(self):
         # series.GF2 has no binomial_product: the call raises before the
         # cache stores anything under the GF(2) key.
         before = qf.pochhammer.cache_info().currsize
         with pytest.raises(AttributeError):
-            qf.pochhammer(sign, 20, ring=se.GF2)
+            qf.pochhammer(20, ring=se.GF2)
         assert qf.pochhammer.cache_info().currsize == before
 
     def test_bad_spec(self):
+        with pytest.raises(ValueError):  # the sign is the kernel's alone
+            se.binomial_product(2, 5)
         with pytest.raises(ValueError):
-            qf.pochhammer(2, 5)
-        with pytest.raises(ValueError):
-            qf.pochhammer(1, -1)
+            qf.pochhammer(-1)
         with pytest.raises(ValueError):
             qf.pentagonal(0, 5)
-        for z in (0, 3):  # sigma_family holds Phi_1 and Phi_2 only
-            with pytest.raises(ValueError, match="z must be 1 or 2"):
-                qf.negq_phi(z, 5)
 
 
 class TestOverpartitionGf:
@@ -289,7 +293,7 @@ class TestOverpartitionGf:
 
 class TestRamanujanSigma:
     def test_low_coefficients(self):
-        s = qf.negq_phi(1, 10)
+        s = qf.sigma_family(10).phi_1
         assert s[0] == 1
         assert s[1] == 1
 
@@ -297,7 +301,7 @@ class TestRamanujanSigma:
 class TestSigmaAdh:
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 6, 7, 300, 2500, 10000])
     def test_matches_horner_sum(self, N):
-        assert qf.sigma_adh(N) == qf.negq_phi(1, N)
+        assert qf.sigma_adh(N) == qf.sigma_family(N).phi_1
 
     def test_parity_is_pentagonal(self):
         # The j and -j terms cancel mod 2: sigma = (q;q)_inf mod 2.
@@ -341,9 +345,10 @@ class TestDistinctPartWitness:
         sigma, phi11, q = _distinct_part_tallies(N)
         q2 = [sum(q[i] * q[n - i] for i in range(n + 1)) for n in range(N + 1)]
         q3 = [sum(q[i] * q2[n - i] for i in range(n + 1)) for n in range(N + 1)]
-        assert list(qf.negq_phi(1, N).coeffs) == sigma
-        assert list(qf.negq_phi(2, N).coeffs) == phi11
-        assert list(qf.sigma_mex_gf(MexVariant.NON_OVERLINED, N).coeffs) == q3
+        family = qf.sigma_family(N)
+        assert list(family.phi_1.coeffs) == sigma
+        assert list(family.phi_2.coeffs) == phi11
+        assert list(family.nonoverlined.coeffs) == q3
 
 
 class TestPhi11:
@@ -353,7 +358,7 @@ class TestPhi11:
     def test_defining_equals_simplified(self):
         # N = 0, 1, 2: the n = 1 term's q^1, and the n = 2 term's q^3 past N.
         for N in (0, 1, 2, 300):
-            assert qf.phi11(N).coeffs == qf.negq_phi(2, N).coeffs, N
+            assert qf.phi11(N).coeffs == qf.sigma_family(N).phi_2.coeffs, N
 
     # C(n+1, 2) = 1, 3, 6, 10, 45 and the orders one either side: the last
     # term reaches q^N by one coefficient, none, or two.
@@ -416,7 +421,7 @@ class TestSigmaMexGf:
 
     @pytest.mark.parametrize("N", [0, 1, 2, 50, 300, 2000, 10000])
     def test_nonoverlined_matches_dense_cube_gf2(self, N):
-        got = qf.sigma_mex_gf(MexVariant.NON_OVERLINED, N, ring=se.GF2)
+        got = qf.sigma_family(N, ring=se.GF2).nonoverlined
         assert got.bits == _negq_cubed_dense(N, se.GF2).bits
 
 
@@ -579,7 +584,7 @@ def _count_gf_by_factors(variant, m, N):
     (non-overlined): the reference for the closed form."""
     lead = comb(m, 2)
     if variant is MexVariant.NON_OVERLINED:
-        acc = qf.pochhammer(+1, N)
+        acc = qf.pochhammer(N)
         for j in range(1, N + 1):
             if j != m:
                 acc = se.div_binomial(acc, -1, j)
@@ -599,11 +604,33 @@ class TestIdentityChains:
             assert comb(ms[-1] + 1, 2) > n
 
 
+def _seen_by_verify(monkeypatch, module, **replaced):
+    """verify sees module with the given attributes replaced, on top of
+    what it already sees, and the rest as they are at the call; the module
+    itself, which the builders call, is unchanged."""
+    name = module.__name__.rpartition(".")[2]
+    monkeypatch.setattr(vf, name, types.SimpleNamespace(**{**vars(getattr(vf, name)), **replaced}))
+
+
+def _seen_family(monkeypatch, in_ring, **edits):
+    """verify sees every sigma_family built over in_ring with
+    edits[field](series) in place of each field named in edits, by the
+    family's _replace; qfactory's own readers, and the cache, keep the
+    real family."""
+    built = vf.qfactory.sigma_family
+
+    def seen(N, ring=se):
+        family = built(N, ring=ring)
+        if ring is not in_ring:
+            return family
+        return family._replace(**{f: edit(getattr(family, f)) for f, edit in edits.items()})
+
+    _seen_by_verify(monkeypatch, qf, sigma_family=seen)
+
+
 def _faulted_sigma(monkeypatch, variant, terms):
-    """qf.sigma_mex_gf with the terms {n: c} added to variant's series."""
-    built = qf.sigma_mex_gf
-    monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: (
-        se.add_terms(built(v, N), terms) if v is variant else built(v, N)))
+    """verify sees the terms {n: c} added to variant's Z series."""
+    _seen_family(monkeypatch, se, **{variant.value: lambda s: se.add_terms(s, terms)})
 
 
 class TestArithmeticLaws:

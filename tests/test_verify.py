@@ -2,7 +2,6 @@ import copy
 import json
 import math
 import random
-import types
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ from overmex import qfactory as qf
 from overmex import series as se
 from overmex import verify as vf
 from overmex.qfactory import MexVariant
-from test_qfactory import _mul_binomial
+from test_qfactory import _mul_binomial, _seen_by_verify, _seen_family
 from test_series import to_gf2
 
 
@@ -95,34 +94,19 @@ def _assert_fail(report, witness, metrics):
     assert (report.status, got, report.metrics) == (vf.FAIL, witness, metrics), report.to_dict()
 
 
-def _seen_by_verify(monkeypatch, module, **replaced):
-    """verify sees module with the given attributes replaced; the module
-    itself, which the builders call, is unchanged."""
-    name = module.__name__.rpartition(".")[2]
-    monkeypatch.setattr(vf, name, types.SimpleNamespace(**{**vars(module), **replaced}))
-
-
-def _wrap_reads(monkeypatch, wrap):
-    """verify sees overpartition_gf and sigma_mex_gf through wrap(series,
-    args, ring), args being the build's arguments with N left off: () for
-    overpartition_gf, (variant,) for sigma_mex_gf."""
-    def wrapped(original):
-        return lambda *args, ring=se: wrap(original(*args, ring=ring), args[:-1], ring)
-
-    _seen_by_verify(monkeypatch, qf, **{
-        builder: wrapped(getattr(qf, builder)) for builder in ("overpartition_gf", "sigma_mex_gf")})
+def _bump_sigma(monkeypatch, k):
+    """verify sees q^k added to each of the three Z sigma-mex series."""
+    _seen_family(monkeypatch, se, **{v.value: lambda s: _bump(s, k) for v in MexVariant})
 
 
 def _flip_gf2_bits(monkeypatch, flips):
-    """verify sees the bits listed in flips toggled in every GF(2) build
-    whose arguments, N left off, are a key of flips.  The integer series,
-    and so the mod-2 comparison, are unchanged."""
-    def flipped(s, args, ring):
-        if ring is not se.GF2:
-            return s
-        return se.GF2.add(s, se.GF2.from_terms(dict.fromkeys(flips.get(args, ()), 1), s.trunc_order))
-
-    _wrap_reads(monkeypatch, flipped)
+    """verify sees the bits flips[field] toggled in each field of every
+    GF(2) sigma_family.  The integer series, and so the mod-2 comparison,
+    are unchanged."""
+    _seen_family(monkeypatch, se.GF2, **{
+        field: lambda s, bits=bits: se.GF2.add(
+            s, se.GF2.from_terms(dict.fromkeys(bits, 1), s.trunc_order))
+        for field, bits in flips.items()})
 
 
 class TestGfVsOracle:
@@ -144,15 +128,14 @@ class TestGfVsOracle:
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_wrong_sigma_fails(self, variant, monkeypatch):
-        sigma_gf = qf.sigma_mex_gf
-        monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 5))
+        _bump_sigma(monkeypatch, 5)
         _assert_fail(vf.check_gf_vs_oracle(variant, 10), 5, {"where": "sigma"})
 
     @pytest.mark.parametrize("variant", list(MexVariant))
     def test_sigma_judged_before_counts(self, variant, monkeypatch):
-        sigma_gf, count_gf = qf.sigma_mex_gf, qf.mex_count_gf
-        monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 7))
+        count_gf = qf.mex_count_gf
         monkeypatch.setattr(qf, "mex_count_gf", lambda v, m, N: _bump(count_gf(v, m, N), 7))
+        _bump_sigma(monkeypatch, 7)
         _assert_fail(vf.check_gf_vs_oracle(variant, 10), 7, {"where": "sigma"})
 
     def test_counts_checked_past_sigma_range(self, monkeypatch):
@@ -229,8 +212,7 @@ class TestGfVsOracle:
     @pytest.mark.parametrize("variant", list(MexVariant))
     @pytest.mark.usefixtures("literal_class_dropped_at_9")
     def test_literal_judged_before_sigma(self, variant, monkeypatch):
-        sigma_gf = qf.sigma_mex_gf
-        monkeypatch.setattr(qf, "sigma_mex_gf", lambda v, N: _bump(sigma_gf(v, N), 9))
+        _bump_sigma(monkeypatch, 9)
         _assert_fail(vf.check_gf_vs_oracle(variant, 10), 9, {"where": "literal", "m": 1})
 
     @pytest.mark.parametrize("variant", list(MexVariant))
@@ -260,7 +242,7 @@ class TestEuler:
         assert vf.check_euler_identity(1).passed
 
     def test_perturbed_fails_with_witness(self):
-        a = qf.pochhammer(+1, 50)
+        a = qf.pochhammer(50)
         bad = se.add(a, se.from_terms({7: 1}, 50))
         r = vf._compare_series("euler", "n <= 50", [({}, a.coeffs, bad.coeffs)])
         assert not r.passed
@@ -301,9 +283,8 @@ class TestEuler:
         # (-q;q)_inf with its factor (1 + q^7) divided out first differs at q^7.
         pochhammer = qf.pochhammer
 
-        def without_1_plus_q7(sign, N, ring=se):
-            p = pochhammer(sign, N, ring=ring)
-            return ring.div_binomial(p, +1, 7) if sign > 0 else p
+        def without_1_plus_q7(N, ring=se):
+            return ring.div_binomial(pochhammer(N, ring=ring), +1, 7)
 
         monkeypatch.setattr(qf, "pochhammer", without_1_plus_q7)
         _assert_fail(vf.check_euler_identity(300), (7, 4, 5),
@@ -382,7 +363,7 @@ class TestIdentitySuite:
     def test_perturbed_adh_term_fails(self, monkeypatch):
         adh = qf.sigma_adh
         monkeypatch.setattr(qf, "sigma_adh", lambda N: _bump(adh(N), 123))
-        _assert_fail(vf.check_identity_suite(300), (123, qf.negq_phi(1, 300)[123],
+        _assert_fail(vf.check_identity_suite(300), (123, qf.sigma_family(300).phi_1[123],
                      adh(300)[123] + 1), {"failed_subcheck": "identity:sigma_adh"})
 
     def test_smallest_n_before_row_order(self, monkeypatch):
@@ -390,16 +371,15 @@ class TestIdentitySuite:
         raw, adh = qf.all_mex_raw_sum, qf.sigma_adh
         _seen_by_verify(monkeypatch, qf, all_mex_raw_sum=lambda N: _bump(raw(N), 40),
                         sigma_adh=lambda N: _bump(adh(N), 20))
-        _assert_fail(vf.check_identity_suite(300), (20, qf.negq_phi(1, 300)[20],
+        _assert_fail(vf.check_identity_suite(300), (20, qf.sigma_family(300).phi_1[20],
                      adh(300)[20] + 1), {"failed_subcheck": "identity:sigma_adh"})
 
     def test_first_differing_row_reported(self, monkeypatch):
         # sigma = Phi_1 is read by three rows; a fault in it alone shows in
         # each at the same n, and the first, identity:overlined_telescoped,
         # is the one reported.
-        phi = qf.negq_phi
-        bumped = _bump(phi(1, 300), 50)
-        _seen_by_verify(monkeypatch, qf, negq_phi=lambda z, N: bumped if z == 1 else phi(z, N))
+        bumped = _bump(qf.sigma_family(300).phi_1, 50)
+        _seen_family(monkeypatch, se, phi_1=lambda s: _bump(s, 50))
         assert bumped[50] != qf.overlined_mex_weighted_sum(300)[50]
         assert bumped[50] != qf.sigma_adh(300)[50]
         _assert_fail(vf.check_identity_suite(300),
@@ -411,9 +391,9 @@ class TestIdentitySuite:
         # invisible to identity:overlined_telescoped, which compares them
         # with each other.  identity:sigma_adh and the built sigma_ov times
         # theta(-q) both see it at 77, and the ADH row comes first.
-        phi, weighted = qf.negq_phi, qf.overlined_mex_weighted_sum
+        weighted = qf.overlined_mex_weighted_sum
+        _seen_family(monkeypatch, se, phi_1=lambda s: _bump(s, 77))
         _seen_by_verify(monkeypatch, qf,
-                        negq_phi=lambda z, N: _bump(phi(z, N), 77) if z == 1 else phi(z, N),
                         overlined_mex_weighted_sum=lambda N: _bump(weighted(N), 77))
         _assert_fail(vf.check_identity_suite(300), 77, {"failed_subcheck": "identity:sigma_adh"})
 
@@ -422,9 +402,7 @@ class TestIdentitySuite:
         # Times theta(-q) it moves q^1500 by 2, so identity:all_times_theta
         # sees it; mod 4 it turns the non-square 1500's residue 2 into 0,
         # and arithmetic:all_mod_4, the first of the arithmetic rows, sees it.
-        sigma_gf = qf.sigma_mex_gf
-        _seen_by_verify(monkeypatch, qf, sigma_mex_gf=lambda v, N: se.add_terms(
-            sigma_gf(v, N), {1500: 2} if v is MexVariant.ALL else {}))
+        _seen_family(monkeypatch, se, all=lambda s: se.add_terms(s, {1500: 2}))
         _assert_fail(vf.check_identity_suite(2000), 1500,
                      {"failed_subcheck": "identity:all_times_theta"})
         _assert_fail(vf.check_arithmetic(2000), (1500, 0, 2),
@@ -432,6 +410,7 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("variant,c,check,subcheck", [
         (MexVariant.OVERLINED, 2, vf.check_identity_suite, "identity:overlined_times_theta"),
+        # The exact row identity:nonoverlined_times_theta sees it too.
         (MexVariant.NON_OVERLINED, 2, vf.check_arithmetic, "arithmetic:nonoverlined_mod_3"),
         # 4q^1500 is 0 mod 4 as well, so only the exact row can see it.
         (MexVariant.ALL, 4, vf.check_identity_suite, "identity:all_times_theta"),
@@ -439,13 +418,31 @@ class TestIdentitySuite:
     def test_numerator_fault_fails(self, variant, c, check, subcheck, monkeypatch):
         # c q^1500 added to one quotient's numerator, before the division by
         # theta(-q), is even, so the parity checks miss it; the quotient
-        # gains c P-bar(n - 1500), first c at n = 1500.  The non-overlined
-        # series has no exact numerator row, and its mod-3 law sees it.
-        sigma_gf, theta = qf.sigma_mex_gf, qf.theta_neg(2000)
-        faulted = se.div(se.add_terms(se.mul(sigma_gf(variant, 2000), theta), {1500: c}), theta)
-        _seen_by_verify(monkeypatch, qf, sigma_mex_gf=lambda v, N: (
-            faulted if v is variant else sigma_gf(v, N)))
+        # gains c P-bar(n - 1500), first c at n = 1500.
+        theta = qf.theta_neg(2000)
+        faulted = se.div(se.add_terms(se.mul(qf.sigma_mex_gf(variant, 2000), theta), {1500: c}),
+                         theta)
+        _seen_family(monkeypatch, se, **{variant.value: lambda s: faulted})
         _assert_fail(check(2000), 1500, {"failed_subcheck": subcheck})
+
+    @pytest.mark.parametrize("kernel", ["unpack", "pack"], ids=["lane", "psi"])
+    def test_nonoverlined_build_fault_fails(self, kernel, monkeypatch, cold_caches):
+        # 6q^1500 in sigma_family's build: added to sigma_no's lane as it
+        # is unpacked, or to psi before it is packed.  6 is 0 mod 3 and
+        # even, so the mod-3 and parity laws miss it; times theta(-q),
+        # whose q^0 is 1, it moves q^1500, which is not triangular, by 6.
+        unpack, pack = se.unpack, se.pack
+
+        def lane_faulted(s, k, width):
+            lanes = unpack(s, k, width)
+            return lanes[:-1] + [se.add_terms(lanes[-1], {1500: 6})] if k == 4 else lanes
+
+        def psi_faulted(parts, width):
+            return pack([*parts[:-1], se.add_terms(parts[-1], {1500: 6})], width)
+
+        monkeypatch.setattr(se, kernel, lane_faulted if kernel == "unpack" else psi_faulted)
+        _assert_fail(vf.check_identity_suite(2000), (1500, 6, 0),
+                     {"failed_subcheck": "identity:nonoverlined_times_theta"})
 
 
 class TestParity:
@@ -454,14 +451,14 @@ class TestParity:
 
     def test_gf2_matches_full_series(self):
         N = 120
-        bits = qf.sigma_mex_gf(MexVariant.OVERLINED, N, ring=se.GF2)
-        full = qf.sigma_mex_gf(MexVariant.OVERLINED, N)
+        bits = qf.sigma_family(N, ring=se.GF2).overlined
+        full = qf.sigma_family(N).overlined
         for n in range(N + 1):
             assert bits[n] == full[n] % 2
 
     def test_gf2_pbar_is_one(self):
         # Every overpartition number at n >= 1 is even.
-        assert qf.overpartition_gf(2000, ring=se.GF2).bits == 1
+        assert qf.sigma_family(2000, ring=se.GF2).pbar.bits == 1
 
     def test_density_passes(self):
         r = vf.check_parity_density(1000)
@@ -487,7 +484,7 @@ class TestParity:
     def test_density_measures_the_read(self, n_max):
         # A PASS matched the read to the pentagonal bits, so measuring
         # those gives the metrics that measuring the read itself gives.
-        read = qf.sigma_mex_gf(MexVariant.OVERLINED, n_max, ring=se.GF2).bits
+        read = qf.sigma_family(n_max, ring=se.GF2).overlined.bits
         r = vf.check_parity_density(n_max)
         assert r.passed
         assert r.metrics == vf._density_report("parity_density", read, n_max).metrics
@@ -512,14 +509,14 @@ class TestParity:
         (2000, (2000, 0, 1)),
     ], ids=["non_pentagonal_odd", "pentagonal_even", "at_n_max"])
     def test_density_witness_past_mod2_window(self, flip, witness, monkeypatch):
-        _flip_gf2_bits(monkeypatch, {(MexVariant.OVERLINED,): [flip]})
+        _flip_gf2_bits(monkeypatch, {"overlined": [flip]})
         _assert_fail(vf.check_parity_density(2000), witness, {"where": "sigma_mex_overlined"})
 
     def test_triangular(self):
         assert vf.check_triangular_parity(500).passed
 
     def test_triangular_small_values(self):
-        bits = qf.sigma_mex_gf(MexVariant.NON_OVERLINED, 10, ring=se.GF2)
+        bits = qf.sigma_family(10, ring=se.GF2).nonoverlined
         assert bits[1] == 1  # n=1 = 1*2/2 triangular, odd
         assert bits[2] == 0  # n=2 not triangular, even
 
@@ -547,33 +544,30 @@ class TestParity:
                 assert r.passed, r.to_dict()
 
     def test_each_gf2_series_requested_once(self, monkeypatch):
-        # A parity check reads back the GF(2) series it has just compared
-        # with Z mod 2, rather than asking qfactory for it a second time.
-        requests = Counter()
+        # A parity check builds the family once per ring and reads every
+        # series it compares from those builds, the GF(2) one at n_max,
+        # rather than asking qfactory for each series again.
+        requests, built = Counter(), qf.sigma_family
 
-        def spy(s, args, ring):
-            if ring is se.GF2:
-                requests[(*args, s.trunc_order)] += 1
-            return s
+        def spy(N, ring=se):
+            requests[ring, N] += 1
+            return built(N, ring=ring)
 
-        _wrap_reads(monkeypatch, spy)
-        for check, series_args in [
-            (vf.check_parity_all_even, [(300,), (MexVariant.ALL, 300)]),
-            (vf.check_parity_density, [(MexVariant.OVERLINED, 300)]),
-            (vf.check_triangular_parity, [(MexVariant.NON_OVERLINED, 300)]),
-        ]:
+        _seen_by_verify(monkeypatch, qf, sigma_family=spy)
+        for check in (vf.check_parity_all_even, vf.check_parity_density,
+                      vf.check_triangular_parity):
             requests.clear()
             assert check(300).passed
-            assert requests == Counter(series_args), check.__name__
+            assert requests == Counter([(se.GF2, 300), (se, 300)]), check.__name__
 
     # Past MOD2_CHECK_ORDER only the sweep reads a GF(2) coefficient, so
     # each fault below is visible to nothing but the sweep.
     @pytest.mark.parametrize("flips,witness,where", [
-        ({(MexVariant.ALL,): [1500]}, (1500, 0, 1), "sigma_mex_all"),
+        ({"all": [1500]}, (1500, 0, 1), "sigma_mex_all"),
         # Same n in both reads: the witness names the first read.
-        ({(): [1500], (MexVariant.ALL,): [1500]}, (1500, 0, 1), "overpartition_number"),
-        ({(): [1700], (MexVariant.ALL,): [1500]}, (1500, 0, 1), "sigma_mex_all"),
-        ({(MexVariant.ALL,): [2000]}, (2000, 0, 1), "sigma_mex_all"),
+        ({"pbar": [1500], "all": [1500]}, (1500, 0, 1), "overpartition_number"),
+        ({"pbar": [1700], "all": [1500]}, (1500, 0, 1), "sigma_mex_all"),
+        ({"all": [2000]}, (2000, 0, 1), "sigma_mex_all"),
     ], ids=["all_parts", "tie_first_read", "smaller_n_wins", "at_n_max"])
     def test_all_even_witness_past_mod2_window(self, flips, witness, where, monkeypatch):
         _flip_gf2_bits(monkeypatch, flips)
@@ -585,7 +579,7 @@ class TestParity:
         (2000, (2000, 0, 1)),
     ], ids=["triangular_even", "non_triangular_odd", "at_n_max"])
     def test_triangular_witness_past_mod2_window(self, flip, witness, monkeypatch):
-        _flip_gf2_bits(monkeypatch, {(MexVariant.NON_OVERLINED,): [flip]})
+        _flip_gf2_bits(monkeypatch, {"nonoverlined": [flip]})
         _assert_fail(vf.check_triangular_parity(2000), witness, {"where": "sigma_mex_nonoverlined"})
 
     @pytest.mark.parametrize("check,where", [
@@ -596,23 +590,26 @@ class TestParity:
     def test_even_constant_term_fails(self, check, where, monkeypatch):
         # q^0 = 1 in every read.  With q^0 even in both rings the mod-2
         # guard agrees, and only the closed-form comparison at q^0 sees it.
-        _wrap_reads(monkeypatch, lambda s, args, ring: ring.add_terms(s, {0: 1}))
+        reads = ("pbar", *(v.value for v in MexVariant))
+        for ring in (se, se.GF2):
+            _seen_family(monkeypatch, ring, **dict.fromkeys(
+                reads, lambda s, ring=ring: ring.add_terms(s, {0: 1})))
         _assert_fail(check(2000), (0, 1, 0), {"where": where})
 
     # Inside the window the mod-2 guard reads every bit: of two bad bits
     # the lower is the witness, and MOD2_CHECK_ORDER itself is inside.
     @pytest.mark.parametrize("check,flips,witness,where", [
-        (vf.check_parity_all_even, {(): [801, 300]}, (300, 0, 1), "mod2:overpartition_number"),
-        (vf.check_parity_all_even, {(MexVariant.ALL,): [999, 998]}, (998, 0, 1), "mod2:sigma_mex_all"),
+        (vf.check_parity_all_even, {"pbar": [801, 300]}, (300, 0, 1), "mod2:overpartition_number"),
+        (vf.check_parity_all_even, {"all": [999, 998]}, (998, 0, 1), "mod2:sigma_mex_all"),
         # 300 = 24 * 25 / 2 is triangular, so the Z series is odd there.
-        (vf.check_triangular_parity, {(MexVariant.NON_OVERLINED,): [500, 300]},
+        (vf.check_triangular_parity, {"nonoverlined": [500, 300]},
          (300, 1, 0), "mod2:sigma_mex_nonoverlined"),
-        (vf.check_parity_all_even, {(): [vf.MOD2_CHECK_ORDER]},
+        (vf.check_parity_all_even, {"pbar": [vf.MOD2_CHECK_ORDER]},
          (vf.MOD2_CHECK_ORDER, 0, 1), "mod2:overpartition_number"),
-        (vf.check_parity_density, {(MexVariant.OVERLINED,): [vf.MOD2_CHECK_ORDER]},
+        (vf.check_parity_density, {"overlined": [vf.MOD2_CHECK_ORDER]},
          (vf.MOD2_CHECK_ORDER, 0, 1), "mod2:sigma_mex_overlined"),
         # The later read breaks first, so it is the one reported.
-        (vf.check_parity_all_even, {(): [800], (MexVariant.ALL,): [300]},
+        (vf.check_parity_all_even, {"pbar": [800], "all": [300]},
          (300, 0, 1), "mod2:sigma_mex_all"),
     ], ids=["two_in_pbar", "adjacent_in_all_parts", "triangular", "at_check_order",
             "density_at_check_order", "later_read_first"])
@@ -623,13 +620,7 @@ class TestParity:
     def test_wrong_integer_pbar_fails(self, monkeypatch):
         # Z P-bar off by one at n = 700, past the old mod-2 check order:
         # the GF(2) side is 1 by construction, so only Z can show it.
-        pbar = qf.overpartition_gf
-
-        def off_at_700(N, ring=se):
-            s = pbar(N, ring=ring)
-            return _bump(s, 700) if ring is se and N >= 700 else s
-
-        monkeypatch.setattr(qf, "overpartition_gf", off_at_700)
+        _seen_family(monkeypatch, se, pbar=lambda s: _bump(s, 700) if s.trunc_order >= 700 else s)
         _assert_fail(vf.check_parity_all_even(1000), (700, 1, 0),
                      {"where": "mod2:overpartition_number"})
 
@@ -650,7 +641,7 @@ class TestParity:
 
 class TestGf2Arithmetic:
     def test_mul_matches_integer_mul(self):
-        a = qf.pochhammer(+1, 40)
+        a = qf.pochhammer(40)
         b = qf.overpartition_gf(40)
         assert se.GF2.mul(to_gf2(a), to_gf2(b)).bits == to_gf2(se.mul(a, b)).bits
 
@@ -664,7 +655,7 @@ class TestGf2Arithmetic:
         # (q^2;q^2)_inf and (q;q)_inf^2 agree coefficientwise mod 2.
         N = 500
         even = qf.pentagonal(2, N, ring=se.GF2)
-        full = to_gf2(qf.pochhammer(-1, N))  # built over Z only; read mod 2
+        full = to_gf2(se.binomial_product(-1, N))  # built over Z only; read mod 2
         assert even.bits == se.GF2.mul(full, full).bits
 
 
@@ -777,7 +768,7 @@ class TestSigmaTaylor:
     def test_limit_toward_two(self):
         # Leading expansion term is 2; at t=0.02 the truncation tail at
         # N=400 is already below e^-8 per unit coefficient.
-        sigma = qf.negq_phi(1, 400)
+        sigma = qf.sigma_family(400).phi_1
         assert vf._evaluate(sigma, math.exp(-0.02)) == pytest.approx(2.0, abs=0.05)
 
 

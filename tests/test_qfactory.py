@@ -263,12 +263,17 @@ class TestPochhammer:
         read = (lambda c: c % 2) if ring is se.GF2 else (lambda c: c)
         assert list(map(read, got.coeffs)) == _values(_ascending_fold(ring, sign, N))
 
-    def test_gf2_build_refused_and_not_cached(self):
-        # series.GF2 has no binomial_product: the call raises before the
-        # cache stores anything under the GF(2) key.
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_gf2_build_refused_and_not_cached(self, sign):
+        # series.GF2 has no binomial_product, so neither product builds over
+        # GF(2): pochhammer's call raises before the cache stores anything
+        # under the GF(2) key, and (q;q)_inf has no GF(2) kernel to call.
         before = qf.pochhammer.cache_info().currsize
         with pytest.raises(AttributeError):
-            qf.pochhammer(20, ring=se.GF2)
+            if sign > 0:
+                qf.pochhammer(20, ring=se.GF2)
+            else:
+                se.GF2.binomial_product(sign, 20)
         assert qf.pochhammer.cache_info().currsize == before
 
     def test_bad_spec(self):

@@ -129,8 +129,9 @@ def check_gf_vs_oracle(
 ) -> VerifyReport:
     """Generating-function coefficients against the oracle: sigma values
     for n <= n_max and per-m counts for n <= count_n_max, both read from
-    the mex histograms of one walk over every ordinary partition of every
-    n <= max(n_max, count_n_max), which the three variants' checks share.
+    combinat.mex_histograms at max(n_max, count_n_max), which the three
+    variants' checks share: it visits each run of least parts, and each
+    partition into parts >= 2, of every n up to there once.
     For n <= LITERAL_CHECK_N each histogram is also compared with the
     literal one, from each overpartition's part sets, taken one by one, as
     bitmasks.  The rows, in order: literal per m, sigma, then counts per

@@ -225,6 +225,19 @@ class TestClassCounting:
         with pytest.raises(ValueError):
             cb.mex_histograms(-1)
 
+    @pytest.mark.parametrize("N", range(21))
+    def test_extension_table_matches_classes(self, N):
+        # A skipped least part or a doubled weight shows here, at the first
+        # entry it changes, not only where it changes a histogram count.
+        table = cb._extensions(N)
+        assert sorted(table) == list(range(2, N + 3))
+        # (least part, 2^(distinct parts)) for each partition of each 1 <= k <= N.
+        weights = [[(groups[-1][0], 1 << len(groups)) for groups in cb._classes(k)]
+                   for k in range(1, N + 1)]
+        for low, row in table.items():
+            assert row == [1] + [sum(w for least, w in partitions if least >= low)
+                                 for partitions in weights], low
+
 
 def with_multiset(parts):
     """The reference overpartitions whose parts, overlines erased, are the

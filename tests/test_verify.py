@@ -220,6 +220,11 @@ class TestGfVsOracle:
         class_count_off_at(15)  # past LITERAL_CHECK_N, so sigma is judged first
         _assert_fail(vf.check_gf_vs_oracle(variant, 20), 15, {"where": "sigma"})
 
+    @pytest.mark.parametrize("variant", list(MexVariant))
+    def test_passes_at_oracle_limit(self, variant):
+        # cli.DEFAULT_ORACLE_LIMIT: the deepest walk that Tier-1 runs.
+        assert vf.check_gf_vs_oracle(variant, 45).passed
+
     def test_variants_share_one_walk(self):
         cb.mex_histograms.cache_clear()
         for v in MexVariant:
